@@ -28,7 +28,6 @@ from .geometry import (
 )
 from .maps import MapError, VarietyMap
 from .polynomials import (
-    POLE_FREE,
     Polynomial,
     RationalFunction,
     poly_div_exact,
@@ -497,23 +496,20 @@ def _merge_structural(a: Triple, b: Triple, rng) -> Triple:
     for comp in b.declared_poles:
         if comp not in decl:
             decl.append(comp)
-    decl = _prune_declared(form, a.source, decl)
+    decl = prune_declared(form, a.source, decl)
     return make_triple(a.source, a.map, form, decl, rng)
 
 
-def _prune_declared(form, source, declared):
-    kept = []
-    for comp in declared:
-        chart = comp.first_visible_chart()
-        local = form if form.chart == chart.id else source.transition_form(form, chart.id)
-        worst = POLE_FREE
-        for rf in local.components.values():
-            o = rf.ord_along(comp.poly_on(chart.id))
-            if o < worst:
-                worst = o
-        if worst < 0:
-            kept.append(comp)
-    return kept
+def prune_declared(form, source, declared):
+    """The declared components along which the form still has a pole."""
+    return [comp for comp in declared if _pole_order(form, source, comp) < 0]
+
+
+def _pole_order(form, source, comp):
+    """Worst pole order of the form along a component, on its first chart."""
+    chart = comp.first_visible_chart()
+    local = form if form.chart == chart.id else source.transition_form(form, chart.id)
+    return local.pole_order(comp.poly_on(chart.id))
 
 
 def _merge_group(desc, members, ambient, rng):
@@ -642,16 +638,7 @@ def boundary(c: PolarChain, rng=None, strict=False) -> BoundaryResult:
         if t.degree == 0 or t.source.kind == "curve" or t.form.is_zero():
             continue
         for comp in t.declared_poles:
-            chart = comp.first_visible_chart()
-            local = t.form if t.form.chart == chart.id else (
-                t.source.transition_form(t.form, chart.id)
-            )
-            worst = POLE_FREE
-            for rf in local.components.values():
-                o = rf.ord_along(comp.poly_on(chart.id))
-                if o < worst:
-                    worst = o
-            if worst >= 0:
+            if _pole_order(t.form, t.source, comp) >= 0:
                 continue
             res, term = _residue_term(t, comp, rng)
             raw.append((Scalar.tau(), term))

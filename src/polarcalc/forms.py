@@ -219,13 +219,9 @@ class DifferentialForm:
 
     # -- structure -----------------------------------------------------------
 
-    def map_coefficients(self, fn) -> "DifferentialForm":
-        return DifferentialForm(
-            self.chart,
-            self.coords,
-            self.degree,
-            {i: fn(rf) for i, rf in self.components.items()},
-        )
+    def pole_order(self, p: Polynomial):
+        """Worst valuation of a coefficient along {p = 0}; POLE_FREE if none."""
+        return min((rf.ord_along(p) for rf in self.components.values()), default=POLE_FREE)
 
     def sorted_components(self):
         return sorted(self.components.items())
@@ -292,10 +288,6 @@ class PolarProfile:
             o >= -1 for _, o in self.components
         )
 
-    def worst_order(self):
-        orders = [o for _, o in self.components]
-        return min(orders) if orders else POLE_FREE
-
     def __repr__(self):
         return "PolarProfile(%s, residual=%s)" % (
             [(str(p), o) for p, o in self.components],
@@ -321,12 +313,7 @@ def polar_profile(form: DifferentialForm, declared) -> PolarProfile:
         if p.is_constant():
             components.append((p, POLE_FREE))
             continue
-        worst = POLE_FREE
-        for rf in form.components.values():
-            o = rf.ord_along(p)
-            if o < worst:
-                worst = o
-        components.append((p, worst))
+        components.append((p, form.pole_order(p)))
     residual = Polynomial.constant(form.coords, Scalar.one())
     seen = set()
     for rf in form.components.values():

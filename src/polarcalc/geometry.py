@@ -492,10 +492,6 @@ def _resultant_eliminate(polys, var):
 
 def _drop_var(p: Polynomial, var):
     rest = tuple(v for v in p.variables if v != var)
-    return p.lift_drop(var) if hasattr(p, "lift_drop") else _project(p, var, rest)
-
-
-def _project(p, var, rest):
     i = p.variables.index(var)
     out = {}
     for e, c in p.terms.items():
@@ -724,52 +720,6 @@ def _check_slices(visible, polys, chart, report, rng):
 
 
 # ---------------------------------------------------------------------------
-# component intersections
-# ---------------------------------------------------------------------------
-
-
-def intersect_components(a: DivisorComponent, b: DivisorComponent, variety: CatalogVariety):
-    """Rational intersection points of two NC components."""
-    if variety.dimension < 2:
-        raise GeometryError(
-            "degenerate: dimension-0 components cannot be intersected"
-        )
-    if variety.dimension > 2:
-        return SymbolicLocus(a, b)
-    pts = set()
-    for chart in variety.charts:
-        if chart.dimension != 2:
-            continue
-        if not (a.visible_on(chart.id) and b.visible_on(chart.id)):
-            continue
-        sols, complete = common_zeros_2d(
-            [a.poly_on(chart.id), b.poly_on(chart.id)], chart.coords
-        )
-        if not complete:
-            raise GeometryError(
-                "irrational intersection of %s and %s (chart %s)"
-                % (a.label, b.label, chart.id)
-            )
-        for x0, y0 in sols:
-            pts.add(
-                point_from_chart(
-                    variety, chart.id, dict(zip(chart.coords, (x0, y0)))
-                )
-            )
-    return sorted(pts, key=lambda p: p.sort_key())
-
-
-class SymbolicLocus:
-    """Unevaluated intersection locus on a higher-dimensional product."""
-
-    def __init__(self, a, b):
-        self.components = (a, b)
-
-    def __repr__(self):
-        return "SymbolicLocus(%s, %s)" % (self.components[0].label, self.components[1].label)
-
-
-# ---------------------------------------------------------------------------
 # curve quotient-ring arithmetic
 # ---------------------------------------------------------------------------
 
@@ -782,10 +732,6 @@ class CurveRingElement:
     def __init__(self, curve: CatalogVariety, coeffs):
         self.curve = curve
         self.coeffs = tuple(coeffs)
-
-    @property
-    def x_var(self):
-        return self.curve.main_chart.coords[0]
 
     @property
     def y_var(self):

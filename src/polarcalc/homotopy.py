@@ -20,7 +20,15 @@ piece having only section and vertical poles.
 import random
 from fractions import Fraction
 
-from .chains import ChainError, PolarChain, Triple, make_triple, scalar_fold, term_weight
+from .chains import (
+    ChainError,
+    PolarChain,
+    Triple,
+    make_triple,
+    prune_declared,
+    scalar_fold,
+    term_weight,
+)
 from .forms import DifferentialForm
 from .geometry import (
     INF,
@@ -276,7 +284,7 @@ def _h_line_term(lam, t, ambient, zc, c, rng):
         kernel = _kernel(cyl, zc, g_lift, probe)
         beta = dz.multiply(kernel).wedge(alpha_lift).scale(tau_inv)
         try:
-            main = make_triple(cyl, lifted_map, beta, _prune(decl, beta, cyl), rng)
+            main = make_triple(cyl, lifted_map, beta, prune_declared(beta, cyl, decl), rng)
         except ChainError:
             continue
         terms = [(Scalar.one(), main)]
@@ -291,7 +299,7 @@ def _h_line_term(lam, t, ambient, zc, c, rng):
                 cyl, cyl.main_chart.id, _section_rf(coords, zc, c).num
             )
             decl2 = [base_section, section] + verticals
-            tail = make_triple(cyl, lifted_map, diff, _prune(decl2, diff, cyl), rng)
+            tail = make_triple(cyl, lifted_map, diff, prune_declared(diff, cyl, decl2), rng)
             terms.append((Scalar.one(), tail))
         return terms, {
             "term": t.render(),
@@ -301,12 +309,6 @@ def _h_line_term(lam, t, ambient, zc, c, rng):
     raise HomotopyError(
         "no admissible basepoint among probes for term %s" % t.render()
     )
-
-
-def _prune(declared, form, source):
-    from .chains import _prune_declared
-
-    return _prune_declared(form, source, declared)
 
 
 def cylinder_homotopy(a: PolarChain, basepoint=0, rng=None) -> CylinderChain:

@@ -1,10 +1,14 @@
 """Sparse multivariate polynomials and rational functions over Scalar.
 
-Terms are kept in a dict {exponent_tuple: Scalar}; canonical printing
-sorts by graded lexicographic order of the exponent vectors over the
-chart's declared coordinate order.  Heavy primitives (multivariate gcd,
-exact division, resultants, rational root extraction) are delegated to
-sympy; everything else is direct dict arithmetic.
+A Polynomial is TAU^shift times one element of the sympy sparse ring
+QQ[<variables>, TAU], one ring per variable tuple.  The shift is chosen
+so that the element's lowest TAU power is 0, which keeps negative TAU
+powers exact and makes equality and hashing structural.  Arithmetic,
+gcd, exact division, resultants and rational roots are the ring's own
+operations; `terms` is a read-only {exponent: Scalar} view.  Canonical
+printing sorts by graded lexicographic order of the exponent vectors
+over the chart's declared coordinate order.  `to_sympy`/`from_sympy`
+convert to and from sympy expressions and are not used by the engine.
 """
 
 from __future__ import annotations
@@ -13,20 +17,45 @@ import math
 from fractions import Fraction
 
 import sympy as sp
+from sympy.polys.domains import QQ
+from sympy.polys.orderings import lex
+from sympy.polys.rings import PolyRing
 
-from .scalars import Scalar, ScalarError
+from .scalars import Scalar
 
 TAU_SYM = sp.Symbol("TAU")
 
-_sym_cache: dict = {}
+_rings: dict = {}
 
 
-def _sym(name: str) -> sp.Symbol:
-    s = _sym_cache.get(name)
-    if s is None:
-        s = sp.Symbol(name)
-        _sym_cache[name] = s
-    return s
+def _ring(variables) -> PolyRing:
+    """QQ[variables, TAU]; TAU is the last generator."""
+    R = _rings.get(variables)
+    if R is None:
+        R = _rings[variables] = PolyRing(
+            [sp.Symbol(v) for v in variables] + [TAU_SYM], QQ, lex
+        )
+    return R
+
+
+def _qq(q):
+    q = Fraction(q)
+    return QQ(q.numerator, q.denominator)
+
+
+def _frac(c) -> Fraction:
+    return Fraction(int(c.numerator), int(c.denominator))
+
+
+def _scalar(tau_coeffs: dict, shift: int) -> Scalar:
+    """The Scalar sum of c * TAU^(k + shift) over {k: c}."""
+    return Scalar({k + shift: _frac(c) for k, c in tau_coeffs.items()})
+
+
+def _lead(elem):
+    """Graded-lex leading exponent of a ring element and its {TAU power: c}."""
+    top = max(elem, key=lambda m: grlex_key(m[:-1]))[:-1]
+    return top, {m[-1]: c for m, c in elem.items() if m[:-1] == top}
 
 
 class PolynomialError(ArithmeticError):
@@ -40,67 +69,76 @@ def grlex_key(exp):
 class Polynomial:
     """Polynomial in an ordered tuple of variables, Scalar coefficients."""
 
-    __slots__ = ("variables", "terms")
+    __slots__ = ("variables", "elem", "shift")
 
     def __init__(self, variables, terms=None):
         self.variables = tuple(variables)
-        clean = {}
-        if terms:
-            for exp, c in terms.items():
-                if not isinstance(c, Scalar):
-                    c = Scalar.of(c)
-                if not c.is_zero():
-                    clean[tuple(exp)] = c
-        self.terms = clean
+        scalars = {
+            tuple(e): c if isinstance(c, Scalar) else Scalar.of(c)
+            for e, c in (terms or {}).items()
+        }
+        low = min((c.min_tau() for c in scalars.values() if not c.is_zero()), default=0)
+        self.elem = _ring(self.variables).dtype(
+            {e + (k - low,): _qq(q) for e, c in scalars.items() for k, q in c.coeffs.items()}
+        )
+        self.shift = low
+
+    @staticmethod
+    def _wrap(variables, elem, shift=0) -> "Polynomial":
+        """TAU^shift * elem, moving elem's lowest TAU power into the shift."""
+        low = min((m[-1] for m in elem), default=0)
+        if low:
+            elem = elem.new({m[:-1] + (m[-1] - low,): c for m, c in elem.items()})
+        p = Polynomial.__new__(Polynomial)
+        p.variables, p.elem, p.shift = variables, elem, shift + low if elem else 0
+        return p
 
     # -- constructors -------------------------------------------------
 
     @staticmethod
     def constant(variables, scalar) -> "Polynomial":
-        if not isinstance(scalar, Scalar):
-            scalar = Scalar.of(scalar)
-        n = len(variables)
-        return Polynomial(variables, {(0,) * n: scalar})
+        return Polynomial(variables, {(0,) * len(variables): scalar})
 
     @staticmethod
     def zero(variables) -> "Polynomial":
-        return Polynomial(variables, {})
+        return Polynomial(variables)
 
     @staticmethod
     def variable(variables, name) -> "Polynomial":
         variables = tuple(variables)
-        i = variables.index(name)
-        exp = tuple(1 if j == i else 0 for j in range(len(variables)))
-        return Polynomial(variables, {exp: Scalar.one()})
+        return Polynomial._wrap(variables, _ring(variables).gens[variables.index(name)])
+
+    @property
+    def terms(self) -> dict:
+        """Read-only view {exponent: Scalar}."""
+        grouped: dict = {}
+        for m, c in self.elem.items():
+            grouped.setdefault(m[:-1], {})[m[-1]] = c
+        return {e: _scalar(cs, self.shift) for e, cs in grouped.items()}
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.elem
 
     def is_constant(self) -> bool:
-        return all(sum(e) == 0 for e in self.terms)
+        return all(d <= 0 for d in self.elem.degrees()[:-1])
 
     def is_unit(self) -> bool:
         return self.is_constant() and not self.is_zero()
 
     def constant_value(self) -> Scalar:
-        if self.is_zero():
-            return Scalar.zero()
         if not self.is_constant():
             raise PolynomialError("not a constant: %s" % self)
-        return next(iter(self.terms.values()))
+        return _scalar({m[-1]: c for m, c in self.elem.items()}, self.shift)
 
     def total_degree(self) -> int:
-        if self.is_zero():
-            return -1
-        return max(sum(e) for e in self.terms)
+        return max((sum(m[:-1]) for m in self.elem), default=-1)
 
     def degree_in(self, name: str) -> int:
         if self.is_zero():
             return -1
-        i = self.variables.index(name)
-        return max(e[i] for e in self.terms)
+        return self.elem.degree(self.variables.index(name))
 
     def depends_on(self, name: str) -> bool:
         return self.degree_in(name) > 0
@@ -115,43 +153,37 @@ class Polynomial:
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            out[e] = c if s is None else s + c
-        return Polynomial(self.variables, out)
+        if not other.elem:
+            return self
+        if not self.elem:
+            return other
+        a, b, low = self.elem, other.elem, min(self.shift, other.shift)
+        tau = (0,) * len(self.variables)
+        if self.shift > low:
+            a = a.mul_monom(tau + (self.shift - low,))
+        if other.shift > low:
+            b = b.mul_monom(tau + (other.shift - low,))
+        return Polynomial._wrap(self.variables, a + b, low)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.variables, {e: -c for e, c in self.terms.items()})
+        return Polynomial._wrap(self.variables, -self.elem, self.shift)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        out = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = out.get(e)
-                out[e] = c if s is None else s + c
-        return Polynomial(self.variables, out)
+        return Polynomial._wrap(
+            self.variables, self.elem * other.elem, self.shift + other.shift
+        )
 
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise PolynomialError("negative polynomial power")
-        out = Polynomial.constant(self.variables, Scalar.one())
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
+        return Polynomial._wrap(self.variables, self.elem**n, self.shift * n)
 
     def scale(self, scalar: Scalar) -> "Polynomial":
-        return Polynomial(self.variables, {e: c * scalar for e, c in self.terms.items()})
+        return self * Polynomial.constant(self.variables, scalar)
 
     # -- structure -----------------------------------------------------
 
@@ -159,62 +191,42 @@ class Polynomial:
         """(exponent, Scalar) of the graded-lex leading term."""
         if self.is_zero():
             raise PolynomialError("zero polynomial has no leading term")
-        e = max(self.terms, key=grlex_key)
-        return e, self.terms[e]
+        e, lead = _lead(self.elem)
+        return e, _scalar(lead, self.shift)
 
     def sorted_terms(self):
         return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
 
-    def min_tau(self) -> int:
-        if self.is_zero():
-            return 0
-        return min(c.min_tau() for c in self.terms.values())
-
-    def shift_tau(self, delta: int) -> "Polynomial":
-        return Polynomial(
-            self.variables, {e: c.shift_tau(delta) for e, c in self.terms.items()}
-        )
-
     def differentiate(self, name: str) -> "Polynomial":
         i = self.variables.index(name)
-        out = {}
-        for e, c in self.terms.items():
-            if e[i] == 0:
-                continue
-            ne = list(e)
-            ne[i] -= 1
-            out[tuple(ne)] = c * Scalar.of(e[i])
-        return Polynomial(self.variables, out)
+        return Polynomial._wrap(self.variables, self.elem.diff(i), self.shift)
 
     def evaluate(self, point: dict) -> Scalar:
         """Exact value at a rational point {var: Fraction}."""
-        vals = [Fraction(point[v]) for v in self.variables]
-        acc = Scalar.zero()
-        for e, c in self.terms.items():
-            m = Fraction(1)
-            for x, k in zip(vals, e):
-                m *= x**k
-            acc = acc + c * Scalar.of(m)
-        return acc
+        at = self.elem
+        if self.variables:
+            gens = at.ring.gens
+            at = at.evaluate([(g, _qq(point[v])) for g, v in zip(gens, self.variables)])
+        return _scalar({m[-1]: c for m, c in at.items()}, self.shift)
 
     def rename(self, variables) -> "Polynomial":
         """Same terms, new variable names (positional)."""
+        variables = tuple(variables)
         if len(variables) != len(self.variables):
             raise PolynomialError("rename arity mismatch")
-        return Polynomial(tuple(variables), dict(self.terms))
+        return Polynomial._wrap(variables, _ring(variables).dtype(self.elem), self.shift)
 
     def lift(self, variables) -> "Polynomial":
         """Reinterpret in a larger/reordered variable tuple."""
         variables = tuple(variables)
-        pos = [variables.index(v) for v in self.variables]
-        n = len(variables)
+        pos = [variables.index(v) for v in self.variables] + [len(variables)]
         out = {}
-        for e, c in self.terms.items():
-            ne = [0] * n
-            for p, k in zip(pos, e):
-                ne[p] = k
+        for m, c in self.elem.items():
+            ne = [0] * (len(variables) + 1)
+            for p, k in zip(pos, m):
+                ne[p] = k  # positional: a repeated name lands on its first slot
             out[tuple(ne)] = c
-        return Polynomial(variables, out)
+        return Polynomial._wrap(variables, _ring(variables).dtype(out), self.shift)
 
     def substitute(self, mapping: dict, target_vars=None) -> "RationalFunction":
         """Substitute RationalFunctions for variables; others must be absent."""
@@ -237,35 +249,19 @@ class Polynomial:
             acc = acc + term
         return acc
 
-    # -- sympy bridge ----------------------------------------------------
+    # -- sympy expressions (reference conversions, not on the engine path) --
 
     def to_sympy(self):
-        expr = sp.Integer(0)
-        syms = [_sym(v) for v in self.variables]
-        for e, c in self.terms.items():
-            mono = sp.Integer(1)
-            for s, k in zip(syms, e):
-                if k:
-                    mono *= s**k
-            coeff = sp.Integer(0)
-            for tk, frac in c.coeffs.items():
-                coeff += sp.Rational(frac.numerator, frac.denominator) * TAU_SYM**tk
-            expr += coeff * mono
-        return expr
+        return self.elem.as_expr() * TAU_SYM**self.shift
 
     @staticmethod
     def from_sympy(expr, variables) -> "Polynomial":
+        """Inverse of to_sympy; negative TAU powers are allowed."""
         variables = tuple(variables)
-        syms = [_sym(v) for v in variables]
-        poly = sp.Poly(sp.expand(expr), *syms, TAU_SYM, domain="QQ")
-        out = {}
-        n = len(variables)
-        for mono, coeff in poly.terms():
-            e, tk = tuple(mono[:n]), mono[n]
-            q = Fraction(coeff.p, coeff.q)
-            c = out.get(e, Scalar.zero()) + Scalar.of(q, tk)
-            out[e] = c
-        return Polynomial(variables, out)
+        expr = sp.expand(expr)
+        low = min(t.as_coeff_exponent(TAU_SYM)[1] for t in sp.Add.make_args(expr))
+        elem = _ring(variables).from_expr(sp.expand(expr * TAU_SYM**-low))
+        return Polynomial._wrap(variables, elem, int(low))
 
     # -- equality / printing -------------------------------------------
 
@@ -273,11 +269,12 @@ class Polynomial:
         return (
             isinstance(other, Polynomial)
             and self.variables == other.variables
-            and self.terms == other.terms
+            and self.shift == other.shift
+            and self.elem == other.elem
         )
 
     def __hash__(self):
-        return hash((self.variables, frozenset(self.terms.items())))
+        return hash((self.variables, self.shift, self.elem))
 
     def __repr__(self):
         return "Polynomial(%s)" % str(self)
@@ -308,31 +305,24 @@ class Polynomial:
 
 
 # ---------------------------------------------------------------------------
-# gcd / division helpers (sympy-backed)
+# gcd / division / elimination in the ring
 # ---------------------------------------------------------------------------
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Canonical gcd; unit-normalized so the leading Scalar is 1."""
-    if a.is_zero():
-        return _canonical_assoc(b)
-    if b.is_zero():
-        return _canonical_assoc(a)
-    sa = a.shift_tau(-a.min_tau())
-    sb = b.shift_tau(-b.min_tau())
-    g = sp.gcd(sa.to_sympy(), sb.to_sympy())
-    return _canonical_assoc(Polynomial.from_sympy(g, a.variables))
+    return _canonical_assoc(Polynomial._wrap(a.variables, a.elem.gcd(b.elem)))
 
 
 def _canonical_assoc(p: Polynomial) -> Polynomial:
     """Divide out the leading Scalar (must be a TAU-monomial)."""
     if p.is_zero():
         return p
-    _, lead = p.leading()
-    if not lead.is_monomial():
+    _, lead = _lead(p.elem)
+    if len(lead) != 1:
         raise PolynomialError("leading coefficient is not a TAU-monomial: %s" % p)
-    inv = lead.inverse()
-    return p.scale(inv)
+    ((k, c),) = lead.items()
+    return Polynomial._wrap(p.variables, p.elem.quo_ground(c), -k)
 
 
 def poly_divides(p: Polynomial, q: Polynomial) -> bool:
@@ -341,31 +331,25 @@ def poly_divides(p: Polynomial, q: Polynomial) -> bool:
         return True
     if p.is_zero():
         return False
-    quo, rem = _sympy_div(q, p)
-    return rem.is_zero()
+    return not q.elem.rem(p.elem)
 
 
 def poly_div_exact(q: Polynomial, p: Polynomial) -> Polynomial:
-    quo, rem = _sympy_div(q, p)
-    if not rem.is_zero():
+    quo, rem = q.elem.div(p.elem)
+    if rem:
         raise PolynomialError("inexact division")
-    return quo
-
-
-def _sympy_div(q: Polynomial, p: Polynomial):
-    tq, tp = q.min_tau(), p.min_tau()
-    sq, sp_ = q.shift_tau(-tq), p.shift_tau(-tp)
-    syms = [_sym(v) for v in q.variables] + [TAU_SYM]
-    quo, rem = sp.div(sq.to_sympy(), sp_.to_sympy(), *syms, domain="QQ")
-    quo_p = Polynomial.from_sympy(quo, q.variables).shift_tau(tq - tp)
-    rem_p = Polynomial.from_sympy(rem, q.variables).shift_tau(tq)
-    return quo_p, rem_p
+    return Polynomial._wrap(q.variables, quo, q.shift - p.shift)
 
 
 def poly_resultant(a: Polynomial, b: Polynomial, var: str) -> Polynomial:
-    res = sp.resultant(a.to_sympy(), b.to_sympy(), _sym(var))
+    """Resultant in `var`: res(TAU^s A, TAU^t B) = TAU^(s deg B + t deg A) res(A, B)."""
     rest = tuple(v for v in a.variables if v != var)
-    return Polynomial.from_sympy(sp.expand(res), rest)
+    R = _ring((var,) + rest)
+    A, B = a.elem.set_ring(R), b.elem.set_ring(R)
+    res = _ring(rest).dtype(A.resultant(B))
+    if not res:
+        return Polynomial.zero(rest)
+    return Polynomial._wrap(rest, res, a.shift * B.degree(0) + b.shift * A.degree(0))
 
 
 def is_squarefree(p: Polynomial) -> bool:
@@ -383,18 +367,15 @@ def rational_roots(p: Polynomial):
     polynomial factors completely into linear factors over Q.
     """
     (var,) = p.variables
-    if p.min_tau() != 0 or any(not c.is_rational() for c in p.terms.values()):
+    if p.shift or p.elem.degree(1) > 0:
         raise PolynomialError("rational_roots needs TAU-free coefficients")
-    expr = p.shift_tau(0).to_sympy().subs(TAU_SYM, 1)
-    poly = sp.Poly(expr, _sym(var), domain="QQ")
+    f = p.elem.drop(1)
     roots = []
-    degree_found = 0
-    for r, mult in sp.roots(poly, filter="Q").items():
-        q = Fraction(sp.Rational(r).p, sp.Rational(r).q)
-        roots.append((q, mult))
-        degree_found += mult
+    for factor, mult in f.factor_list()[1]:
+        if factor.degree() == 1:
+            roots.append((_frac(-factor.get((0,), QQ.zero) / factor[(1,)]), mult))
     roots.sort(key=lambda rm: rm[0])
-    return roots, degree_found == poly.degree()
+    return roots, sum(m for _, m in roots) == f.degree()
 
 
 # ---------------------------------------------------------------------------
@@ -563,32 +544,36 @@ def _atomic(p: Polynomial) -> bool:
 
 
 def _normalize(num: Polynomial, den: Polynomial):
-    """Reduce to the canonical fraction (gcd out, den leading coeff 1)."""
+    """Reduce to the canonical fraction (gcd out, den leading coeff 1).
+
+    With num = TAU^s N, den = TAU^t D and h = gcd(N, D), the fraction is
+    TAU^(s-t) (N/h) / (D/h); dividing both by the leading Scalar c*TAU^k
+    of D/h makes the denominator's leading coefficient 1.  Leading
+    Scalars multiply, so D/h has a TAU-monomial lead iff D has.
+    """
     if num.is_zero():
         return num, Polynomial.constant(den.variables, Scalar.one())
-    g = poly_gcd(num, den)
-    if not g.is_unit():
-        num = poly_div_exact(num, g)
-        den = poly_div_exact(den, g)
-    _, lead = den.leading()
-    if not lead.is_monomial():
+    _, lead = _lead(den.elem)
+    if len(lead) != 1:
+        poly_gcd(num, den)  # a common factor with a TAU-sum lead is reported first
         raise PolynomialError(
-            "cannot normalize: denominator leading coefficient %s is a TAU-sum" % lead
+            "cannot normalize: denominator leading coefficient %s is a TAU-sum"
+            % _scalar(lead, den.shift)
         )
-    inv = lead.inverse()
-    return num.scale(inv), den.scale(inv)
+    _, n, d = num.elem.cofactors(den.elem)
+    ((k, c),) = _lead(d)[1].items()
+    return (
+        Polynomial._wrap(num.variables, n.quo_ground(c), num.shift - den.shift - k),
+        Polynomial._wrap(den.variables, d.quo_ground(c), -k),
+    )
 
 
 def _poly_ord(q: Polynomial, p: Polynomial) -> int:
     k = 0
+    q, p = q.elem, p.elem
     while True:
-        quo, rem = _sympy_div(q, p)
-        if not rem.is_zero():
+        quo, rem = q.div(p)
+        if rem:
             return k
         q = quo
         k += 1
-
-
-def normalize(num: Polynomial, den: Polynomial) -> RationalFunction:
-    """Public entry point for canonical fraction construction."""
-    return RationalFunction(num, den)

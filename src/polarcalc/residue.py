@@ -25,7 +25,6 @@ from .geometry import (
 )
 from .maps import VarietyMap
 from .polynomials import (
-    POLE_FREE,
     Polynomial,
     PolynomialError,
     RationalFunction,
@@ -162,15 +161,6 @@ def _drop_exponent(p: Polynomial, coord) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def _pole_order(form: DifferentialForm, p: Polynomial):
-    worst = POLE_FREE
-    for _, rf in form.sorted_components():
-        o = rf.ord_along(p)
-        if o < worst:
-            worst = o
-    return worst
-
-
 def _choose_direction(p: Polynomial, coords, direction=None):
     if direction is not None:
         d = p.differentiate(direction)
@@ -276,7 +266,7 @@ def _zero_rf(coords) -> RationalFunction:
 
 
 def _require_simple(form: DifferentialForm, p: Polynomial, comp):
-    worst = _pole_order(form, p)
+    worst = form.pole_order(p)
     if worst < -1:
         raise ResidueError(
             "pole of order %d along %s; only simple poles supported"

@@ -1044,7 +1044,3 @@ def suite_names():
 
 def get_suite(name):
     return _SUITES[name]
-
-
-def run_all(seed=0, strict=False):
-    return [get_suite(n)(seed=seed, strict=strict) for n in suite_names()]

@@ -19,14 +19,6 @@ def trim(p):
     return p
 
 
-def uzero(field_vars):
-    return []
-
-
-def uconst(field_vars, rf):
-    return trim([rf])
-
-
 def udeg(p):
     return len(p) - 1
 
@@ -118,17 +110,6 @@ def uinvert(a, modulus):
         raise ZeroDivisionError("element is a zero-divisor modulo the modulus")
     inv_g = RationalFunction.constant(g[0].variables, Scalar.one()) / g[0]
     return trim([c * inv_g for c in s])
-
-
-def upow_mod(a, n, modulus):
-    out = [RationalFunction.constant(a[0].variables, Scalar.one())] if a else []
-    base = umod(a, modulus)
-    while n:
-        if n & 1:
-            out = umod(umul(out, base), modulus)
-        base = umod(umul(base, base), modulus)
-        n >>= 1
-    return out
 
 
 def from_poly_in(p: Polynomial, main_var: str, rest_vars):

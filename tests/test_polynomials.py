@@ -1,18 +1,24 @@
 from fractions import Fraction
 
 import pytest
+import sympy as sp
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from polarcalc.polynomials import (
     POLE_FREE,
+    TAU_SYM,
     Polynomial,
     PolynomialError,
     RationalFunction,
+    poly_div_exact,
     poly_divides,
     poly_gcd,
     poly_resultant,
     rational_roots,
 )
 from polarcalc.scalars import Scalar
+from polarcalc.session import Session, run_text
 
 COORDS = ("x", "y")
 
@@ -119,3 +125,218 @@ def test_substitute_with_explicit_targets():
     t = Polynomial.variable(("t",), "t")
     two = Polynomial.constant(("t",), Scalar.of(2))
     assert out == RationalFunction(t + two, two)
+
+
+# ---------------------------------------------------------------------------
+# differential tests against sympy expressions (the `to_sympy` oracle)
+# ---------------------------------------------------------------------------
+
+VARIABLE_SETS = (("x",), ("x", "y"), ("x", "y", "z"))
+fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
+tau_monomials = st.builds(
+    Scalar.of,
+    st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 3)),
+    st.integers(-2, 2),
+)
+scalars = st.one_of(
+    tau_monomials,
+    st.dictionaries(st.integers(-2, 2), fractions, max_size=2).map(Scalar),
+)
+
+
+def polys(variables, coeffs=scalars, min_terms=0):
+    exps = st.tuples(*[st.integers(0, 2)] * len(variables))
+    return st.dictionaries(exps, coeffs, min_size=min_terms, max_size=3).map(
+        lambda terms: Polynomial(variables, terms)
+    )
+
+
+@st.composite
+def poly_tuples(draw, count, variable_sets=VARIABLE_SETS):
+    variables = draw(st.sampled_from(variable_sets))
+    return variables, [draw(polys(variables, min_terms=1)) for _ in range(count)]
+
+
+differential = settings(max_examples=50, deadline=None, derandomize=True)
+
+
+def cleared(p):
+    """p times the TAU power that leaves a polynomial not divisible by TAU."""
+    expr = sp.fraction(sp.together(p.to_sympy()))[0]
+    if expr == 0:
+        return expr
+    low = min(m[0] for m in sp.Poly(expr, TAU_SYM).monoms())
+    return sp.expand(expr / TAU_SYM**low)
+
+
+def grlex_lc(expr, variables):
+    return sp.Poly(expr, *[sp.Symbol(v) for v in variables]).LC(order="grlex")
+
+
+def tau_monomial(expr):
+    return sp.Poly(expr, TAU_SYM).is_monomial
+
+
+def same(a, b):
+    return sp.expand(a - b) == 0
+
+
+@differential
+@given(poly_tuples(2))
+def test_ring_operations_match_expressions(case):
+    variables, (a, b) = case
+    A, B = a.to_sympy(), b.to_sympy()
+    assert same((a + b).to_sympy(), A + B)
+    assert same((a * b).to_sympy(), A * B)
+    assert same((a - b**2).to_sympy(), A - B**2)
+    assert same(a.differentiate("x").to_sympy(), sp.diff(A, sp.Symbol("x")))
+    wider = ("w",) + variables[::-1]
+    assert same(a.lift(wider).to_sympy(), A)
+    point = {v: Fraction(i + 2, 3) for i, v in enumerate(variables)}
+    value = A.subs({sp.Symbol(v): sp.Rational(q.numerator, q.denominator)
+                    for v, q in point.items()})
+    assert same(Polynomial.constant((), a.evaluate(point)).to_sympy(), value)
+    assert Polynomial(variables, a.terms) == a
+    assert Polynomial.from_sympy(A, variables) == a
+    assert hash(Polynomial.from_sympy(A, variables)) == hash(a)
+
+
+@differential
+@given(poly_tuples(3))
+def test_canonical_fraction_matches_cancel(case):
+    variables, (a, b, g) = case
+    num, den = a * g, b * g
+    assume(not den.is_zero())
+    if num.is_zero():
+        assert RationalFunction(num, den) == RationalFunction.constant(variables, 0)
+        return
+    if not tau_monomial(grlex_lc(cleared(den), variables)):
+        with pytest.raises(PolynomialError):
+            RationalFunction(num, den)
+        return
+    N, D = sp.fraction(sp.cancel(num.to_sympy() / den.to_sympy()))
+    lc = grlex_lc(D, variables)
+    rf = RationalFunction(num, den)
+    assert same(rf.num.to_sympy(), N / lc)
+    assert same(rf.den.to_sympy(), D / lc)
+
+
+@differential
+@given(poly_tuples(3))
+def test_gcd_matches_sympy(case):
+    variables, (a, b, g) = case
+    p, q = a * g, b * g
+    og = sp.gcd(cleared(p), cleared(q))
+    if og == 0:
+        assert poly_gcd(p, q).is_zero()
+        return
+    lc = grlex_lc(og, variables)
+    if not tau_monomial(lc):
+        with pytest.raises(PolynomialError):
+            poly_gcd(p, q)
+        return
+    assert same(poly_gcd(p, q).to_sympy(), og / lc)
+
+
+@differential
+@given(poly_tuples(2))
+def test_division_matches_sympy(case):
+    variables, (a, b) = case
+    assume(not b.is_zero())
+    gens = [sp.Symbol(v) for v in variables] + [TAU_SYM]
+    _, rem = sp.div(cleared(a), cleared(b), *gens, domain="QQ")
+    assert poly_divides(b, a) == (rem == 0)
+    q = a * b
+    assert poly_divides(b, q)
+    assert same(poly_div_exact(q, b).to_sympy(), sp.cancel(q.to_sympy() / b.to_sympy()))
+
+
+def _oracle_valuation(expr, p, gens):
+    k = 0
+    while True:
+        quo, rem = sp.div(expr, p, *gens, domain="QQ")
+        if rem != 0:
+            return k
+        expr, k = quo, k + 1
+
+
+@st.composite
+def ord_cases(draw):
+    """(a, b, p) with a, b nonzero, p nonconstant, b and p with TAU-monomial leads."""
+    variables = draw(st.sampled_from(VARIABLE_SETS))
+    a = draw(polys(variables, min_terms=1).filter(lambda a: not a.is_zero()))
+    b = draw(polys(variables, tau_monomials, min_terms=1))
+    p = draw(polys(variables, tau_monomials, min_terms=1).filter(lambda p: not p.is_constant()))
+    return variables, a, b, p
+
+
+@differential
+@given(ord_cases(), st.integers(0, 2), st.integers(0, 2))
+def test_ord_along_matches_sympy(case, j, k):
+    variables, a, b, p = case
+    rf = RationalFunction(a * p**j, b * p**k)
+    gens = [sp.Symbol(v) for v in variables] + [TAU_SYM]
+    N, D = sp.fraction(sp.cancel(rf.num.to_sympy() / rf.den.to_sympy()))
+    P = cleared(p)
+    expected = _oracle_valuation(N, P, gens) - _oracle_valuation(D, P, gens)
+    assert rf.ord_along(p) == expected
+
+
+@differential
+@given(poly_tuples(2, VARIABLE_SETS[1:]))
+def test_resultant_matches_sympy(case):
+    variables, (a, b) = case
+    assume(a.depends_on("x") and b.depends_on("x"))
+    res = poly_resultant(a, b, "x")
+    assert res.variables == variables[1:]
+    assert same(res.to_sympy(), sp.resultant(a.to_sympy(), b.to_sympy(), sp.Symbol("x")))
+
+
+@differential
+@given(
+    st.lists(fractions, max_size=3),
+    st.sampled_from(["1", "x**2 + 1", "x**2 - 2", "x**3 - 3*x + 1", "2*x - 1"]),
+    st.integers(1, 5),
+)
+def test_rational_roots_match_sympy(roots, extra, c):
+    x_ = sp.Symbol("x")
+    expr = c * sp.Mul(*[x_ - sp.Rational(r.numerator, r.denominator) for r in roots])
+    expr = sp.expand(expr * sp.sympify(extra))
+    poly = sp.Poly(expr, x_)
+    expected = sorted(
+        (Fraction(int(r.p), int(r.q)), m) for r, m in sp.roots(poly, filter="Q").items()
+    )
+    split = sum(m for _, m in expected) == poly.degree()
+    assert rational_roots(Polynomial.from_sympy(expr, ("x",))) == (expected, split)
+
+
+def test_rational_roots_refuse_tau():
+    u = Polynomial.variable(("x",), "x")
+    with pytest.raises(PolynomialError):
+        rational_roots(u - Polynomial.constant(("x",), Scalar.tau(-1)))
+
+
+def test_resultant_of_laurent_coefficients():
+    # res_x(x - 1/TAU, x + y - 1) = y - 1 + 1/TAU
+    a = x() - const(1).scale(Scalar.tau(-1))
+    b = x() + y() - const(1)
+    res = poly_resultant(a, b, "x")
+    assert same(res.to_sympy(), sp.Symbol("y") - 1 + 1 / TAU_SYM)
+
+
+def test_engine_path_does_not_use_expressions(monkeypatch):
+    calls = []
+
+    def refuse(*args, **kwargs):
+        calls.append(args)
+        raise AssertionError("sympy expression round trip on the engine path")
+
+    monkeypatch.setattr(Polynomial, "to_sympy", refuse)
+    monkeypatch.setattr(Polynomial, "from_sympy", staticmethod(refuse))
+    reports = run_text(Session(seed=1), """
+        let A = P1(z1) x P1(z2);
+        let c = chain(A, id, dlog(z1) wedge dlog(z2 + 6), poles[z1, inf(z1), z2 + 6, inf(z2)]);
+        dsq c;
+    """)
+    assert [r["status"] for r in reports] == ["ok", "ok", "ok"]
+    assert not calls

@@ -130,6 +130,22 @@ def test_cli_exit_code_compute_error(tmp_path):
     assert code == 1
 
 
+def test_cli_pole_with_tau_inverse_coefficient_reports(tmp_path):
+    # the normal-crossing check takes resultants of TAU^-1 coefficients
+    f = tmp_path / "tau.pc"
+    f.write_text(
+        "let A = P2(x,y);\n"
+        "let a = chain(A, id, d(x) wedge d(y)/((x - 1/TAU)*(y - 2)*(x + y - 1)),"
+        " poles[x - 1/TAU, y - 2, x + y - 1]);\n"
+    )
+    j = tmp_path / "report.json"
+    code, out, err = run_cli(["--json", str(j), "run", str(f)])
+    assert 0 <= code <= 3
+    assert "Traceback" not in out + err
+    reports = json.loads(j.read_text())
+    assert [r["schema"] for r in reports] == [1, 1]
+
+
 def test_cli_exit_code_verify_failure():
     code, out, err = run_cli(["verify", "--suite", "fixture-fail"])
     assert code == 3
