@@ -14,14 +14,12 @@ from fractions import Fraction
 from . import univar
 from .forms import DifferentialForm, FormError, polar_profile
 from .geometry import (
-    INF,
     CatalogVariety,
     DivisorComponent,
     GeometryError,
     VarietyPoint,
     curve_reduce,
     point_component,
-    point_from_chart,
     point_variety,
     proj_line,
     validate_normal_crossing,
@@ -35,7 +33,7 @@ from .polynomials import (
     poly_resultant,
 )
 from .residue import ResidueError, classify_component, p1_pole_points, poincare_residue
-from .scalars import Scalar, ScalarError
+from .scalars import Scalar
 
 R3_PROBES = 16
 

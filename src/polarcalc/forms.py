@@ -12,7 +12,6 @@ from __future__ import annotations
 from .polynomials import (
     POLE_FREE,
     Polynomial,
-    PolynomialError,
     RationalFunction,
     poly_div_exact,
     poly_divides,

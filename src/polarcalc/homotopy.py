@@ -26,7 +26,6 @@ from .chains import (
     Triple,
     make_triple,
     prune_declared,
-    scalar_fold,
     term_weight,
 )
 from .forms import DifferentialForm
@@ -41,7 +40,7 @@ from .geometry import (
     validate_normal_crossing,
 )
 from .maps import VarietyMap
-from .polynomials import Polynomial, RationalFunction
+from .polynomials import RationalFunction
 from .scalars import Scalar
 
 BASEPOINT_PROBES = 12

@@ -8,7 +8,7 @@ image avoids that chart can be retargeted to any other chart on demand.
 from fractions import Fraction
 
 from .geometry import CatalogVariety, VarietyPoint, point_from_chart
-from .polynomials import Polynomial, RationalFunction
+from .polynomials import RationalFunction
 from .scalars import Scalar
 
 

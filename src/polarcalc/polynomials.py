@@ -5,10 +5,14 @@ QQ[<variables>, TAU], one ring per variable tuple.  The shift is chosen
 so that the element's lowest TAU power is 0, which keeps negative TAU
 powers exact and makes equality and hashing structural.  Arithmetic,
 gcd, exact division, resultants and rational roots are the ring's own
-operations; `terms` is a read-only {exponent: Scalar} view.  Canonical
-printing sorts by graded lexicographic order of the exponent vectors
-over the chart's declared coordinate order.  `to_sympy`/`from_sympy`
-convert to and from sympy expressions and are not used by the engine.
+operations; `terms` is a read-only {exponent: Scalar} view.  Substituting
+fractions n_v/d_v into a Polynomial builds one numerator over the common
+denominator prod_v d_v^(degree in v) and normalizes that fraction once;
+the canonical fraction is unique, so this equals any term-by-term
+evaluation.  Canonical printing sorts by graded lexicographic order of
+the exponent vectors over the chart's declared coordinate order.
+`to_sympy`/`from_sympy` convert to and from sympy expressions and are
+not used by the engine.
 """
 
 from __future__ import annotations
@@ -50,6 +54,14 @@ def _frac(c) -> Fraction:
 def _scalar(tau_coeffs: dict, shift: int) -> Scalar:
     """The Scalar sum of c * TAU^(k + shift) over {k: c}."""
     return Scalar({k + shift: _frac(c) for k, c in tau_coeffs.items()})
+
+
+def _tau_groups(elem) -> dict:
+    """{exponent: {TAU power: c}}: a ring element's terms grouped by monomial."""
+    grouped: dict = {}
+    for m, c in elem.items():
+        grouped.setdefault(m[:-1], {})[m[-1]] = c
+    return grouped
 
 
 def _lead(elem):
@@ -111,10 +123,7 @@ class Polynomial:
     @property
     def terms(self) -> dict:
         """Read-only view {exponent: Scalar}."""
-        grouped: dict = {}
-        for m, c in self.elem.items():
-            grouped.setdefault(m[:-1], {})[m[-1]] = c
-        return {e: _scalar(cs, self.shift) for e, cs in grouped.items()}
+        return {e: _scalar(cs, self.shift) for e, cs in _tau_groups(self.elem).items()}
 
     # -- predicates ----------------------------------------------------
 
@@ -229,10 +238,17 @@ class Polynomial:
         return Polynomial._wrap(variables, _ring(variables).dtype(out), self.shift)
 
     def substitute(self, mapping: dict, target_vars=None) -> "RationalFunction":
-        """Substitute RationalFunctions for variables; others must be absent."""
+        """Substitute RationalFunctions for variables; others must be absent.
+
+        Over a common denominator: with D_v = degree_in(v) and
+        mapping[v] = n_v/d_v, the result is N/D where
+        N = sum_e c_e prod_v n_v^e_v d_v^(D_v - e_v) and D = prod_v d_v^D_v,
+        normalized once.
+        """
         target = tuple(target_vars) if target_vars is not None else None
-        for v in self.variables:
-            if self.depends_on(v) and v not in mapping:
+        degrees = {v: k for v, k in zip(self.variables, self.elem.degrees()) if k > 0}
+        for v in degrees:
+            if v not in mapping:
                 raise PolynomialError("no substitution for variable %s" % v)
         if target is None:
             for rf in mapping.values():
@@ -240,14 +256,26 @@ class Polynomial:
                 break
         if target is None:
             raise PolynomialError("empty substitution mapping")
-        acc = RationalFunction.constant(target, Scalar.zero())
-        for e, c in self.sorted_terms():
-            term = RationalFunction.constant(target, c)
+        one = Polynomial.constant(target, Scalar.one())
+        factors, den = {}, one  # factors[v][k] = n_v^k d_v^(D_v - k)
+        for v, top in degrees.items():
+            n, d = mapping[v].num, mapping[v].den
+            num_pows, den_pows = [one], [one]
+            for _ in range(top):
+                num_pows.append(num_pows[-1] * n)
+                den_pows.append(den_pows[-1] * d)
+            factors[v] = [a * b for a, b in zip(num_pows, reversed(den_pows))]
+            den = den * den_pows[top]
+        ring, num = _ring(target), Polynomial.zero(target)
+        tau = (0,) * len(target)
+        for e, cs in _tau_groups(self.elem).items():
+            c = ring.dtype({tau + (k,): q for k, q in cs.items()})
+            term = Polynomial._wrap(target, c, self.shift)
             for v, k in zip(self.variables, e):
-                if k:
-                    term = term * mapping[v] ** k
-            acc = acc + term
-        return acc
+                if v in factors:
+                    term = term * factors[v][k]
+            num = num + term
+        return RationalFunction(num, den)
 
     # -- sympy expressions (reference conversions, not on the engine path) --
 

@@ -9,7 +9,7 @@ for smooth plane curves, and by evaluation for points.
 
 from fractions import Fraction
 
-from .forms import DifferentialForm, FormError
+from .forms import DifferentialForm
 from .geometry import (
     INF,
     CatalogVariety,
@@ -26,7 +26,6 @@ from .geometry import (
 from .maps import VarietyMap
 from .polynomials import (
     Polynomial,
-    PolynomialError,
     RationalFunction,
     poly_divides,
     rational_roots,

@@ -51,7 +51,7 @@ from .parsing import (
     parse_expression,
     tokenize,
 )
-from .polynomials import Polynomial, PolynomialError, RationalFunction
+from .polynomials import Polynomial, PolynomialError
 from .residue import ResidueError, poincare_residue
 from .scalars import Scalar, ScalarError
 

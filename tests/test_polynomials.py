@@ -340,3 +340,74 @@ def test_engine_path_does_not_use_expressions(monkeypatch):
     """)
     assert [r["status"] for r in reports] == ["ok", "ok", "ok"]
     assert not calls
+
+
+TARGET = ("u", "v")
+
+
+@st.composite
+def substitutions(draw):
+    """(p, mapping): p in 1-2 variables, each sent to a canonical fraction in u, v."""
+    variables, (p,) = draw(poly_tuples(1, VARIABLE_SETS[:2]))
+    mapping = {
+        v: RationalFunction(
+            draw(polys(TARGET)), draw(polys(TARGET, tau_monomials, min_terms=1))
+        )
+        for v in variables
+    }
+    return p, mapping
+
+
+@differential
+@given(substitutions())
+def test_substitute_matches_cancel(case):
+    p, mapping = case
+    rf = p.substitute(mapping, TARGET)
+    assert rf.variables == TARGET
+    assert rf == RationalFunction(rf.num, rf.den)
+    images = {
+        sp.Symbol(v): m.num.to_sympy() / m.den.to_sympy() for v, m in mapping.items()
+    }
+    N, D = sp.fraction(sp.cancel(p.to_sympy().subs(images, simultaneous=True)))
+    if N == 0:
+        assert rf.is_zero()
+        return
+    lc = grlex_lc(D, TARGET)
+    assert same(rf.num.to_sympy(), N / lc)
+    assert same(rf.den.to_sympy(), D / lc)
+
+
+def _raises_exactly(kind, message, call):
+    with pytest.raises(kind) as excinfo:
+        call()
+    assert type(excinfo.value) is kind
+    assert str(excinfo.value) == message
+
+
+def test_substitute_error_paths():
+    u, v = (RationalFunction.variable(TARGET, name) for name in TARGET)
+    one = RationalFunction.constant(TARGET, Scalar.one())
+    chart = {"x": one / u, "y": v / u}
+    tau_sum = RationalFunction(const(1), x() + y().scale(Scalar({0: 1, 1: 1})))
+    _raises_exactly(
+        PolynomialError,
+        "cannot normalize: denominator leading coefficient 1 + TAU is a TAU-sum",
+        lambda: tau_sum.substitute(chart, TARGET),
+    )
+    _raises_exactly(
+        ZeroDivisionError,
+        "division by zero rational function",
+        lambda: RationalFunction(const(1), x()).substitute(
+            {"x": RationalFunction.constant(TARGET, Scalar.zero())}, TARGET
+        ),
+    )
+    _raises_exactly(
+        PolynomialError,
+        "no substitution for variable x",
+        lambda: (x() + y()).substitute({"y": v}, TARGET),
+    )
+    _raises_exactly(
+        PolynomialError,
+        "variable mismatch: ('u', 'v') vs ('t',)",
+        lambda: x().substitute({"x": RationalFunction.variable(("t",), "t")}, TARGET),
+    )
