@@ -11,7 +11,6 @@ terms whose image has too small a dimension (R3).
 import random
 from fractions import Fraction
 
-from . import univar
 from .forms import DifferentialForm, FormError, polar_profile
 from .geometry import (
     CatalogVariety,
@@ -28,9 +27,11 @@ from .maps import MapError, VarietyMap
 from .polynomials import (
     Polynomial,
     RationalFunction,
+    from_univariate,
     poly_div_exact,
     poly_gcd,
     poly_resultant,
+    to_univariate,
 )
 from .residue import ResidueError, classify_component, p1_pole_points, poincare_residue
 from .scalars import Scalar
@@ -98,8 +99,7 @@ def make_triple(source, map_, form, declared_poles, rng=None) -> Triple:
         if declared_poles:
             raise ChainError("point sources carry no pole components")
         return Triple(source, map_, form, ())
-    if form.chart != source.main_chart.id:
-        form = source.transition_form(form, source.main_chart.id)
+    form = source.transition_form(form, source.main_chart.id)
     if source.kind == "curve":
         if declared_poles:
             raise ChainError(
@@ -152,22 +152,20 @@ def _curve_holomorphic(form: DifferentialForm, curve: CatalogVariety) -> bool:
     p = curve.curve_polys["A0"]
     px = RationalFunction.from_poly(p.differentiate(x))
     py = RationalFunction.from_poly(p.differentiate(y))
+    # on the curve the form is c dx with c = a - b p_x/p_y; it is holomorphic
+    # iff g = c p_y is a polynomial of degree <= d - 3 there
     try:
-        c = curve_reduce(a - b * px / py, curve)
-        g = curve_reduce(c.as_rf() * py, curve)
+        g = curve_reduce(a * py - b * px, curve)
     except ZeroDivisionError:
         return False
-    if g.is_zero():
+    if not g:
         return True
     d = max(sum(e) for e in p.terms)
     total = 0
-    for k, coeff in enumerate(g.coeffs):
-        if coeff.is_zero():
-            continue
-        if not coeff.den.is_constant():
+    for (k,), coeff in g.items():
+        if coeff.denom.degree(0) > 0:
             return False
-        deg_x = max((sum(e) for e in coeff.num.terms), default=0)
-        total = max(total, deg_x + k)
+        total = max(total, coeff.numer.degree(0) + k)
     return total <= d - 3
 
 
@@ -292,48 +290,39 @@ def term_weight(t: Triple) -> Scalar:
 def _trace_p1(r: RationalFunction, form: DifferentialForm, target_coord):
     """Trace of a 1-form along a non-constant rational map of lines.
 
-    r is the map formula in the source coordinate t; the result is a
-    1-form in target_coord obtained by summing over the preimages via
-    Newton-identity elimination modulo the fiber polynomial.
+    r is the map formula in the source coordinate; the result is the
+    1-form sum_i a(t_i)/r'(t_i) dw over the roots t_i of the fiber
+    polynomial f(t) = num r(t) - w den r(t).  With c = a/r' reduced
+    modulo f over Q(w), that sum is [t^(d-1)] (c f' mod f) / lc(f),
+    d = deg f (the residue of c f'/f at infinity).
     """
     (t,) = r.variables
     w = (target_coord,)
-    rn = univar.from_poly_in(r.num, t, ())
-    rd = univar.from_poly_in(r.den, t, ())
-    rn = [_lift_const(c, w) for c in rn]
-    rd = [_lift_const(c, w) for c in rd]
-    wvar = RationalFunction.variable(w, target_coord)
-    fiber = univar.usub(rn, univar.uscale(rd, wvar))
-    d = univar.udeg(fiber)
+    s = target_coord + "'"  # the source coordinate, renamed apart from w
+    ext = (s, target_coord)
+
+    def lift(p: Polynomial):
+        return to_univariate(RationalFunction.from_poly(p.rename((s,)).lift(ext)), s)
+
+    w_var = to_univariate(RationalFunction.variable(ext, target_coord), s)
+    fiber = lift(r.num) - w_var * lift(r.den)
+    d = fiber.degree()
     if d <= 0:
         raise MapError("trace along a constant map is undefined")
     a = form.components.get((0,), RationalFunction.constant((t,), Scalar.zero()))
     if a.is_zero():
         return DifferentialForm.zero("z", w, 1)
     dr = r.differentiate(t)
-    un = univar.umul(_lift_poly(a.num, t, w), _lift_poly(dr.den, t, w))
-    ud = univar.umul(_lift_poly(a.den, t, w), _lift_poly(dr.num, t, w))
-    un = univar.umod(un, fiber)
-    ud = univar.umod(ud, fiber)
-    if not ud:
+    num = (lift(a.num) * lift(dr.den)).rem(fiber)
+    den = (lift(a.den) * lift(dr.num)).rem(fiber)
+    if not den:
         raise MapError("trace denominator vanishes on the fiber")
-    c = univar.umod(univar.umul(un, univar.uinvert(ud, fiber)), fiber)
-    sums = univar.newton_power_sums(fiber, max(len(c) - 1, 0))
-    total = RationalFunction.constant(w, Scalar.zero())
-    for k, ck in enumerate(c):
-        if k == 0:
-            total = total + ck * RationalFunction.constant(w, Scalar.of(d))
-        else:
-            total = total + ck * sums[k - 1]
-    return DifferentialForm("z", w, 1, {(0,): total})
-
-
-def _lift_const(rf: RationalFunction, w):
-    return RationalFunction.constant(w, rf.constant_value())
-
-
-def _lift_poly(p: Polynomial, t, w):
-    return [_lift_const(c, w) for c in univar.from_poly_in(p, t, ())]
+    inverse, _, h = den.gcdex(fiber)
+    if h.degree() > 0:
+        raise ZeroDivisionError("element is a zero-divisor modulo the modulus")
+    g = (num * inverse * fiber.diff(0)).rem(fiber)
+    total = g.get((d - 1,), fiber.ring.domain.zero) / fiber.LC
+    return DifferentialForm("z", w, 1, {(0,): from_univariate(fiber.ring(total), w)})
 
 
 def pushforward_form(map_: VarietyMap, form: DifferentialForm,
@@ -350,10 +339,7 @@ def pushforward_form(map_: VarietyMap, form: DifferentialForm,
             r = map_.formulas_on(image.main_chart.id)[coord]
         except ZeroDivisionError:
             raise MapError("map image avoids the target's affine chart")
-        f = form if form.chart == source.main_chart.id else source.transition_form(
-            form, source.main_chart.id
-        )
-        out = _trace_p1(r, f, coord)
+        out = _trace_p1(r, source.transition_form(form, source.main_chart.id), coord)
         return DifferentialForm(image.main_chart.id, (coord,), 1, dict(out.components))
     raise MapError("pushforward outside the supported map family")
 
@@ -506,7 +492,7 @@ def prune_declared(form, source, declared):
 def _pole_order(form, source, comp):
     """Worst pole order of the form along a component, on its first chart."""
     chart = comp.first_visible_chart()
-    local = form if form.chart == chart.id else source.transition_form(form, chart.id)
+    local = source.transition_form(form, chart.id)
     return local.pole_order(comp.poly_on(chart.id))
 
 
@@ -574,9 +560,7 @@ def _merge_onto_component(comp, members, ambient, rng):
             r = t.map.formulas_on(chart.id)[param]
         except ZeroDivisionError:
             return None
-        f = t.form if t.form.chart == t.source.main_chart.id else (
-            t.source.transition_form(t.form, t.source.main_chart.id)
-        )
+        f = t.source.transition_form(t.form, t.source.main_chart.id)
         try:
             traced = _trace_p1(r, f, base)
         except MapError:

@@ -25,9 +25,9 @@ from .polynomials import (
     poly_gcd,
     poly_resultant,
     rational_roots,
+    to_univariate,
 )
 from .scalars import Scalar
-from . import univar
 
 INF = "inf"  # point-at-infinity marker in a P1 factor
 
@@ -87,7 +87,9 @@ class CatalogVariety:
         return self.coord_maps[key]
 
     def transition_form(self, form: DifferentialForm, to_id) -> DifferentialForm:
-        """Express a form given on one chart in another chart."""
+        """Express a form given on one chart in another (itself on its own chart)."""
+        if form.chart == to_id:
+            return form
         to_chart = self.chart(to_id)
         mapping = self.coord_map(form.chart, to_id)
         return form.pullback(mapping, to_id, to_chart.coords)
@@ -239,7 +241,10 @@ def catalog_build(spec: str) -> CatalogVariety:
     """Variety mini-syntax: P1(z), P1(z1) x P1(z2), P2(x,y), Curve(p(x,y))."""
     from .parsing import parse_polynomial
 
-    parts = [s.strip() for s in spec.split(" x ")]
+    s = spec.strip()
+    if s.startswith("Curve(") and s.endswith(")"):
+        return plane_curve(parse_polynomial(s[6:-1]))
+    parts = [part.strip() for part in s.split(" x ")]
     if len(parts) > 1:
         coords = []
         for part in parts:
@@ -247,7 +252,6 @@ def catalog_build(spec: str) -> CatalogVariety:
                 raise GeometryError("products may only combine P1 factors: %r" % part)
             coords.append(part[3:-1].strip())
         return product_of_lines(coords)
-    s = parts[0]
     if s.startswith("P1(") and s.endswith(")"):
         return proj_line(s[3:-1].strip())
     if s.startswith("P2(") and s.endswith(")"):
@@ -255,9 +259,6 @@ def catalog_build(spec: str) -> CatalogVariety:
         if len(names) != 2:
             raise GeometryError("P2 takes two coordinate names")
         return proj_plane(*names)
-    if s.startswith("Curve(") and s.endswith(")"):
-        p = parse_polynomial(s[6:-1])
-        return plane_curve(p)
     if s == "Point":
         return point_variety()
     raise GeometryError("unsupported variety spec %r" % spec)
@@ -724,78 +725,24 @@ def _check_slices(visible, polys, chart, report, rng):
 # ---------------------------------------------------------------------------
 
 
-class CurveRingElement:
-    """Canonical element of Q(x)[y] / (p): coefficient list over Q(x)."""
+def curve_reduce(rf: RationalFunction, curve: CatalogVariety):
+    """Canonical representative of rf in the curve's function ring Q(x)[y]/(p).
 
-    __slots__ = ("curve", "coeffs")
-
-    def __init__(self, curve: CatalogVariety, coeffs):
-        self.curve = curve
-        self.coeffs = tuple(coeffs)
-
-    @property
-    def y_var(self):
-        return self.curve.main_chart.coords[1]
-
-    def as_rf(self) -> RationalFunction:
-        return univar.to_rf(list(self.coeffs), self.y_var, self.curve.main_chart.coords)
-
-    def is_zero(self):
-        return not self.coeffs
-
-    def __add__(self, other):
-        return CurveRingElement(self.curve, univar.uadd(list(self.coeffs), list(other.coeffs)))
-
-    def __neg__(self):
-        return CurveRingElement(self.curve, univar.uneg(list(self.coeffs)))
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __mul__(self, other):
-        m = _curve_modulus(self.curve)
-        return CurveRingElement(
-            self.curve, univar.umod(univar.umul(list(self.coeffs), list(other.coeffs)), m)
-        )
-
-    def inverse(self):
-        m = _curve_modulus(self.curve)
-        return CurveRingElement(self.curve, univar.uinvert(list(self.coeffs), m))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CurveRingElement)
-            and self.curve == other.curve
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.curve.signature(), self.coeffs))
-
-    def __repr__(self):
-        return "CurveRingElement(%s)" % self.as_rf()
-
-    def __str__(self):
-        return str(self.as_rf())
-
-
-def _curve_modulus(curve: CatalogVariety):
-    p = curve.curve_polys["A0"]
-    x, y = curve.main_chart.coords
-    return univar.from_poly_in(p, y, (x,))
-
-
-def curve_reduce(rf: RationalFunction, curve: CatalogVariety) -> CurveRingElement:
-    """Canonical representative of rf in the curve's function ring."""
+    Returned as the remainder modulo p, of y-degree below p's, in
+    PolyRing([y], QQ(x, TAU)).
+    """
     x, y = curve.main_chart.coords
     if rf.variables != (x, y):
         rf = rf.lift((x, y))
-    m = _curve_modulus(curve)
-    un = univar.from_poly_in(rf.num, y, (x,))
-    ud = univar.from_poly_in(rf.den, y, (x,))
-    un = univar.umod(un, m)
-    ud = univar.umod(ud, m)
-    if not ud:
+
+    def in_y(p):
+        return to_univariate(RationalFunction.from_poly(p), y)
+
+    m = in_y(curve.curve_polys["A0"])
+    num, den = in_y(rf.num).rem(m), in_y(rf.den).rem(m)
+    if not den:
         raise ZeroDivisionError("denominator is a zero-divisor on the curve")
-    inv = univar.uinvert(ud, m)
-    return CurveRingElement(curve, univar.umod(univar.umul(un, inv), m))
+    inverse, _, h = den.gcdex(m)
+    if h.degree() > 0:
+        raise ZeroDivisionError("element is a zero-divisor modulo the modulus")
+    return (num * inverse).rem(m)

@@ -232,9 +232,7 @@ def _h_line_term(lam, t, ambient, zc, c, rng):
         if g.constant_value().rational_value() == c:
             return [], {"term": t.render(), "basepoint": str(c), "zero": True}
 
-    alpha = t.form if t.form.chart == t.source.main_chart.id else (
-        t.source.transition_form(t.form, t.source.main_chart.id)
-    )
+    alpha = t.source.transition_form(t.form, t.source.main_chart.id)
     a_coeff = alpha.components.get(
         (0,), RationalFunction.constant((told,), Scalar.zero())
     )

@@ -13,15 +13,21 @@ evaluation.  Canonical printing sorts by graded lexicographic order of
 the exponent vectors over the chart's declared coordinate order.
 `to_sympy`/`from_sympy` convert to and from sympy expressions and are
 not used by the engine.
+
+Arithmetic in one variable over the field of the others (curve rings,
+traces along a fiber) runs in sympy's PolyRing([var], QQ(rest, TAU));
+`to_univariate` and `from_univariate` convert to and from it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from fractions import Fraction
 
 import sympy as sp
 from sympy.polys.domains import QQ
+from sympy.polys.fields import FracField
 from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyRing
 
@@ -29,17 +35,22 @@ from .scalars import Scalar
 
 TAU_SYM = sp.Symbol("TAU")
 
-_rings: dict = {}
+_fields: dict = {}
+
+
+def _field(variables) -> FracField:
+    """QQ(variables, TAU); TAU is the last generator."""
+    F = _fields.get(variables)
+    if F is None:
+        F = _fields[variables] = FracField(
+            [sp.Symbol(v) for v in variables] + [TAU_SYM], QQ, lex
+        )
+    return F
 
 
 def _ring(variables) -> PolyRing:
-    """QQ[variables, TAU]; TAU is the last generator."""
-    R = _rings.get(variables)
-    if R is None:
-        R = _rings[variables] = PolyRing(
-            [sp.Symbol(v) for v in variables] + [TAU_SYM], QQ, lex
-        )
-    return R
+    """QQ[variables, TAU], the ring of _field(variables)."""
+    return _field(variables).ring
 
 
 def _qq(q):
@@ -189,6 +200,8 @@ class Polynomial:
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise PolynomialError("negative polynomial power")
+        if n == 0:
+            return Polynomial.constant(self.variables, Scalar.one())
         return Polynomial._wrap(self.variables, self.elem**n, self.shift * n)
 
     def scale(self, scalar: Scalar) -> "Polynomial":
@@ -605,3 +618,50 @@ def _poly_ord(q: Polynomial, p: Polynomial) -> int:
             return k
         q = quo
         k += 1
+
+
+# ---------------------------------------------------------------------------
+# one variable over the field of the others
+# ---------------------------------------------------------------------------
+
+
+def to_univariate(rf: RationalFunction, var: str):
+    """rf as an element of PolyRing([var], QQ(the other variables, TAU)).
+
+    The denominator must not depend on var.
+    """
+    if rf.den.depends_on(var):
+        raise PolynomialError("denominator depends on %s" % var)
+    i = rf.variables.index(var)
+    K = _field(rf.variables[:i] + rf.variables[i + 1 :])
+
+    def drop(m):
+        return m[:i] + m[i + 1 :]
+
+    den = K.new(K.ring.dtype({drop(m): c for m, c in rf.den.elem.items()}))
+    scale = K.gens[-1] ** (rf.num.shift - rf.den.shift) / den
+    groups: dict = {}
+    for m, c in rf.num.elem.items():
+        groups.setdefault(m[i], {})[drop(m)] = c
+    R = PolyRing([sp.Symbol(var)], K.to_domain(), lex)
+    return R.dtype({(k,): K.new(K.ring.dtype(g)) * scale for k, g in groups.items()})
+
+
+def from_univariate(f, variables) -> RationalFunction:
+    """Inverse of to_univariate, normalized once over the coefficients' lcm denominator.
+
+    `variables` names the field's variables and, unless f is constant,
+    f's generator.
+    """
+    variables = tuple(variables)
+    rest = tuple(s.name for s in f.ring.domain.field.symbols[:-1])
+    den = functools.reduce(
+        lambda a, b: a.lcm(b), (c.denom for c in f.values()), _ring(rest).one
+    )
+    num = Polynomial.zero(variables)
+    for (k,), c in f.items():
+        term = Polynomial._wrap(rest, c.numer * den.exquo(c.denom)).lift(variables)
+        if k:
+            term = term * Polynomial.variable(variables, f.ring.symbols[0].name) ** k
+        num = num + term
+    return RationalFunction(num, Polynomial._wrap(rest, den).lift(variables))

@@ -27,6 +27,7 @@ from .maps import VarietyMap
 from .polynomials import (
     Polynomial,
     RationalFunction,
+    from_univariate,
     poly_divides,
     rational_roots,
 )
@@ -194,7 +195,7 @@ def poincare_residue(
 
     if shape[0] == "point":
         _, chart, root = shape
-        form = variety.transition_form(omega, chart.id) if omega.chart != chart.id else omega
+        form = variety.transition_form(omega, chart.id)
         p = comp.poly_on(chart.id)
         _require_simple(form, p, comp)
         rho = _contracted(form, p, chart.coords, direction)
@@ -213,7 +214,7 @@ def poincare_residue(
 
     if shape[0] == "graph":
         _, chart, solve, param, value = shape
-        form = variety.transition_form(omega, chart.id) if omega.chart != chart.id else omega
+        form = variety.transition_form(omega, chart.id)
         p = comp.poly_on(chart.id)
         _require_simple(form, p, comp)
         rho = _contracted(form, p, chart.coords, direction)
@@ -233,7 +234,7 @@ def poincare_residue(
     # plane-curve target
     _, p = shape
     chart = variety.chart("A0")
-    form = variety.transition_form(omega, chart.id) if omega.chart != chart.id else omega
+    form = variety.transition_form(omega, chart.id)
     _require_simple(form, p, comp)
     try:
         curve = plane_curve(p)
@@ -251,7 +252,8 @@ def poincare_residue(
     except ZeroDivisionError:
         raise ResidueError("residual denominator vanishes along %s" % comp.label)
     cform = DifferentialForm(
-        curve.main_chart.id, chart.coords, 1, {(0,): reduced.as_rf()}
+        curve.main_chart.id, chart.coords, 1,
+        {(0,): from_univariate(reduced, curve.main_chart.coords)},
     )
     embed = VarietyMap(curve, variety, chart.id, {
         x: RationalFunction.variable(chart.coords, x),
@@ -325,7 +327,7 @@ def p1_pole_points(omega: DifferentialForm, variety: CatalogVariety):
         raise ResidueError("expected a projective line")
     points = []
     main = variety.main_chart
-    form = omega if omega.chart == main.id else variety.transition_form(omega, main.id)
+    form = variety.transition_form(omega, main.id)
     coeff = form.components.get((0,), _zero_rf(main.coords))
     den = coeff.den
     if not den.is_constant():

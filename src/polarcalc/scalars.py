@@ -112,10 +112,6 @@ class Scalar:
             out = out * self
         return out
 
-    def shift_tau(self, delta: int) -> "Scalar":
-        """Multiply by TAU^delta."""
-        return Scalar({k + delta: c for k, c in self.coeffs.items()})
-
     # -- structure -----------------------------------------------------
 
     def tau_exponents(self):

@@ -43,6 +43,14 @@ def test_ring_arithmetic():
     assert p.degree_in("x") == 2
 
 
+def test_zeroth_powers_are_one():
+    one = const(1)
+    assert Polynomial.zero(COORDS) ** 0 == one
+    assert (x() - y()) ** 0 == one
+    zero = RationalFunction.constant(COORDS, Scalar.zero())
+    assert zero ** 0 == RationalFunction.from_poly(one)
+
+
 def test_gcd_and_divisibility():
     p = x() * x() - y() * y()
     q = x() + y()

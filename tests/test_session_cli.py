@@ -146,6 +146,22 @@ def test_cli_pole_with_tau_inverse_coefficient_reports(tmp_path):
     assert [r["schema"] for r in reports] == [1, 1]
 
 
+def test_cli_zero_to_the_zero_is_one(tmp_path):
+    f = tmp_path / "pow.pc"
+    f.write_text("let A = P1(z);\nlet w = chain(A, const(2), 0^0);\nnormalize w;\n")
+    code, out, err = run_cli(["run", str(f)])
+    assert code == 0
+    assert out.splitlines()[-1] == "[ok] (Point, z = 2, 1)"
+
+
+def test_curve_spec_containing_spaced_x():
+    s = Session()
+    run_statement(s, "let C = Curve(y^2 - x^3 - x - 1)")
+    run_statement(s, "let h = chain(C, id, d(x)/y)")
+    rep = run_statement(s, "normalize h")
+    assert rep["result"] == "(Curve(-x^3 + y^2 - x - 1), x = x, y = y, 1/y dx)"
+
+
 def test_cli_exit_code_verify_failure():
     code, out, err = run_cli(["verify", "--suite", "fixture-fail"])
     assert code == 3
