@@ -633,11 +633,16 @@ def validate_normal_crossing(components, variety: CatalogVariety, rng=None) -> N
         for c, p in zip(visible, polys):
             if not is_squarefree(p):
                 report.fail("component not squarefree", chart.id, [c], p)
-        for (c1, p1), (c2, p2) in itertools.combinations(zip(visible, polys), 2):
-            if not poly_gcd(p1, p2).is_unit():
-                report.fail("components share a factor", chart.id, [c1, c2], poly_gcd(p1, p2))
+        coprime = []
+        for pair in itertools.combinations(zip(visible, polys), 2):
+            (c1, p1), (c2, p2) = pair
+            g = poly_gcd(p1, p2)
+            if g.is_unit():
+                coprime.append(pair)
+            else:
+                report.fail("components share a factor", chart.id, [c1, c2], g)
         if chart.dimension == 2:
-            _check_pairs_2d(visible, polys, chart, report)
+            _check_pairs_2d(coprime, chart, report)
             _check_triples_2d(visible, polys, chart, report)
         elif chart.dimension > 2:
             _check_slices(visible, polys, chart, report, rng)
@@ -649,10 +654,9 @@ def _jacobian_minor(p, q, coords):
     return p.differentiate(x) * q.differentiate(y) - p.differentiate(y) * q.differentiate(x)
 
 
-def _check_pairs_2d(visible, polys, chart, report):
-    for (c1, p1), (c2, p2) in itertools.combinations(zip(visible, polys), 2):
-        if not poly_gcd(p1, p2).is_unit():
-            continue  # already reported
+def _check_pairs_2d(coprime, chart, report):
+    """Transversality of each coprime pair ((c1, p1), (c2, p2))."""
+    for (c1, p1), (c2, p2) in coprime:
         J = _jacobian_minor(p1, p2, chart.coords)
         pts, complete = common_zeros_2d([p1, p2, J], chart.coords)
         if pts:

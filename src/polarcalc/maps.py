@@ -113,16 +113,22 @@ class VarietyMap:
         """self after inner (inner's target must be self's source)."""
         if inner.target.signature() != self.source.signature():
             raise MapError("composition source/target mismatch")
+        main = self.source.main_chart.id
         mid_chart = self.source.chart(inner.target_chart)
-        mid = self.source.coord_map(self.source.main_chart.id, inner.target_chart)
+        # None: inner already lands on the main chart, and the identity
+        # chart change would return each formula unchanged
+        mid = None if inner.target_chart == main else self.source.coord_map(
+            main, inner.target_chart
+        )
         src = inner.source.main_chart.coords
         for ch in self.target.charts:
             try:
                 fs = self.formulas_on(ch.id)
                 out = {}
                 for coord, rf in fs.items():
-                    on_mid = rf.substitute(mid, mid_chart.coords)
-                    out[coord] = on_mid.substitute(inner.formulas, src)
+                    if mid is not None:
+                        rf = rf.substitute(mid, mid_chart.coords)
+                    out[coord] = rf.substitute(inner.formulas, src)
                 return VarietyMap(inner.source, self.target, ch.id, out)
             except ZeroDivisionError:
                 continue

@@ -7,9 +7,13 @@ powers exact and makes equality and hashing structural.  Arithmetic,
 gcd, exact division, resultants and rational roots are the ring's own
 operations; `terms` is a read-only {exponent: Scalar} view.  Substituting
 fractions n_v/d_v into a Polynomial builds one numerator over the common
-denominator prod_v d_v^(degree in v) and normalizes that fraction once;
-the canonical fraction is unique, so this equals any term-by-term
-evaluation.  Canonical printing sorts by graded lexicographic order of
+denominator prod_v d_v^(degree in v) and normalizes that fraction once.
+A RationalFunction substitutes num and den over the same denominator
+prod_v d_v^D_v, D_v the larger of their degrees in v; it cancels, so the
+result is the one fraction N_num/N_den, normalized once.  The canonical
+fraction is unique, so either equals any term-by-term evaluation (only
+the text of a TAU-sum refusal may name a different common factor).
+Canonical printing sorts by graded lexicographic order of
 the exponent vectors over the chart's declared coordinate order.
 `to_sympy`/`from_sympy` convert to and from sympy expressions and are
 not used by the engine.
@@ -258,36 +262,8 @@ class Polynomial:
         N = sum_e c_e prod_v n_v^e_v d_v^(D_v - e_v) and D = prod_v d_v^D_v,
         normalized once.
         """
-        target = tuple(target_vars) if target_vars is not None else None
-        degrees = {v: k for v, k in zip(self.variables, self.elem.degrees()) if k > 0}
-        for v in degrees:
-            if v not in mapping:
-                raise PolynomialError("no substitution for variable %s" % v)
-        if target is None:
-            for rf in mapping.values():
-                target = rf.variables
-                break
-        if target is None:
-            raise PolynomialError("empty substitution mapping")
-        one = Polynomial.constant(target, Scalar.one())
-        factors, den = {}, one  # factors[v][k] = n_v^k d_v^(D_v - k)
-        for v, top in degrees.items():
-            n, d = mapping[v].num, mapping[v].den
-            num_pows, den_pows = [one], [one]
-            for _ in range(top):
-                num_pows.append(num_pows[-1] * n)
-                den_pows.append(den_pows[-1] * d)
-            factors[v] = [a * b for a, b in zip(num_pows, reversed(den_pows))]
-            den = den * den_pows[top]
-        ring, num = _ring(target), Polynomial.zero(target)
-        tau = (0,) * len(target)
-        for e, cs in _tau_groups(self.elem).items():
-            c = ring.dtype({tau + (k,): q for k, q in cs.items()})
-            term = Polynomial._wrap(target, c, self.shift)
-            for v, k in zip(self.variables, e):
-                if v in factors:
-                    term = term * factors[v][k]
-            num = num + term
+        (num,), den_powers = _substituted((self,), mapping, target_vars)
+        den = functools.reduce(Polynomial.__mul__, den_powers, _one(num.variables))
         return RationalFunction(num, den)
 
     # -- sympy expressions (reference conversions, not on the engine path) --
@@ -348,6 +324,69 @@ class Polynomial:
 # ---------------------------------------------------------------------------
 # gcd / division / elimination in the ring
 # ---------------------------------------------------------------------------
+
+
+def _one(variables) -> Polynomial:
+    return Polynomial._wrap(variables, _ring(variables).one)
+
+
+def _substituted(polys, mapping: dict, target_vars=None):
+    """Numerators of polys substituted over one common denominator.
+
+    With mapping[v] = n_v/d_v and D_v the largest degree in v among the
+    polys, each p becomes N_p / prod_v d_v^D_v with
+    N_p = sum_e c_e prod_v n_v^e_v d_v^(D_v - e_v).  Returns the N_p and
+    the factors d_v^D_v.  Each poly is checked for missing substitutions
+    and variable mismatches in turn.
+    """
+    target = tuple(target_vars) if target_vars is not None else None
+    degrees: dict = {}
+    for p in polys:
+        seen = {v: k for v, k in zip(p.variables, p.elem.degrees()) if k > 0}
+        for v in seen:
+            if v not in mapping:
+                raise PolynomialError("no substitution for variable %s" % v)
+        if target is None:
+            if not mapping:
+                raise PolynomialError("empty substitution mapping")
+            target = next(iter(mapping.values())).variables
+        for v, k in seen.items():
+            if mapping[v].variables != target:
+                raise PolynomialError(
+                    "variable mismatch: %s vs %s" % (target, mapping[v].variables)
+                )
+            degrees[v] = max(k, degrees.get(v, 0))
+    ring = _ring(target)
+    tau = (0,) * len(target)
+    # factors[v][k] = (elem, s) with n_v^k d_v^(D_v - k) = TAU^(low_v + s) elem
+    factors, low, den_powers = {}, 0, []
+    for v, top in degrees.items():
+        n, d = mapping[v].num, mapping[v].den
+        num_pows, den_pows = [ring.one], [ring.one]
+        for _ in range(top):
+            num_pows.append(num_pows[-1] * n.elem)
+            den_pows.append(den_pows[-1] * d.elem)
+        shifts = [k * n.shift + (top - k) * d.shift for k in range(top + 1)]
+        low_v = min(shifts)
+        factors[v] = [
+            (a * b, s - low_v) for a, b, s in zip(num_pows, reversed(den_pows), shifts)
+        ]
+        low += low_v
+        den_powers.append(Polynomial._wrap(target, den_pows[top], top * d.shift))
+    nums = []
+    for p in polys:
+        acc = ring.zero
+        for e, cs in _tau_groups(p.elem).items():
+            term, shift = ring.dtype({tau + (k,): q for k, q in cs.items()}), 0
+            for v, k in zip(p.variables, e):
+                if v in factors:
+                    elem, s = factors[v][k]
+                    term, shift = term * elem, shift + s
+            if shift:
+                term = term.mul_monom(tau + (shift,))
+            acc += term
+        nums.append(Polynomial._wrap(target, acc, p.shift + low))
+    return nums, den_powers
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -451,8 +490,7 @@ class RationalFunction:
 
     @staticmethod
     def from_poly(p: Polynomial) -> "RationalFunction":
-        one = Polynomial.constant(p.variables, Scalar.one())
-        return RationalFunction(p, one, _canonical=True)
+        return RationalFunction(p, _one(p.variables), _canonical=True)
 
     @staticmethod
     def constant(variables, scalar) -> "RationalFunction":
@@ -523,9 +561,13 @@ class RationalFunction:
         return self.num.evaluate(point) / dv
 
     def substitute(self, mapping: dict, target_vars=None) -> "RationalFunction":
-        n = self.num.substitute(mapping, target_vars)
-        d = self.den.substitute(mapping, target_vars)
-        return n / d
+        """One fraction: num and den are substituted over the same common
+        denominator prod_v d_v^D_v (see `_substituted`), which cancels, so
+        the result is N_num/N_den, normalized once."""
+        (n, d), _ = _substituted((self.num, self.den), mapping, target_vars)
+        if d.is_zero():
+            raise ZeroDivisionError("division by zero rational function")
+        return RationalFunction(n, d)
 
     def rename(self, variables) -> "RationalFunction":
         return RationalFunction(
@@ -593,7 +635,9 @@ def _normalize(num: Polynomial, den: Polynomial):
     Scalars multiply, so D/h has a TAU-monomial lead iff D has.
     """
     if num.is_zero():
-        return num, Polynomial.constant(den.variables, Scalar.one())
+        return num, _one(den.variables)
+    if den.shift == 0 and den.elem == den.elem.ring.one:
+        return num, den
     _, lead = _lead(den.elem)
     if len(lead) != 1:
         poly_gcd(num, den)  # a common factor with a TAU-sum lead is reported first

@@ -101,3 +101,26 @@ def test_constant_map_at_infinity():
     pt = VarietyPoint.product_point([INF])
     m = VarietyMap.constant(point_variety(), line, pt)
     assert m.image_point() == pt
+
+
+def test_compose_through_a_non_main_chart():
+    # inner lands on a chart other than the source's main chart, so compose
+    # first changes outer's formulas to that chart
+    line = proj_line("z")
+    coords = line.main_chart.coords
+    z, one = rf_var(coords, "z"), RationalFunction.constant(coords, Scalar.one())
+    inner = VarietyMap(line, line, "z_", {"z_": z - one})  # z -> 1/(z - 1)
+    outer = VarietyMap(line, line, "z", {"z": z ** 2 + one})
+    composite = outer.compose(inner).formulas_on("z")["z"]
+    assert composite == one / (z - one) ** 2 + one
+
+    plane = proj_plane("x", "y")
+    coords = plane.main_chart.coords
+    x, y = rf_var(coords, "x"), rf_var(coords, "y")
+    one = RationalFunction.constant(coords, Scalar.one())
+    # on A1, x = 1/x1 and y = y1/x1: (x, y) -> (1/(x - 1), y/(x - 1))
+    inner = VarietyMap(plane, plane, "A1", {"x1": x - one, "y1": y})
+    outer = VarietyMap(plane, plane, "A0", {"x": x + y, "y": x * y})
+    composite = outer.compose(inner).formulas_on("A0")
+    assert composite["x"] == (one + y) / (x - one)
+    assert composite["y"] == y / (x - one) ** 2

@@ -385,6 +385,57 @@ def test_substitute_matches_cancel(case):
     assert same(rf.den.to_sympy(), D / lc)
 
 
+@st.composite
+def rational_substitutions(draw):
+    """(rf, mapping): rf with non-constant num and den in 1-2 variables,
+    each variable sent to a canonical fraction in u, v."""
+    variables, (num, den) = draw(poly_tuples(2, VARIABLE_SETS[:2]))
+    assume(not den.is_zero())
+    try:
+        rf = RationalFunction(num, den)
+    except PolynomialError:  # den's leading coefficient is a TAU-sum
+        assume(False)
+    assume(not rf.num.is_constant() and not rf.den.is_constant())
+    mapping = {
+        v: RationalFunction(
+            draw(polys(TARGET, min_terms=1)),
+            draw(polys(TARGET, tau_monomials, min_terms=1)),
+        )
+        for v in variables
+    }
+    return rf, mapping
+
+
+@differential
+@given(rational_substitutions())
+def test_rational_substitute_matches_cancel(case):
+    rf, mapping = case
+    images = {
+        sp.Symbol(v): m.num.to_sympy() / m.den.to_sympy() for v, m in mapping.items()
+    }
+    num, den = (sp.cancel(p.to_sympy().subs(images, simultaneous=True)) for p in (rf.num, rf.den))
+    if den == 0:
+        with pytest.raises(ZeroDivisionError):
+            rf.substitute(mapping, TARGET)
+        return
+    N, D = sp.fraction(sp.cancel(num / den))
+    if N == 0:
+        assert rf.substitute(mapping, TARGET).is_zero()
+        return
+    # a canonical fraction is refused when the substituted denominator, over
+    # a denominator with leading coefficient 1, has a TAU-sum lead
+    if not tau_monomial(grlex_lc(sp.fraction(den)[0], TARGET)):
+        with pytest.raises(PolynomialError):
+            rf.substitute(mapping, TARGET)
+        return
+    out = rf.substitute(mapping, TARGET)
+    assert out.variables == TARGET
+    assert out == RationalFunction(out.num, out.den)
+    lc = grlex_lc(D, TARGET)
+    assert same(out.num.to_sympy(), N / lc)
+    assert same(out.den.to_sympy(), D / lc)
+
+
 def _raises_exactly(kind, message, call):
     with pytest.raises(kind) as excinfo:
         call()
