@@ -40,7 +40,18 @@ def _merge_sign(i: tuple, j: tuple):
 
 
 class DifferentialForm:
-    __slots__ = ("chart", "coords", "degree", "components")
+    """A q-form on one chart: {increasing index tuple: RationalFunction}.
+
+    A form and its coefficients are never mutated after construction, so
+    its chart transitions and pole orders are pure functions of the
+    object.  Each form keeps them in a memo of its own, filled on first
+    use (`transition_form` under ("transition", variety signature, target
+    chart), `pole_order` under ("pole_order", polynomial)) and freed with
+    the form.
+    Equality and hashing ignore the memo.
+    """
+
+    __slots__ = ("chart", "coords", "degree", "components", "_memo")
 
     def __init__(self, chart, coords, degree, components=None):
         self.chart = chart
@@ -60,6 +71,15 @@ class DifferentialForm:
                 if not rf.is_zero():
                     clean[idx] = rf
         self.components = clean
+        self._memo = {}
+
+    def memoized(self, key, compute):
+        """The value memoized under key, computed by compute() on first use."""
+        try:
+            return self._memo[key]
+        except KeyError:
+            value = self._memo[key] = compute()
+            return value
 
     # -- constructors -------------------------------------------------
 
@@ -111,12 +131,22 @@ class DifferentialForm:
         return self + (-other)
 
     def scale(self, scalar: Scalar) -> "DifferentialForm":
-        return DifferentialForm(
+        """scalar * self; a nonzero scalar carries the memo over (each
+        memoized chart transition scaled, pole orders unchanged)."""
+        if scalar.is_one():
+            return self
+        out = DifferentialForm(
             self.chart,
             self.coords,
             self.degree,
             {i: rf.scale(scalar) for i, rf in self.components.items()},
         )
+        if not scalar.is_zero():
+            out._memo = {
+                key: value.scale(scalar) if key[0] == "transition" else value
+                for key, value in self._memo.items()
+            }
+        return out
 
     def multiply(self, rf: RationalFunction) -> "DifferentialForm":
         return DifferentialForm(
@@ -220,7 +250,9 @@ class DifferentialForm:
 
     def pole_order(self, p: Polynomial):
         """Worst valuation of a coefficient along {p = 0}; POLE_FREE if none."""
-        return min((rf.ord_along(p) for rf in self.components.values()), default=POLE_FREE)
+        return self.memoized(("pole_order", p), lambda: min(
+            (rf.ord_along(p) for rf in self.components.values()), default=POLE_FREE
+        ))
 
     def sorted_components(self):
         return sorted(self.components.items())

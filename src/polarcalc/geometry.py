@@ -87,12 +87,19 @@ class CatalogVariety:
         return self.coord_maps[key]
 
     def transition_form(self, form: DifferentialForm, to_id) -> DifferentialForm:
-        """Express a form given on one chart in another (itself on its own chart)."""
+        """Express a form given on one chart in another (itself on its own chart).
+
+        Computed once per (form, variety, chart): the result is kept in the
+        form's memo."""
         if form.chart == to_id:
             return form
-        to_chart = self.chart(to_id)
-        mapping = self.coord_map(form.chart, to_id)
-        return form.pullback(mapping, to_id, to_chart.coords)
+
+        def pullback():
+            to_chart = self.chart(to_id)
+            mapping = self.coord_map(form.chart, to_id)
+            return form.pullback(mapping, to_id, to_chart.coords)
+
+        return form.memoized(("transition", self.signature(), to_id), pullback)
 
     def __eq__(self, other):
         return isinstance(other, CatalogVariety) and self.signature() == other.signature()

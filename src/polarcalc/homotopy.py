@@ -275,13 +275,18 @@ def _h_line_term(lam, t, ambient, zc, c, rng):
         if section == graph:
             continue
         decl = [section, graph] + verticals
-        report = validate_normal_crossing(decl, cyl, rng)
-        if not report.ok:
-            continue
         kernel = _kernel(cyl, zc, g_lift, probe)
         beta = dz.multiply(kernel).wedge(alpha_lift).scale(tau_inv)
+        kept = prune_declared(beta, cyl, decl)
+        # A probe needs normal crossing of all of decl, checked once: when
+        # pruning keeps every component, make_triple checks that very set
+        # and its ChainError rejects the probe.  The cylinder's charts are
+        # 2-dimensional, so the check draws nothing from rng and skipping
+        # it leaves the stream as it was.
+        if len(kept) < len(decl) and not validate_normal_crossing(decl, cyl, rng).ok:
+            continue
         try:
-            main = make_triple(cyl, lifted_map, beta, prune_declared(beta, cyl, decl), rng)
+            main = make_triple(cyl, lifted_map, beta, kept, rng)
         except ChainError:
             continue
         terms = [(Scalar.one(), main)]

@@ -13,6 +13,14 @@ prod_v d_v^D_v, D_v the larger of their degrees in v; it cancels, so the
 result is the one fraction N_num/N_den, normalized once.  The canonical
 fraction is unique, so either equals any term-by-term evaluation (only
 the text of a TAU-sum refusal may name a different common factor).
+Fraction arithmetic cross-cancels (Henrici; Knuth, TAOCP vol. 2,
+4.5.1): canonical operands have coprime num and den, so a product
+n1/d1 * n2/d2 divides out only gcd(n1, d2) and gcd(n2, d1), a sum only
+g = gcd(d1, d2) and then gcd(t, g) for the numerator t over
+(d1/g)(d2/g), and a derivative (n/d)' = (n'd - nd')/d^2 is already
+reduced when gcd(d, d') is 1.  A gcd whose denominator is 1 is skipped,
+and the result only has its denominator's leading TAU-monomial divided
+out.  Scaling by a nonzero Scalar keeps a fraction canonical.
 Canonical printing sorts by graded lexicographic order of
 the exponent vectors over the chart's declared coordinate order.
 `to_sympy`/`from_sympy` convert to and from sympy expressions and are
@@ -517,9 +525,17 @@ class RationalFunction:
     # -- arithmetic ----------------------------------------------------
 
     def __add__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        n1._check(n2)
+        if d1 == d2:  # g = d1: only gcd(n1 + n2, d1) is left
+            return RationalFunction(n1 + n2, d1, _canonical=_is_one(d1))
+        if not (_is_one(d1) or _is_one(d2)):
+            g, e1, e2 = _cofactors(d1, d2)
+            if not g.is_constant():
+                # t/g2 over (d1/g)(d2/g2), g2 = gcd(t, g)
+                _, t, g = _cofactors(n1 * e2 + n2 * e1, g)
+                return _coprime(t, e1 * e2 * g)
+        return _coprime(n1 * d2 + n2 * d1, d1 * d2)
 
     def __neg__(self) -> "RationalFunction":
         return RationalFunction(-self.num, self.den, _canonical=True)
@@ -528,7 +544,14 @@ class RationalFunction:
         return self + (-other)
 
     def __mul__(self, other: "RationalFunction") -> "RationalFunction":
-        return RationalFunction(self.num * other.num, self.den * other.den)
+        n1, d1, n2, d2 = self.num, self.den, other.num, other.den
+        n1._check(n2)
+        if not (n1.is_zero() or n2.is_zero()):
+            if not _is_one(d2):
+                _, n1, d2 = _cofactors(n1, d2)
+            if not _is_one(d1):
+                _, n2, d1 = _cofactors(n2, d1)
+        return _coprime(n1 * n2, d1 * d2)
 
     def __truediv__(self, other: "RationalFunction") -> "RationalFunction":
         if other.is_zero():
@@ -543,16 +566,25 @@ class RationalFunction:
         return RationalFunction(self.num**n, self.den**n)
 
     def scale(self, scalar: Scalar) -> "RationalFunction":
-        return RationalFunction(self.num.scale(scalar), self.den)
+        return _coprime(self.num.scale(scalar), self.den)
 
     # -- calculus / evaluation ------------------------------------------
 
     def differentiate(self, name: str) -> "RationalFunction":
         if name not in self.variables:
             raise PolynomialError("unknown variable %s" % name)
-        dn = self.num.differentiate(name)
-        dd = self.den.differentiate(name)
-        return RationalFunction(dn * self.den - self.num * dd, self.den * self.den)
+        n, d = self.num, self.den
+        dn = n.differentiate(name)
+        if _is_one(d):
+            return RationalFunction(dn, d, _canonical=True)
+        dd = d.differentiate(name)
+        if dd.is_zero():
+            return RationalFunction(dn, d)
+        g, e, f = _cofactors(d, dd)
+        if g.is_constant():
+            return _coprime(dn * d - n * dd, d * d)
+        # d = g e and d' = g f: (n' e - n f) / (g e^2)
+        return RationalFunction(dn * e - n * f, g * e * e)
 
     def evaluate(self, point: dict) -> Scalar:
         dv = self.den.evaluate(point)
@@ -636,7 +668,7 @@ def _normalize(num: Polynomial, den: Polynomial):
     """
     if num.is_zero():
         return num, _one(den.variables)
-    if den.shift == 0 and den.elem == den.elem.ring.one:
+    if _is_one(den):
         return num, den
     _, lead = _lead(den.elem)
     if len(lead) != 1:
@@ -645,12 +677,41 @@ def _normalize(num: Polynomial, den: Polynomial):
             "cannot normalize: denominator leading coefficient %s is a TAU-sum"
             % _scalar(lead, den.shift)
         )
-    _, n, d = num.elem.cofactors(den.elem)
-    ((k, c),) = _lead(d)[1].items()
+    _, num, den = _cofactors(num, den)
+    return _lead_one(num, den)
+
+
+def _is_one(p: Polynomial) -> bool:
+    return p.shift == 0 and p.elem == p.elem.ring.one
+
+
+def _cofactors(a: Polynomial, b: Polynomial):
+    """(h, a/h, b/h) for a gcd h of a and b, fixed up to a constant factor."""
+    h, p, q = a.elem.cofactors(b.elem)
     return (
-        Polynomial._wrap(num.variables, n.quo_ground(c), num.shift - den.shift - k),
-        Polynomial._wrap(den.variables, d.quo_ground(c), -k),
+        Polynomial._wrap(a.variables, h),
+        Polynomial._wrap(a.variables, p, a.shift),
+        Polynomial._wrap(b.variables, q, b.shift),
     )
+
+
+def _lead_one(num: Polynomial, den: Polynomial):
+    """num and den divided by den's leading Scalar, a TAU-monomial c*TAU^k."""
+    ((k, c),) = _lead(den.elem)[1].items()
+    k += den.shift
+    if k == 0 and c == 1:
+        return num, den
+    return (
+        Polynomial._wrap(num.variables, num.elem.quo_ground(c), num.shift - k),
+        Polynomial._wrap(den.variables, den.elem.quo_ground(c), den.shift - k),
+    )
+
+
+def _coprime(num: Polynomial, den: Polynomial) -> RationalFunction:
+    """The canonical fraction num/den of coprime num and den."""
+    if num.is_zero():
+        return RationalFunction(num, _one(den.variables), _canonical=True)
+    return RationalFunction(*_lead_one(num, den), _canonical=True)
 
 
 def _poly_ord(q: Polynomial, p: Polynomial) -> int:

@@ -27,7 +27,6 @@ from .geometry import (
     product_of_lines,
     proj_line,
     proj_plane,
-    validate_normal_crossing,
 )
 from .homotopy import cylinder_homotopy, verify_homotopy_identity
 from .maps import VarietyMap
@@ -166,9 +165,7 @@ def _random_p2_chain(rng):
         decl = [
             DivisorComponent.from_chart_poly(plane, chart, q) for q in lines
         ] + [_p2_inf_component(plane)]
-        if not validate_normal_crossing(decl, plane, rng).ok:
-            continue
-        try:
+        try:  # make_triple's normal-crossing check filters the sample
             t = make_triple(plane, VarietyMap.identity(plane), form, decl, rng)
         except ChainError:
             continue

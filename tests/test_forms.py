@@ -1,6 +1,7 @@
 import pytest
 
 from polarcalc.forms import DifferentialForm, FormError, polar_profile
+from polarcalc.geometry import DivisorComponent, product_of_lines, proj_plane
 from polarcalc.parsing import parse_form
 from polarcalc.polynomials import Polynomial, RationalFunction
 from polarcalc.scalars import Scalar
@@ -82,3 +83,66 @@ def test_polar_profile_undeclared_pole():
     xp = Polynomial.variable(COORDS, "x")
     profile = polar_profile(omega, [xp])
     assert not profile.is_admissible()
+
+
+def _plane_and_product():
+    return [proj_plane("x", "y"), product_of_lines(["x", "y"])]
+
+
+def _dlog_form(variety):
+    main = variety.main_chart
+    return parse_form("dlog(x) wedge dlog(y - 1)", main.coords, main.id)
+
+
+def _pole_polys(variety, chart):
+    """The polynomials of {x = 0} and {y = 1} visible on a chart."""
+    main = variety.main_chart
+    comps = [
+        DivisorComponent.from_chart_poly(variety, main.id, rf(text).num)
+        for text in ("x", "y - 1")
+    ]
+    return [c.poly_on(chart.id) for c in comps if c.visible_on(chart.id)]
+
+
+@pytest.mark.parametrize("variety", _plane_and_product(), ids=["P2", "P1xP1"])
+def test_transition_form_is_computed_once(variety):
+    omega = _dlog_form(variety)
+    main = variety.main_chart
+    for chart in variety.charts[1:]:
+        local = variety.transition_form(omega, chart.id)
+        mapping = variety.coord_map(main.id, chart.id)
+        assert local == omega.pullback(mapping, chart.id, chart.coords)
+        assert variety.transition_form(omega, chart.id) is local
+    assert variety.transition_form(omega, main.id) is omega
+
+
+@pytest.mark.parametrize("variety", _plane_and_product(), ids=["P2", "P1xP1"])
+@pytest.mark.parametrize("lam", [Scalar.of(-1), Scalar.one() + Scalar.tau()],
+                         ids=["-1", "1+TAU"])
+def test_scale_carries_transitions_and_pole_orders(variety, lam, monkeypatch):
+    omega = _dlog_form(variety)
+    assert omega.scale(Scalar.one()) is omega
+
+    def profile(form):
+        """{chart id: (local form, pole orders along the visible polys)}"""
+        out = {}
+        for chart in variety.charts:
+            local = variety.transition_form(form, chart.id)
+            out[chart.id] = (local, [local.pole_order(p) for p in _pole_polys(variety, chart)])
+        return out
+
+    profile(omega)  # fills omega's memo
+    fresh = DifferentialForm(
+        omega.chart, omega.coords, omega.degree,
+        {i: c.scale(lam) for i, c in omega.components.items()},
+    )
+    expected = profile(fresh)
+    scaled = omega.scale(lam)
+    assert scaled == fresh
+
+    def refuse(*args):
+        raise AssertionError("a scaled form recomputed what its memo held")
+
+    monkeypatch.setattr(DifferentialForm, "pullback", refuse)
+    monkeypatch.setattr(RationalFunction, "ord_along", refuse)
+    assert profile(scaled) == expected

@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+from polarcalc import homotopy
 from polarcalc.chains import PolarChain, boundary, make_triple, point_term
 from polarcalc.geometry import (
     INF,
@@ -42,6 +43,21 @@ def section_chain(amb, src, g_rf, form, decl):
     return PolarChain(amb, [make_triple(src, m, form, decl, rng())])
 
 
+def probe_nc_checks(monkeypatch):
+    """(section label, verdict) of each normal-crossing check that the
+    probe loop makes itself rather than through make_triple."""
+    seen = []
+    validate = homotopy.validate_normal_crossing
+
+    def spy(decl, variety, rng=None):
+        report = validate(decl, variety, rng)
+        seen.append((decl[0].label, report.ok))
+        return report
+
+    monkeypatch.setattr(homotopy, "validate_normal_crossing", spy)
+    return seen
+
+
 def test_identity_for_weighted_point():
     line = proj_line("z")
     a = weighted_point(line, 2, 5)
@@ -68,7 +84,7 @@ def test_point_on_infinity_section():
     assert rep["zero"]
 
 
-def test_identity_for_diagonal_section_with_repair():
+def test_identity_for_diagonal_section_with_repair(monkeypatch):
     amb = product_of_lines(["t", "z"])
     src = proj_line("t")
     coords = src.main_chart.coords
@@ -79,13 +95,22 @@ def test_identity_for_diagonal_section_with_repair():
     ]
     a = section_chain(amb, src, RationalFunction.variable(coords, "t"),
                       form, decl)
+    checks = probe_nc_checks(monkeypatch)
     cyl = cylinder_homotopy(a, 0, rng())
-    assert any(r.get("repaired") for r in cyl.records)
+    assert cyl.records == [{
+        "term": "(P1(t), t = t, z = t, -1/(t^2 - t) dt)",
+        "basepoint": "-1",
+        "repaired": True,
+    }]
+    # probes 0 and 1: the graph z = t meets the section above a pole of
+    # alpha, pruning drops that vertical, so the whole set is checked (and
+    # rejected) directly; probe -1 keeps every component
+    assert checks == [("{z}", False), ("{z - 1}", False)]
     rep = verify_homotopy_identity(a, 0, rng())
     assert rep["zero"]
 
 
-def test_identity_without_repair():
+def test_identity_without_repair(monkeypatch):
     amb = product_of_lines(["t", "z"])
     src = proj_line("t")
     coords = src.main_chart.coords
@@ -96,8 +121,14 @@ def test_identity_without_repair():
     ]
     a = section_chain(amb, src, RationalFunction.variable(coords, "t"),
                       form, decl)
+    checks = probe_nc_checks(monkeypatch)
     cyl = cylinder_homotopy(a, 0, rng())
-    assert not any(r.get("repaired") for r in cyl.records)
+    assert cyl.records == [{
+        "term": "(P1(t), t = t, z = t, -1/(t^2 - 5*t + 6) dt)",
+        "basepoint": "0",
+        "repaired": False,
+    }]
+    assert checks == []  # probe 0 keeps every component: make_triple checks it
     rep = verify_homotopy_identity(a, 0, rng())
     assert rep["zero"]
 

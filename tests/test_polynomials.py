@@ -470,3 +470,112 @@ def test_substitute_error_paths():
         "variable mismatch: ('u', 'v') vs ('t',)",
         lambda: x().substitute({"x": RationalFunction.variable(("t",), "t")}, TARGET),
     )
+
+
+# ---------------------------------------------------------------------------
+# fraction kernel: +, -, *, differentiate, scale against sympy.cancel
+# ---------------------------------------------------------------------------
+
+
+@st.composite
+def fraction_pairs(draw):
+    """Two canonical fractions that share factors with each other's
+    denominators (a*g/(b*h) and c*h/(d*g), say), plus a scalar.
+
+    Denominator factors have TAU-monomial coefficients, so every
+    denominator's leading coefficient is a TAU-monomial."""
+    variables, (a, c, k) = draw(poly_tuples(3))
+    b, d, g, h = (draw(polys(variables, tau_monomials, min_terms=1)) for _ in range(4))
+    shape = draw(st.sampled_from(("cross", "common", "cancel", "negated")))
+    if shape == "cross":  # * has both cross gcds
+        f1 = RationalFunction(a * g, b * h)
+        f2 = RationalFunction(c * h, d * g)
+    elif shape == "common":  # + has gcd(d1, d2); h^2 gives gcd(d, d')
+        f1 = RationalFunction(a, b * h)
+        f2 = RationalFunction(c, d * h * h)
+    elif shape == "cancel":  # the sum k/d loses h: gcd(t, g) is not 1
+        f1 = RationalFunction(a, h)
+        f2 = RationalFunction(k * h - a * d, d * h)
+    else:  # the sum is zero
+        f1 = RationalFunction(a * g, b * h)
+        f2 = -f1
+    return variables, f1, f2, draw(scalars)
+
+
+def _kernel_branches(f1, f2, variables):
+    """The cross-cancellation branches that f1 + f2, f1 * f2 and the
+    derivatives of f1 and f2 take, decided with poly_gcd."""
+    out = set()
+    if not (f1.is_zero() or f2.is_zero()):
+        if not poly_gcd(f1.num, f2.den).is_unit():
+            out.add("mul: gcd(n1, d2)")
+        if not poly_gcd(f2.num, f1.den).is_unit():
+            out.add("mul: gcd(n2, d1)")
+    g = poly_gcd(f1.den, f2.den)
+    if f1.den == f2.den:
+        out.add("add: same denominator")
+    elif not g.is_unit():
+        out.add("add: gcd(d1, d2)")
+        t = f1.num * poly_div_exact(f2.den, g) + f2.num * poly_div_exact(f1.den, g)
+        if not poly_gcd(t, g).is_unit():
+            out.add("add: gcd(t, g)")
+    if (f1 + f2).is_zero() or (f1 * f2).is_zero():
+        out.add("zero result")
+    for f in (f1, f2):
+        for v in variables:
+            dd = f.den.differentiate(v)
+            if f.den.is_unit():
+                out.add("diff: unit denominator")
+            elif dd.is_zero():
+                out.add("diff: d' = 0")
+            elif poly_gcd(f.den, dd).is_unit():
+                out.add("diff: gcd(d, d') = 1")
+            else:
+                out.add("diff: gcd(d, d')")
+    return out
+
+
+def assert_canonical_cancel(rf, expr, variables):
+    """rf is the canonical fraction of expr: sympy.cancel's num/den over
+    the denominator's graded-lex leading coefficient, coprime, with a
+    denominator whose leading coefficient is 1."""
+    N, D = sp.fraction(sp.cancel(expr))
+    if N == 0:
+        assert rf.is_zero() and rf.den == Polynomial.constant(variables, Scalar.one())
+        return
+    lc = grlex_lc(D, variables)
+    assert same(rf.num.to_sympy(), N / lc)
+    assert same(rf.den.to_sympy(), D / lc)
+    assert poly_gcd(rf.num, rf.den).is_unit()
+    assert rf.den.leading()[1].is_one()
+
+
+KERNEL_BRANCHES = {
+    "mul: gcd(n1, d2)", "mul: gcd(n2, d1)", "add: same denominator",
+    "add: gcd(d1, d2)", "add: gcd(t, g)", "zero result",
+    "diff: unit denominator", "diff: d' = 0", "diff: gcd(d, d') = 1",
+    "diff: gcd(d, d')",
+}
+reached_kernel_branches = set()
+
+
+@differential
+@given(fraction_pairs())
+def _fraction_kernel_matches_cancel(case):
+    variables, f1, f2, lam = case
+    A = f1.num.to_sympy() / f1.den.to_sympy()
+    B = f2.num.to_sympy() / f2.den.to_sympy()
+    assert_canonical_cancel(f1 + f2, A + B, variables)
+    assert_canonical_cancel(f1 - f2, A - B, variables)
+    assert_canonical_cancel(f1 * f2, A * B, variables)
+    assert_canonical_cancel(f1.scale(lam), A * Polynomial.constant((), lam).to_sympy(), variables)
+    for f, F in ((f1, A), (f2, B)):
+        for v in variables:
+            assert_canonical_cancel(f.differentiate(v), sp.diff(F, sp.Symbol(v)), variables)
+    reached_kernel_branches.update(_kernel_branches(f1, f2, variables))
+
+
+def test_fraction_kernel_matches_cancel():
+    reached_kernel_branches.clear()
+    _fraction_kernel_matches_cancel()
+    assert reached_kernel_branches == KERNEL_BRANCHES
