@@ -8,10 +8,9 @@ terms with a common image by summed pushforwards (R2), and dropping of
 terms whose image has too small a dimension (R3).
 """
 
-import random
 from fractions import Fraction
 
-from .forms import DifferentialForm, FormError, polar_profile
+from .forms import DifferentialForm, polar_profile
 from .geometry import (
     CatalogVariety,
     DivisorComponent,
@@ -35,8 +34,6 @@ from .polynomials import (
 )
 from .residue import ResidueError, classify_component, p1_pole_points, poincare_residue
 from .scalars import Scalar
-
-R3_PROBES = 16
 
 
 class ChainError(ValueError):
@@ -86,7 +83,11 @@ class Triple:
 
 
 def make_triple(source, map_, form, declared_poles, rng=None) -> Triple:
-    """Validated triple; raises with the failing chart and component."""
+    """Validated triple; raises with the failing chart and component.
+
+    `rng` is accepted and ignored: the checks draw no random numbers, and
+    the parameter stays only for callers that still pass one.
+    """
     if map_.source.signature() != source.signature():
         raise ChainError("map source does not match the triple's source variety")
     if form.degree != source.dimension:
@@ -117,16 +118,13 @@ def make_triple(source, map_, form, declared_poles, rng=None) -> Triple:
                 "pole component %s lives on a different variety" % comp.label
             )
     if declared_poles:
-        report = validate_normal_crossing(list(declared_poles), source, rng)
+        report = validate_normal_crossing(list(declared_poles), source)
         if not report.ok:
             raise ChainError("declared poles violate normal crossing: %s" % report.message())
     for chart in source.charts:
         local = source.transition_form(form, chart.id)
         polys = [c.poly_on(chart.id) for c in declared_poles if c.visible_on(chart.id)]
-        try:
-            profile = polar_profile(local, polys)
-        except FormError as e:
-            raise ChainError("chart %s: %s" % (chart.id, e))
+        profile = polar_profile(local, polys)
         for p, o in profile.components:
             if o < -1:
                 raise ChainError(
@@ -411,10 +409,8 @@ def _image_group_key(desc):
 # ---------------------------------------------------------------------------
 
 
-def normalize_chain(c: PolarChain, rng=None, strict=False) -> PolarChain:
+def normalize_chain(c: PolarChain) -> PolarChain:
     """Canonical form: scalars folded, R3 pruned, coincident images merged."""
-    if rng is None:
-        rng = random.Random(0)
     warnings = list(c.warnings)
 
     # R1: fold every scalar into the form.
@@ -427,31 +423,14 @@ def normalize_chain(c: PolarChain, rng=None, strict=False) -> PolarChain:
     for t in folded:
         k = t.merge_key()
         if k in by_struct:
-            by_struct[k] = _merge_structural(by_struct[k], t, rng)
+            by_struct[k] = _merge_structural(by_struct[k], t)
         else:
             by_struct[k] = t
             order.append(k)
     terms = [by_struct[k] for k in order if not by_struct[k].form.is_zero()]
 
     # R3: drop terms whose image dimension falls below the degree.
-    kept = []
-    for t in terms:
-        if t.degree == 0:
-            kept.append(t)
-            continue
-        if t.map.is_constant():
-            continue
-        rank = t.map.jacobian_max_rank(rng, R3_PROBES)
-        if rank < t.degree:
-            if strict:
-                warnings.append(
-                    "term %s kept: image-dimension drop suggested by probes "
-                    "but not certified" % t.render()
-                )
-                kept.append(t)
-            continue
-        kept.append(t)
-    terms = kept
+    terms = [t for t in terms if _image_dimension_ok(t)]
 
     # R2: merge coincident images via summed pushforwards.
     groups = {}
@@ -466,7 +445,7 @@ def normalize_chain(c: PolarChain, rng=None, strict=False) -> PolarChain:
     out = []
     for k in order:
         desc, members = groups[k]
-        merged, warn = _merge_group(desc, members, c.ambient, rng)
+        merged, warn = _merge_group(desc, members, c.ambient)
         out.extend(merged)
         warnings.extend(warn)
 
@@ -474,14 +453,24 @@ def normalize_chain(c: PolarChain, rng=None, strict=False) -> PolarChain:
     return PolarChain(c.ambient, out, c.relative_to, tuple(warnings))
 
 
-def _merge_structural(a: Triple, b: Triple, rng) -> Triple:
+def _image_dimension_ok(t: Triple) -> bool:
+    """R3: the image of the term's map has dimension at least its degree."""
+    if t.degree == 0:
+        return True
+    if t.map.is_constant():
+        return False
+    # a non-constant map has rank >= 1, so only degree >= 2 needs the rank
+    return t.degree == 1 or t.map.jacobian_max_rank() >= t.degree
+
+
+def _merge_structural(a: Triple, b: Triple) -> Triple:
     form = a.form + b.form
     decl = list(a.declared_poles)
     for comp in b.declared_poles:
         if comp not in decl:
             decl.append(comp)
     decl = prune_declared(form, a.source, decl)
-    return make_triple(a.source, a.map, form, decl, rng)
+    return make_triple(a.source, a.map, form, decl)
 
 
 def prune_declared(form, source, declared):
@@ -496,7 +485,7 @@ def _pole_order(form, source, comp):
     return local.pole_order(comp.poly_on(chart.id))
 
 
-def _merge_group(desc, members, ambient, rng):
+def _merge_group(desc, members, ambient):
     """Merge one coincident-image group; returns (terms, warnings)."""
     if len(members) == 1:
         return members, []
@@ -524,13 +513,13 @@ def _merge_group(desc, members, ambient, rng):
         try:
             t = make_triple(
                 line, VarietyMap.identity(line), total,
-                _infer_p1_poles(total, line), rng,
+                _infer_p1_poles(total, line),
             )
         except (ChainError, ResidueError) as e:
             return members, ["unmergeable coincident-image terms (%s)" % e]
         return [t], []
     if desc[0] == "component":
-        merged = _merge_onto_component(desc[1], members, ambient, rng)
+        merged = _merge_onto_component(desc[1], members, ambient)
         if merged is not None:
             return merged
         return members, [
@@ -539,7 +528,7 @@ def _merge_group(desc, members, ambient, rng):
     return members, ["unmergeable coincident-image terms (opaque image)"]
 
 
-def _merge_onto_component(comp, members, ambient, rng):
+def _merge_onto_component(comp, members, ambient):
     try:
         shape = classify_component(comp, ambient)
     except ResidueError:
@@ -571,7 +560,7 @@ def _merge_onto_component(comp, members, ambient, rng):
     if total.is_zero():
         return [], []
     try:
-        t = make_triple(line, embed, total, _infer_p1_poles(total, line), rng)
+        t = make_triple(line, embed, total, _infer_p1_poles(total, line))
     except (ChainError, ResidueError):
         return None
     return [t], []
@@ -597,7 +586,7 @@ class BoundaryResult:
         self.raw_terms = list(raw_terms)
 
 
-def _residue_term(parent: Triple, comp: DivisorComponent, rng):
+def _residue_term(parent: Triple, comp: DivisorComponent):
     res = poincare_residue(parent.form, comp, parent.source)
     embed = parent.map.compose(res.embed)
     if res.kind == "scalar":
@@ -605,14 +594,12 @@ def _residue_term(parent: Triple, comp: DivisorComponent, rng):
         return res, t
     if res.kind == "line":
         decl = _infer_p1_poles(res.form, res.target)
-        return res, make_triple(res.target, embed, res.form, decl, rng)
-    return res, make_triple(res.target, embed, res.form, (), rng)
+        return res, make_triple(res.target, embed, res.form, decl)
+    return res, make_triple(res.target, embed, res.form, ())
 
 
-def boundary(c: PolarChain, rng=None, strict=False) -> BoundaryResult:
+def boundary(c: PolarChain) -> BoundaryResult:
     """TAU times the sum of residues over every simple-pole component."""
-    if rng is None:
-        rng = random.Random(0)
     raw = []
     provenance = []
     for lam, parent in c.terms:
@@ -622,7 +609,7 @@ def boundary(c: PolarChain, rng=None, strict=False) -> BoundaryResult:
         for comp in t.declared_poles:
             if _pole_order(t.form, t.source, comp) >= 0:
                 continue
-            res, term = _residue_term(t, comp, rng)
+            res, term = _residue_term(t, comp)
             raw.append((Scalar.tau(), term))
             provenance.append({
                 "parent": t.render(),
@@ -630,16 +617,14 @@ def boundary(c: PolarChain, rng=None, strict=False) -> BoundaryResult:
                 "residue": str(res.form),
                 "scalar": str(Scalar.tau()),
             })
-    chain = normalize_chain(
-        PolarChain(c.ambient, raw, c.relative_to), rng, strict
-    )
+    chain = normalize_chain(PolarChain(c.ambient, raw, c.relative_to))
     return BoundaryResult(chain, provenance, raw)
 
 
-def check_d_squared(c: PolarChain, rng=None, strict=False):
+def check_d_squared(c: PolarChain):
     """Apply the boundary twice and report the pairwise cancellations."""
-    first = boundary(c, rng, strict)
-    second = boundary(first.chain, rng, strict)
+    first = boundary(c)
+    second = boundary(first.chain)
     cancellations = []
     by_point = {}
     for lam, t in second.raw_terms:
@@ -669,9 +654,9 @@ def check_d_squared(c: PolarChain, rng=None, strict=False):
 # ---------------------------------------------------------------------------
 
 
-def support(c: PolarChain, rng=None, strict=False):
+def support(c: PolarChain):
     """Image descriptions of the terms of the canonical form."""
-    n = normalize_chain(c, rng, strict)
+    n = normalize_chain(c)
     out = []
     for _, t in n.terms:
         desc = image_description(t, n.ambient)
@@ -702,7 +687,7 @@ def _term_inside(t: Triple, ambient, zone) -> bool:
     return False
 
 
-def reduce_relative(c: PolarChain, zone, rng=None, strict=False) -> PolarChain:
+def reduce_relative(c: PolarChain, zone) -> PolarChain:
     """Drop the terms supported inside Z and mark the chain relative."""
     zone = tuple(zone)
     for z in zone:
@@ -711,14 +696,14 @@ def reduce_relative(c: PolarChain, zone, rng=None, strict=False) -> PolarChain:
                 raise ChainError("relative subvariety lives outside the ambient")
         elif not isinstance(z, VarietyPoint):
             raise ChainError("unsupported relative subvariety element")
-    n = normalize_chain(c, rng, strict)
+    n = normalize_chain(c)
     kept = [(lam, t) for lam, t in n.terms if not _term_inside(t, c.ambient, zone)]
     return PolarChain(c.ambient, kept, zone, n.warnings)
 
 
-def is_cycle(c: PolarChain, rng=None, strict=False):
+def is_cycle(c: PolarChain):
     """(flag, residual boundary); relative chains discount terms in Z."""
-    b = boundary(c, rng, strict)
+    b = boundary(c)
     residual = b.chain
     if c.relative_to:
         kept = [
@@ -735,7 +720,7 @@ def is_cycle(c: PolarChain, rng=None, strict=False):
 # ---------------------------------------------------------------------------
 
 
-def boundary_witness_p1(zero_cycle, line=None, rng=None) -> PolarChain:
+def boundary_witness_p1(zero_cycle, line=None) -> PolarChain:
     """A 1-chain whose boundary is the given zero-sum 0-chain on P1.
 
     zero_cycle: list of (rational point value, Scalar weight).
@@ -767,13 +752,13 @@ def boundary_witness_p1(zero_cycle, line=None, rng=None) -> PolarChain:
         )
         form = form + DifferentialForm(line.main_chart.id, coords, 1, {(0,): term})
         decl.append(DivisorComponent.from_chart_poly(line, line.main_chart.id, p))
-    t = make_triple(line, VarietyMap.identity(line), form, decl, rng)
+    t = make_triple(line, VarietyMap.identity(line), form, decl)
     chain = PolarChain(line, [t])
     expected = PolarChain(
         line,
         [point_term(line, VarietyPoint.product_point([v]), w) for v, w in entries],
     )
-    got = boundary(chain, rng)
-    if got.chain != normalize_chain(expected, rng):
+    got = boundary(chain)
+    if got.chain != normalize_chain(expected):
         raise ChainError("internal witness verification failed")
     return chain

@@ -4,7 +4,8 @@
     polarcalc repl              interactive session
     polarcalc verify --suite X  run a named verification suite
 
-Common flags: --strict, --seed <n>, --json <path>.
+Common flags: --seed <n> (seeds the verification suites' sampling;
+sessions draw no random numbers), --json <path>.
 Exit codes: 0 ok, 1 computation error, 2 parse error, 3 verification failure.
 """
 
@@ -90,7 +91,7 @@ def cmd_run(args, json_sink):
         report["status"] = "error"
         _emit(report, json_sink)
         return EXIT_COMPUTE
-    session = Session(seed=args.seed, strict=args.strict)
+    session = Session()
     try:
         statements = split_statements(text)
     except ParseError as exc:
@@ -101,7 +102,7 @@ def cmd_run(args, json_sink):
 
 
 def cmd_repl(args, json_sink):
-    session = Session(seed=args.seed, strict=args.strict)
+    session = Session()
     worst = EXIT_OK
     buf = ""
     print("polarcalc repl; statements end with ';' (Ctrl-D to leave)")
@@ -143,7 +144,7 @@ def cmd_verify(args, json_sink):
         _emit(report, json_sink)
         return EXIT_COMPUTE
     try:
-        result = suite(seed=args.seed, strict=args.strict)
+        result = suite(seed=args.seed)
     except ParseError as exc:
         report, code = _error_report("verify --suite %s" % args.suite, exc)
         _emit(report, json_sink)
@@ -169,10 +170,9 @@ def build_parser():
         prog="polarcalc",
         description="Exact calculus of polar chains: residues, boundaries, homotopy.",
     )
-    parser.add_argument("--strict", action="store_true",
-                        help="keep uncertified drops and fail louder")
     parser.add_argument("--seed", type=int, default=0,
-                        help="seed for randomized checks (default 0)")
+                        help="seed for the verification suites' sampling; "
+                             "sessions draw no random numbers (default 0)")
     parser.add_argument("--json", metavar="PATH",
                         help="write all reports as a JSON array to PATH")
     sub = parser.add_subparsers(dest="command", required=True)

@@ -330,15 +330,10 @@ def polar_profile(form: DifferentialForm, declared) -> PolarProfile:
     """Per-component valuation of the worst coefficient, plus leftovers.
 
     declared: list of pairwise-coprime squarefree Polynomials on the
-    form's chart.
+    form's chart (the caller checks this; `make_triple` does it with
+    `validate_normal_crossing`).
     """
     declared = list(declared)
-    for i, p in enumerate(declared):
-        for q in declared[i + 1 :]:
-            if not poly_gcd(p, q).is_unit():
-                raise FormError(
-                    "declared components not pairwise coprime: %s vs %s" % (p, q)
-                )
     components = []
     for p in declared:
         if p.is_constant():

@@ -6,22 +6,27 @@ with their projective closure).  Each variety carries explicit affine
 charts with exact rational transition maps; a divisor component is a
 chart-wise family of defining polynomials compatible under transitions.
 Transversality and smoothness are decided by exact resultant
-elimination on two-dimensional charts; higher-dimensional product
-charts fall back to exact checks on random rational slices (accepting
-is then one-sided; every rejection carries a witness).
+elimination on two-dimensional charts, where a rejection names a
+rational witness point.  On product charts of higher dimension, normal
+crossing is decided by unit-ideal certificates (Hilbert's
+Nullstellensatz): components meet transversally when their polynomials
+and the maximal minors of their Jacobian generate the unit ideal.
 """
 
 from __future__ import annotations
 
 import itertools
-import random
 from fractions import Fraction
+
+from sympy.polys.groebnertools import groebner
+from sympy.polys.matrices import DomainMatrix
 
 from .forms import DifferentialForm
 from .polynomials import (
     Polynomial,
     RationalFunction,
     is_squarefree,
+    over_tau_field,
     poly_gcd,
     poly_resultant,
     rational_roots,
@@ -628,7 +633,7 @@ class NCReport:
         return "\n".join(lines)
 
 
-def validate_normal_crossing(components, variety: CatalogVariety, rng=None) -> NCReport:
+def validate_normal_crossing(components, variety: CatalogVariety) -> NCReport:
     report = NCReport()
     components = list(components)
     for comp in components:
@@ -652,7 +657,7 @@ def validate_normal_crossing(components, variety: CatalogVariety, rng=None) -> N
             _check_pairs_2d(coprime, chart, report)
             _check_triples_2d(visible, polys, chart, report)
         elif chart.dimension > 2:
-            _check_slices(visible, polys, chart, report, rng)
+            _check_unit_ideals(visible, polys, chart, report)
     return report
 
 
@@ -698,37 +703,42 @@ def _check_triples_2d(visible, polys, chart, report):
             )
 
 
-N_SLICE_PROBES = 32
+def _check_unit_ideals(visible, polys, chart, report):
+    """Normal crossing on a chart of dimension n > 2, by unit ideals.
 
-
-def _check_slices(visible, polys, chart, report, rng):
-    """Monte Carlo slice checks on charts of dimension > 2.
-
-    Specializes all but two coordinates at random rational values and
-    runs the exact 2D check on the slice.  Rejections are certified;
-    acceptance is one-sided.
+    A set S of at most n components meets transversally exactly when p_S
+    and all |S| x |S| minors of their Jacobian have no common zero, and
+    n + 1 components share no point exactly when p_S have none; by the
+    Nullstellensatz, when those polynomials generate the unit ideal.  They
+    live in QQ(TAU)[coords], where TAU is a coefficient, not a variable.
     """
-    if rng is None:
-        rng = random.Random(20230505)
-    coords = chart.coords
-    for (c1, p1), (c2, p2) in itertools.combinations(zip(visible, polys), 2):
-        for _ in range(N_SLICE_PROBES):
-            keep = sorted(rng.sample(range(len(coords)), 2))
-            kept = tuple(coords[i] for i in keep)
-            q1, q2 = p1, p2
-            for i, v in enumerate(coords):
-                if i in keep:
-                    continue
-                val = Fraction(rng.randint(-20, 20), rng.randint(1, 7))
-                q1 = _specialize(q1, v, val) if v in q1.variables else q1
-                q2 = _specialize(q2, v, val) if v in q2.variables else q2
-            if q1.is_constant() or q2.is_constant():
-                continue
-            J = _jacobian_minor(q1, q2, kept)
-            pts, _ = common_zeros_2d([q1, q2, J], kept)
-            if pts:
-                report.fail("tangential intersection (slice probe)", chart.id, [c1, c2], pts[0])
-                break
+    if len(polys) < 2:
+        return
+    n = chart.dimension
+    gens = [over_tau_field(p) for p in polys]
+    ring = gens[0].ring
+    for k in range(2, n + 2):
+        for members in itertools.combinations(range(len(visible)), k):
+            ideal = [gens[i] for i in members]
+            if k <= n:
+                jac = DomainMatrix(
+                    [[g.diff(x) for x in ring.gens] for g in ideal], (k, n),
+                    ring.to_domain(),
+                )
+                rows = list(range(k))
+                for cols in itertools.combinations(range(n), k):
+                    ideal.append(jac.extract(rows, list(cols)).det())
+                reason = "components do not meet transversally"
+            else:
+                reason = "%d components through one point in dimension %d" % (k, n)
+            basis = groebner([g for g in ideal if g], ring)
+            if basis != [ring.one]:
+                report.fail(
+                    reason, chart.id, [visible[i] for i in members],
+                    "Groebner basis [%s]" % ", ".join(
+                        str(g).replace("**", "^") for g in basis
+                    ),
+                )
 
 
 # ---------------------------------------------------------------------------

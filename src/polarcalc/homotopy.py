@@ -17,7 +17,6 @@ shifted basepoint c' is probed in the deterministic order 1, -1, 2, -2,
 piece having only section and vertical poles.
 """
 
-import random
 from fractions import Fraction
 
 from .chains import (
@@ -152,7 +151,7 @@ def _kernel(cyl, zc, g_lift, c):
     return one / (z - g_lift) - one / _section_rf(coords, zc, c)
 
 
-def _h_point_term(lam, t, ambient, zc, c, rng):
+def _h_point_term(lam, t, ambient, zc, c):
     pt = t.map.image_point()
     idx = ambient.factors.index(zc)
     v = pt.data[idx]
@@ -189,7 +188,7 @@ def _h_point_term(lam, t, ambient, zc, c, rng):
         point_component(line, VarietyPoint.product_point([v])),
         point_component(line, VarietyPoint.product_point([Fraction(c)])),
     ]
-    triple = make_triple(line, m, beta, decl, rng)
+    triple = make_triple(line, m, beta, decl)
     return [(Scalar.one(), triple)], {
         "term": t.render(), "basepoint": str(c), "repaired": False,
     }
@@ -217,7 +216,7 @@ def _lift_components(t: Triple, cyl, tname):
     return out
 
 
-def _h_line_term(lam, t, ambient, zc, c, rng):
+def _h_line_term(lam, t, ambient, zc, c):
     told = t.source.main_chart.coords[0]
     tname = told if told != zc else told + "s"
     cyl = product_of_lines([tname, zc])
@@ -280,13 +279,11 @@ def _h_line_term(lam, t, ambient, zc, c, rng):
         kept = prune_declared(beta, cyl, decl)
         # A probe needs normal crossing of all of decl, checked once: when
         # pruning keeps every component, make_triple checks that very set
-        # and its ChainError rejects the probe.  The cylinder's charts are
-        # 2-dimensional, so the check draws nothing from rng and skipping
-        # it leaves the stream as it was.
-        if len(kept) < len(decl) and not validate_normal_crossing(decl, cyl, rng).ok:
+        # and its ChainError rejects the probe.
+        if len(kept) < len(decl) and not validate_normal_crossing(decl, cyl).ok:
             continue
         try:
-            main = make_triple(cyl, lifted_map, beta, kept, rng)
+            main = make_triple(cyl, lifted_map, beta, kept)
         except ChainError:
             continue
         terms = [(Scalar.one(), main)]
@@ -301,7 +298,7 @@ def _h_line_term(lam, t, ambient, zc, c, rng):
                 cyl, cyl.main_chart.id, _section_rf(coords, zc, c).num
             )
             decl2 = [base_section, section] + verticals
-            tail = make_triple(cyl, lifted_map, diff, prune_declared(diff, cyl, decl2), rng)
+            tail = make_triple(cyl, lifted_map, diff, prune_declared(diff, cyl, decl2))
             terms.append((Scalar.one(), tail))
         return terms, {
             "term": t.render(),
@@ -313,18 +310,16 @@ def _h_line_term(lam, t, ambient, zc, c, rng):
     )
 
 
-def cylinder_homotopy(a: PolarChain, basepoint=0, rng=None) -> CylinderChain:
+def cylinder_homotopy(a: PolarChain, basepoint=0) -> CylinderChain:
     """The chain-level homotopy h applied termwise."""
-    if rng is None:
-        rng = random.Random(0)
     zc = _line_factor(a.ambient)
     terms = []
     records = []
     for lam, t in a.terms:
         if t.degree == 0:
-            new, rec = _h_point_term(lam, t, a.ambient, zc, basepoint, rng)
+            new, rec = _h_point_term(lam, t, a.ambient, zc, basepoint)
         elif t.degree == 1 and t.source.kind == "P1":
-            new, rec = _h_line_term(lam, t, a.ambient, zc, basepoint, rng)
+            new, rec = _h_line_term(lam, t, a.ambient, zc, basepoint)
         else:
             raise HomotopyError(
                 "cylinder homotopy supports point and line sources, got %s"
@@ -337,25 +332,27 @@ def cylinder_homotopy(a: PolarChain, basepoint=0, rng=None) -> CylinderChain:
     return CylinderChain(chain, base, Fraction(basepoint), records)
 
 
-def verify_homotopy_identity(a: PolarChain, basepoint=0, rng=None, strict=False):
-    """Check boundary(h(a)) + h(boundary(a)) + s*pi*(a) - a == 0."""
+def verify_homotopy_identity(a: PolarChain, basepoint=0, rng=None):
+    """Check boundary(h(a)) + h(boundary(a)) + s*pi*(a) - a == 0.
+
+    `rng` is accepted and ignored: the check draws no random numbers, and
+    the parameter stays only for callers that still pass one.
+    """
     from .chains import boundary, normalize_chain
 
-    if rng is None:
-        rng = random.Random(0)
-    h_a = cylinder_homotopy(a, basepoint, rng)
-    d_h = boundary(h_a.chain, rng, strict).chain
-    d_a = boundary(a, rng, strict).chain
-    h_d = cylinder_homotopy(d_a, basepoint, rng)
+    h_a = cylinder_homotopy(a, basepoint)
+    d_h = boundary(h_a.chain).chain
+    d_a = boundary(a).chain
+    h_d = cylinder_homotopy(d_a, basepoint)
     s_pi = section_pushforwards(a, basepoint)
     combo = d_h + h_d.chain + s_pi - a
-    total = normalize_chain(combo, rng, strict)
+    total = normalize_chain(combo)
     return {
         "zero": total.is_zero(),
         "residual": total,
         "dh": d_h,
         "hd": h_d.chain,
-        "s_pi": normalize_chain(s_pi, rng, strict),
+        "s_pi": normalize_chain(s_pi),
         "basepoint": str(h_a.basepoint),
         "records": h_a.records + h_d.records,
     }

@@ -5,40 +5,15 @@ target chart, written in the source's main-chart coordinates.  Maps whose
 image avoids that chart can be retargeted to any other chart on demand.
 """
 
-from fractions import Fraction
+from sympy.polys.matrices import DomainMatrix
 
 from .geometry import CatalogVariety, VarietyPoint, point_from_chart
-from .polynomials import RationalFunction
+from .polynomials import RationalFunction, to_field
 from .scalars import Scalar
 
 
 class MapError(ValueError):
     pass
-
-
-def _rational_rank(rows):
-    """Rank of a matrix of Fractions by Gaussian elimination."""
-    m = [list(r) for r in rows]
-    rank = 0
-    cols = len(m[0]) if m else 0
-    for col in range(cols):
-        pivot = None
-        for r in range(rank, len(m)):
-            if m[r][col] != 0:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        m[rank], m[pivot] = m[pivot], m[rank]
-        pv = m[rank][col]
-        for r in range(rank + 1, len(m)):
-            if m[r][col] != 0:
-                factor = m[r][col] / pv
-                m[r] = [a - factor * b for a, b in zip(m[r], m[rank])]
-        rank += 1
-        if rank == len(m):
-            break
-    return rank
 
 
 class VarietyMap:
@@ -150,38 +125,18 @@ class VarietyMap:
                 return False
         return True
 
-    def jacobian_max_rank(self, rng, probes=16) -> int:
-        """Largest Jacobian rank observed at random rational points."""
-        coords = self.source.main_chart.coords
-        n = len(coords)
-        if n == 0:
-            return 0
-        partials = [
-            [rf.differentiate(v) for v in coords]
-            for rf in (self.formulas[c] for c in sorted(self.formulas))
-        ]
-        cap = min(n, len(partials))
-        best = 0
-        done = 0
-        attempts = 0
-        while done < probes and attempts < 8 * probes:
-            attempts += 1
-            pt = {
-                c: Fraction(rng.randint(-40, 40), rng.randint(1, 12))
-                for c in coords
-            }
-            try:
-                rows = [
-                    [e.evaluate(pt).rational_value() for e in row]
-                    for row in partials
-                ]
-            except (ZeroDivisionError, ValueError):
-                continue
-            done += 1
-            best = max(best, _rational_rank(rows))
-            if best >= cap:
-                break
-        return best
+    def jacobian_max_rank(self) -> int:
+        """Generic rank of the Jacobian of the coordinate formulas.
+
+        Exact: the rank over QQ(source coords, TAU) of the matrix of
+        partial derivatives, so TAU in the formulas is no obstacle.
+        """
+        fs = [to_field(self.formulas[c]) for c in sorted(self.formulas)]
+        if not fs:
+            return 0  # a point target
+        K = fs[0].field
+        rows = [[f.diff(x) for x in K.gens[:-1]] for f in fs]
+        return DomainMatrix(rows, (len(rows), len(K.gens) - 1), K.to_domain()).rank()
 
     # -- identity ------------------------------------------------------
 

@@ -28,7 +28,9 @@ not used by the engine.
 
 Arithmetic in one variable over the field of the others (curve rings,
 traces along a fiber) runs in sympy's PolyRing([var], QQ(rest, TAU));
-`to_univariate` and `from_univariate` convert to and from it.
+`to_univariate` and `from_univariate` convert to and from it.  Jacobian
+ranks are taken in QQ(variables, TAU) (`to_field`), and unit-ideal
+certificates in QQ(TAU)[variables] (`over_tau_field`).
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from fractions import Fraction
 import sympy as sp
 from sympy.polys.domains import QQ
 from sympy.polys.fields import FracField
-from sympy.polys.orderings import lex
+from sympy.polys.orderings import grevlex, lex
 from sympy.polys.rings import PolyRing
 
 from .scalars import Scalar
@@ -750,6 +752,30 @@ def to_univariate(rf: RationalFunction, var: str):
         groups.setdefault(m[i], {})[drop(m)] = c
     R = PolyRing([sp.Symbol(var)], K.to_domain(), lex)
     return R.dtype({(k,): K.new(K.ring.dtype(g)) * scale for k, g in groups.items()})
+
+
+def to_field(rf: RationalFunction):
+    """rf as an element of _field(rf.variables), QQ(variables, TAU)."""
+    K = _field(rf.variables)
+    tau = K.gens[-1] ** (rf.num.shift - rf.den.shift)
+    return K.new(rf.num.elem) * tau / K.new(rf.den.elem)
+
+
+_QQ_TAU = QQ.frac_field(TAU_SYM)
+
+
+def over_tau_field(p: Polynomial):
+    """p as an element of PolyRing(p.variables, QQ(TAU)).
+
+    TAU is a coefficient there, not a variable, so an ideal computed in
+    this ring (a Groebner basis) holds for TAU transcendental.
+    """
+    R = PolyRing([sp.Symbol(v) for v in p.variables], _QQ_TAU, grevlex)
+    tau = _QQ_TAU.field.gens[0]
+    return R.from_dict({
+        e: sum((tau ** (k + p.shift) * c for k, c in cs.items()), _QQ_TAU.zero)
+        for e, cs in _tau_groups(p.elem).items()
+    })
 
 
 def from_univariate(f, variables) -> RationalFunction:

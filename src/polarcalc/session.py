@@ -16,7 +16,6 @@ Every command produces a JSON-able report:
     {"schema": 1, "command", "status", "result", "details", "provenance"}
 """
 
-import random
 from fractions import Fraction
 
 from .chains import (
@@ -87,14 +86,12 @@ class SessionError(ValueError):
 class Session:
     """Named bindings plus a deterministic command log."""
 
-    def __init__(self, seed=0, strict=False):
+    def __init__(self, seed=0):
+        """`seed` is accepted and ignored: statements draw no random
+        numbers, and the parameter stays only for callers that still pass
+        one."""
         self.bindings = {}
         self.log = []
-        self.seed = seed
-        self.strict = strict
-
-    def rng(self):
-        return random.Random(self.seed)
 
     def bind(self, name, value):
         if name in self.bindings:
@@ -312,7 +309,7 @@ def _parse_chain_term(ts: TokenStream, session: Session):
         m = VarietyMap(
             ambient, ambient, ambient.main_chart.id, mapspec[1]
         )
-    t = make_triple(source, m, v, poles, session.rng())
+    t = make_triple(source, m, v, poles)
     return PolarChain(ambient, [t])
 
 
@@ -473,11 +470,9 @@ def _run_command(session: Session, ts: TokenStream, stmt: str):
     if cmd == "witness-p1":
         pairs = _parse_witness_pairs(ts)
         _expect_end(ts)
-        chain = boundary_witness_p1(
-            [(v, Scalar.of(w)) for v, w in pairs], rng=session.rng()
-        )
+        chain = boundary_witness_p1([(v, Scalar.of(w)) for v, w in pairs])
         line = chain.ambient
-        front = Session(session.seed, session.strict)
+        front = Session()
         front.bind("W", line)
         return _report(
             stmt, "ok", render_chain(chain, front),
@@ -492,7 +487,7 @@ def _run_command(session: Session, ts: TokenStream, stmt: str):
 
     if cmd == "boundary":
         _expect_end(ts)
-        b = boundary(chain, session.rng(), session.strict)
+        b = boundary(chain)
         return _report(
             stmt, "ok", describe_chain(b.chain),
             {"provenance_records": b.provenance,
@@ -500,24 +495,24 @@ def _run_command(session: Session, ts: TokenStream, stmt: str):
         )
     if cmd == "normalize":
         _expect_end(ts)
-        n = normalize_chain(chain, session.rng(), session.strict)
+        n = normalize_chain(chain)
         return _report(
             stmt, "ok", describe_chain(n), {"warnings": list(n.warnings)}, tags
         )
     if cmd == "support":
         _expect_end(ts)
-        items = support(chain, session.rng(), session.strict)
+        items = support(chain)
         return _report(stmt, "ok", "; ".join(items) or "empty", {"items": items}, tags)
     if cmd == "iscycle":
         _expect_end(ts)
-        flag, residual = is_cycle(chain, session.rng(), session.strict)
+        flag, residual = is_cycle(chain)
         return _report(
             stmt, "ok", "true" if flag else "false",
             {"residual": describe_chain(residual)}, tags,
         )
     if cmd == "dsq":
         _expect_end(ts)
-        rep = check_d_squared(chain, session.rng(), session.strict)
+        rep = check_d_squared(chain)
         status = "ok" if rep["zero"] else "fail"
         return _report(
             stmt, status,
@@ -547,9 +542,7 @@ def _run_command(session: Session, ts: TokenStream, stmt: str):
             if basepoint == INF:
                 raise ParseError("basepoint must be finite", name.line, name.col)
         _expect_end(ts)
-        rep = verify_homotopy_identity(
-            chain, basepoint, session.rng(), session.strict
-        )
+        rep = verify_homotopy_identity(chain, basepoint)
         status = "ok" if rep["zero"] else "fail"
         return _report(
             stmt, status,

@@ -1,8 +1,9 @@
 """Named verification suites.
 
-Each suite is a callable `suite(seed=0, strict=False) -> SuiteResult` shared
-by `polarcalc verify --suite <name>` and the acceptance tests.  Every check
-is exact: rational arithmetic throughout, zero tolerance.
+Each suite is a callable `suite(seed=0) -> SuiteResult` shared by
+`polarcalc verify --suite <name>` and the acceptance tests.  The seed
+drives only the suite's own sampling; the engine draws no random numbers.
+Every check is exact: rational arithmetic throughout, zero tolerance.
 """
 
 import random
@@ -112,7 +113,7 @@ def _random_p1_chain(rng):
     decl = [
         point_component(line, VarietyPoint.product_point([r])) for r in roots
     ] + [_p1_inf_component(line)]
-    t = make_triple(line, VarietyMap.identity(line), form, decl, rng)
+    t = make_triple(line, VarietyMap.identity(line), form, decl)
     return PolarChain(line, [t])
 
 
@@ -133,7 +134,7 @@ def _random_product_chain(rng):
             )
             decl.append(DivisorComponent.from_chart_poly(amb, chart, q))
         decl.append(_product_inf_component(amb, var))
-    t = make_triple(amb, VarietyMap.identity(amb), form, decl, rng)
+    t = make_triple(amb, VarietyMap.identity(amb), form, decl)
     return PolarChain(amb, [t])
 
 
@@ -166,7 +167,7 @@ def _random_p2_chain(rng):
             DivisorComponent.from_chart_poly(plane, chart, q) for q in lines
         ] + [_p2_inf_component(plane)]
         try:  # make_triple's normal-crossing check filters the sample
-            t = make_triple(plane, VarietyMap.identity(plane), form, decl, rng)
+            t = make_triple(plane, VarietyMap.identity(plane), form, decl)
         except ChainError:
             continue
         return PolarChain(plane, [t])
@@ -191,7 +192,7 @@ def _proportional(p, q, coords):
 # ---------------------------------------------------------------------------
 
 
-def suite_dsq_random(seed=0, strict=False):
+def suite_dsq_random(seed=0):
     rng = random.Random(seed)
     kinds = ["P1"] * 80 + ["P1xP1"] * 70 + ["P2"] * 50
     failures = []
@@ -202,7 +203,7 @@ def suite_dsq_random(seed=0, strict=False):
             chain = _random_product_chain(rng)
         else:
             chain = _random_p2_chain(rng)
-        rep = check_d_squared(chain, rng, strict)
+        rep = check_d_squared(chain)
         if not rep["zero"]:
             failures.append({"case": i, "kind": kind,
                              "chain": chain.render(),
@@ -221,7 +222,7 @@ def suite_dsq_random(seed=0, strict=False):
 # ---------------------------------------------------------------------------
 
 
-def suite_residue_anticommute(seed=0, strict=False):
+def suite_residue_anticommute(seed=0):
     rng = random.Random(seed)
     failures = []
     for i in range(50):
@@ -382,12 +383,11 @@ def _aggregate_residue(cyl_chain, matcher):
     return acc
 
 
-def suite_homotopy_table(seed=0, strict=False):
-    rng = random.Random(seed)
+def suite_homotopy_table(seed=0):
     failures = []
     details = []
     for label, chain, basepoint in homotopy_corpus():
-        cyl = cylinder_homotopy(chain, basepoint, rng)
+        cyl = cylinder_homotopy(chain, basepoint)
         repaired = any(r.get("repaired") for r in cyl.records)
         errs = _check_residue_table(chain, cyl, basepoint)
         details.append({"case": label, "repaired": repaired, "errors": errs})
@@ -603,12 +603,11 @@ def _kernel_form(coords, chart, zc, g_value, c):
     return DifferentialForm(chart, coords, 1, {idx: k1 - k2})
 
 
-def suite_homotopy_identity(seed=0, strict=False):
-    rng = random.Random(seed)
+def suite_homotopy_identity(seed=0):
     failures = []
     cases = []
     for label, chain, basepoint in homotopy_corpus():
-        rep = verify_homotopy_identity(chain, basepoint, rng, strict)
+        rep = verify_homotopy_identity(chain, basepoint)
         cases.append({"case": label, "zero": rep["zero"]})
         if not rep["zero"]:
             failures.append({"case": label,
@@ -627,7 +626,7 @@ def suite_homotopy_identity(seed=0, strict=False):
 # ---------------------------------------------------------------------------
 
 
-def suite_witness_p1(seed=0, strict=False):
+def suite_witness_p1(seed=0):
     rng = random.Random(seed)
     line = proj_line("z")
     failures = []
@@ -637,20 +636,19 @@ def suite_witness_p1(seed=0, strict=False):
         weights = [_rand_fraction(rng, -5, 5, 3) for _ in range(k - 1)]
         weights.append(-sum(weights))
         cycle = [(v, Scalar.of(w)) for v, w in zip(points, weights)]
-        b = boundary_witness_p1(cycle, line, rng)
-        got = boundary(b, rng, strict).chain
+        b = boundary_witness_p1(cycle, line)
+        got = boundary(b).chain
         expected = normalize_chain(PolarChain(line, [
             point_term(line, VarietyPoint.product_point([v]), Scalar.of(w))
             for v, w in zip(points, weights) if w != 0
-        ]), rng, strict)
+        ]))
         if got.key() != expected.key():
             failures.append({"case": i, "got": got.render(),
                              "expected": expected.render()})
     refused = False
     try:
         boundary_witness_p1(
-            [(Fraction(0), Scalar.one()), (Fraction(1), Scalar.one())],
-            line, rng,
+            [(Fraction(0), Scalar.one()), (Fraction(1), Scalar.one())], line
         )
     except ChainError:
         refused = True
@@ -671,7 +669,7 @@ def suite_witness_p1(seed=0, strict=False):
 # ---------------------------------------------------------------------------
 
 
-def suite_global_residue(seed=0, strict=False):
+def suite_global_residue(seed=0):
     rng = random.Random(seed)
     line = proj_line("z")
     coords = line.main_chart.coords
@@ -721,7 +719,7 @@ def _random_univar(rng, coords, max_deg):
 # ---------------------------------------------------------------------------
 
 
-def suite_adjunction(seed=0, strict=False):
+def suite_adjunction(seed=0):
     rng = random.Random(seed)
     plane = proj_plane("x", "y")
     coords = plane.main_chart.coords
@@ -781,7 +779,7 @@ def _adjunction_oracle(coords, g):
 # ---------------------------------------------------------------------------
 
 
-def suite_relations(seed=0, strict=False):
+def suite_relations(seed=0):
     rng = random.Random(seed)
     line = proj_line("z")
     coords = line.main_chart.coords
@@ -801,27 +799,26 @@ def suite_relations(seed=0, strict=False):
     sq = VarietyMap(line, line, chart, {
         "z": RationalFunction.variable(coords, "z") ** 2
     })
-    t_sq = make_triple(line, sq, dz_over_z, decl, rng)
-    t_id = make_triple(line, VarietyMap.identity(line), dz_over_z, decl, rng)
+    t_sq = make_triple(line, sq, dz_over_z, decl)
+    t_id = make_triple(line, VarietyMap.identity(line), dz_over_z, decl)
     pair = PolarChain(line, [(Scalar.one(), t_sq), (-Scalar.one(), t_id)])
-    if not normalize_chain(pair, rng, strict).is_zero():
+    if not normalize_chain(pair).is_zero():
         failures.append({"check": "R2 squaring pair", "error": "nonzero"})
 
     # constant-map 1-dimensional terms prune under R3
     const_map = VarietyMap.constant(
         line, line, VarietyPoint.product_point([3])
     )
-    t_const = make_triple(line, const_map, dz_over_z, decl, rng)
-    dropped = normalize_chain(PolarChain(line, [t_const]), rng, False)
+    t_const = make_triple(line, const_map, dz_over_z, decl)
+    dropped = normalize_chain(PolarChain(line, [t_const]))
     if not dropped.is_zero():
         failures.append({"check": "R3 constant prune", "error": "kept"})
 
     # boundary commutes with normalization: 20 randomized two-term chains
     for i in range(20):
         chain = _random_relation_chain(rng, line)
-        direct = boundary(chain, random.Random(1000 + i), strict).chain
-        pre = normalize_chain(chain, random.Random(1000 + i), strict)
-        after = boundary(pre, random.Random(1000 + i), strict).chain
+        direct = boundary(chain).chain
+        after = boundary(normalize_chain(chain)).chain
         if direct.key() != after.key():
             failures.append({
                 "case": i, "check": "boundary/normalize",
@@ -857,7 +854,7 @@ def _random_relation_chain(rng, line):
         lam = Scalar.of(_rand_fraction(rng, -3, 3, 2))
         if lam.is_zero():
             lam = Scalar.one()
-        terms.append((lam, make_triple(line, m, form, decl, rng)))
+        terms.append((lam, make_triple(line, m, form, decl)))
     return PolarChain(line, terms)
 
 
@@ -878,7 +875,7 @@ dsq b;
 """
 
 
-def suite_cli(seed=0, strict=False):
+def suite_cli(seed=0):
     import json as _json
 
     from .session import (
@@ -894,7 +891,7 @@ def suite_cli(seed=0, strict=False):
 
     # 100 random form/chain round-trips through the renderer and parser
     line = proj_line("z")
-    front = Session(seed=seed, strict=strict)
+    front = Session()
     front.bindings["A"] = line
     for i in range(100):
         if i % 2 == 0:
@@ -906,7 +903,7 @@ def suite_cli(seed=0, strict=False):
                 failures.append({"case": i, "kind": "form", "text": text})
         else:
             chain = _random_relation_chain(rng, line)
-            chain = normalize_chain(chain, rng, strict)
+            chain = normalize_chain(chain)
             text = render_chain(chain, front)
             if chain.is_zero():
                 continue
@@ -917,7 +914,7 @@ def suite_cli(seed=0, strict=False):
     # replay determinism: identical bytes across two fresh sessions
     blobs = []
     for _ in range(2):
-        s = Session(seed=seed, strict=strict)
+        s = Session()
         reports = run_text(s, _REPLAY_SESSION)
         blobs.append(_json.dumps(reports, sort_keys=True).encode("utf-8"))
     if blobs[0] != blobs[1]:
@@ -999,7 +996,7 @@ def _observe_exit_codes(seed):
     return scenarios
 
 
-def suite_fixture_fail(seed=0, strict=False):
+def suite_fixture_fail(seed=0):
     """Deliberately failing fixture used to observe exit code 3."""
     return SuiteResult(
         "fixture-fail", False,
@@ -1008,7 +1005,7 @@ def suite_fixture_fail(seed=0, strict=False):
     )
 
 
-def suite_fixture_pass(seed=0, strict=False):
+def suite_fixture_pass(seed=0):
     return SuiteResult(
         "fixture-pass", True,
         "fixture suite that always passes (exit-code plumbing check)",

@@ -100,6 +100,45 @@ def test_normal_crossing_rejects_tangency():
     assert not validate_normal_crossing(comps, plane).ok
 
 
+def cube_components(*polys):
+    cube = product_of_lines(["a", "b", "c"])
+    main = cube.main_chart
+    comps = [
+        DivisorComponent.from_chart_poly(cube, main.id, parse_polynomial(p, main.coords))
+        for p in polys
+    ]
+    return comps, cube
+
+
+@pytest.mark.parametrize("polys", [
+    ("a", "b"),
+    ("a", "b", "c", "a + b + c - 1"),
+    ("a - 1/TAU", "b - 2"),
+])
+def test_normal_crossing_in_dimension_3_accepts(polys):
+    report = validate_normal_crossing(*cube_components(*polys))
+    assert report.ok, report.message()
+
+
+@pytest.mark.parametrize("polys, failure", [
+    (("c - a^2 - b^2", "c"), (
+        "components do not meet transversally", "a|b|c",
+        ["{a^2 + b^2 - c}", "{c}"], "Groebner basis [a, b, c]",
+    )),
+    (("a", "b", "c", "a + b + c"), (
+        "4 components through one point in dimension 3", "a|b|c",
+        ["{a}", "{b}", "{c}", "{a + b + c}"], "Groebner basis [a, b, c]",
+    )),
+])
+def test_normal_crossing_in_dimension_3_rejects(polys, failure):
+    report = validate_normal_crossing(*cube_components(*polys))
+    assert not report.ok
+    reason, chart, members, witness = failure
+    assert report.failures[0] == {
+        "reason": reason, "chart": chart, "members": members, "witness": witness,
+    }
+
+
 def test_singular_curve_rejected():
     with pytest.raises(GeometryError):
         plane_curve(parse_polynomial("y^2 - x^3", ("x", "y")))  # cusp

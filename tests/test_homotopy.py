@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -24,10 +23,6 @@ from polarcalc.polynomials import RationalFunction
 from polarcalc.scalars import Scalar
 
 
-def rng():
-    return random.Random(0)
-
-
 def weighted_point(line, value, weight):
     return PolarChain(line, [point_term(
         line, VarietyPoint.product_point([value]), Scalar.of(weight)
@@ -40,7 +35,7 @@ def section_chain(amb, src, g_rf, form, decl):
         "t": RationalFunction.variable(coords, "t"),
         "z": g_rf,
     })
-    return PolarChain(amb, [make_triple(src, m, form, decl, rng())])
+    return PolarChain(amb, [make_triple(src, m, form, decl)])
 
 
 def probe_nc_checks(monkeypatch):
@@ -49,8 +44,8 @@ def probe_nc_checks(monkeypatch):
     seen = []
     validate = homotopy.validate_normal_crossing
 
-    def spy(decl, variety, rng=None):
-        report = validate(decl, variety, rng)
+    def spy(decl, variety):
+        report = validate(decl, variety)
         seen.append((decl[0].label, report.ok))
         return report
 
@@ -61,7 +56,7 @@ def probe_nc_checks(monkeypatch):
 def test_identity_for_weighted_point():
     line = proj_line("z")
     a = weighted_point(line, 2, 5)
-    rep = verify_homotopy_identity(a, 0, rng())
+    rep = verify_homotopy_identity(a, 0)
     assert rep["zero"]
     assert rep["residual"].is_zero()
 
@@ -69,9 +64,9 @@ def test_identity_for_weighted_point():
 def test_point_at_basepoint_maps_to_zero():
     line = proj_line("z")
     a = weighted_point(line, 0, 3)
-    cyl = cylinder_homotopy(a, 0, rng())
+    cyl = cylinder_homotopy(a, 0)
     assert cyl.chain.is_zero()
-    rep = verify_homotopy_identity(a, 0, rng())
+    rep = verify_homotopy_identity(a, 0)
     assert rep["zero"]
 
 
@@ -80,7 +75,7 @@ def test_point_on_infinity_section():
     a = PolarChain(line, [point_term(
         line, VarietyPoint.product_point([INF]), Scalar.of(2)
     )])
-    rep = verify_homotopy_identity(a, 0, rng())
+    rep = verify_homotopy_identity(a, 0)
     assert rep["zero"]
 
 
@@ -96,7 +91,7 @@ def test_identity_for_diagonal_section_with_repair(monkeypatch):
     a = section_chain(amb, src, RationalFunction.variable(coords, "t"),
                       form, decl)
     checks = probe_nc_checks(monkeypatch)
-    cyl = cylinder_homotopy(a, 0, rng())
+    cyl = cylinder_homotopy(a, 0)
     assert cyl.records == [{
         "term": "(P1(t), t = t, z = t, -1/(t^2 - t) dt)",
         "basepoint": "-1",
@@ -106,7 +101,7 @@ def test_identity_for_diagonal_section_with_repair(monkeypatch):
     # alpha, pruning drops that vertical, so the whole set is checked (and
     # rejected) directly; probe -1 keeps every component
     assert checks == [("{z}", False), ("{z - 1}", False)]
-    rep = verify_homotopy_identity(a, 0, rng())
+    rep = verify_homotopy_identity(a, 0)
     assert rep["zero"]
 
 
@@ -122,14 +117,14 @@ def test_identity_without_repair(monkeypatch):
     a = section_chain(amb, src, RationalFunction.variable(coords, "t"),
                       form, decl)
     checks = probe_nc_checks(monkeypatch)
-    cyl = cylinder_homotopy(a, 0, rng())
+    cyl = cylinder_homotopy(a, 0)
     assert cyl.records == [{
         "term": "(P1(t), t = t, z = t, -1/(t^2 - 5*t + 6) dt)",
         "basepoint": "0",
         "repaired": False,
     }]
     assert checks == []  # probe 0 keeps every component: make_triple checks it
-    rep = verify_homotopy_identity(a, 0, rng())
+    rep = verify_homotopy_identity(a, 0)
     assert rep["zero"]
 
 
@@ -144,7 +139,7 @@ def test_section_pushforward_moves_points():
 def test_nonzero_basepoint():
     line = proj_line("z")
     a = weighted_point(line, Fraction(1, 2), Fraction(-3, 4))
-    rep = verify_homotopy_identity(a, 2, rng())
+    rep = verify_homotopy_identity(a, 2)
     assert rep["zero"]
     assert rep["basepoint"] == "2"
 
@@ -157,4 +152,4 @@ def test_homotopy_requires_line_factor():
         plane, VarietyPoint.plane_point([1, 0, 0]), Scalar.one()
     )])
     with pytest.raises(HomotopyError):
-        cylinder_homotopy(a, 0, rng())
+        cylinder_homotopy(a, 0)

@@ -1,4 +1,3 @@
-import random
 from fractions import Fraction
 
 import pytest
@@ -11,6 +10,7 @@ from polarcalc.geometry import (
     proj_plane,
 )
 from polarcalc.maps import MapError, VarietyMap
+from polarcalc.parsing import parse_rational
 from polarcalc.polynomials import RationalFunction
 from polarcalc.scalars import Scalar
 
@@ -31,7 +31,7 @@ def test_constant_map_is_constant():
     pt = VarietyPoint.product_point([Fraction(3, 2)])
     m = VarietyMap.constant(line, line, pt)
     assert m.is_constant()
-    assert m.jacobian_max_rank(random.Random(0)) == 0
+    assert m.jacobian_max_rank() == 0
 
 
 def test_image_point_of_point_source():
@@ -75,13 +75,13 @@ def test_section_into_product():
         "z": rf_var(coords, "t") * RationalFunction.constant(coords, Scalar.of(2)),
     })
     assert not m.is_constant()
-    assert m.jacobian_max_rank(random.Random(0)) == 1
+    assert m.jacobian_max_rank() == 1
 
 
 def test_jacobian_rank_of_constant_is_zero():
     line = proj_line("z")
     m = VarietyMap.constant(line, line, VarietyPoint.product_point([1]))
-    assert m.jacobian_max_rank(random.Random(0)) == 0
+    assert m.jacobian_max_rank() == 0
 
 
 def test_dimension_mismatch_rejected():
@@ -124,3 +124,19 @@ def test_compose_through_a_non_main_chart():
     composite = outer.compose(inner).formulas_on("A0")
     assert composite["x"] == (one + y) / (x - one)
     assert composite["y"] == y / (x - one) ** 2
+
+
+@pytest.mark.parametrize("x, y, rank", [
+    ("s + t", "(s + t)^2", 1),
+    ("s + t", "s*t", 2),
+    ("TAU*s + t", "s*t/TAU - 1", 2),
+    ("s + TAU*t", "1/(s + TAU*t)", 1),
+    ("(1 + TAU)*s", "TAU*t^2/(s - TAU*t)", 2),
+])
+def test_jacobian_rank_is_exact(x, y, rank):
+    src = product_of_lines(["s", "t"])
+    coords = src.main_chart.coords
+    m = VarietyMap(src, proj_plane("x", "y"), "A0", {
+        "x": parse_rational(x, coords), "y": parse_rational(y, coords),
+    })
+    assert m.jacobian_max_rank() == rank

@@ -207,3 +207,20 @@ def test_render_form_round_trip():
     form = parse_form("(x + 1) * d(x) wedge d(y) / (x*y - 2)", coords)
     text = render_form(form)
     assert parse_form(text, coords, form.chart) == form
+
+
+def test_r3_keeps_maps_with_tau_coefficients():
+    # the trace of dz/z under z(z + TAU) is dw/w, so the pair cancels; R3
+    # keeps both terms, as a non-constant map of a line has rank 1
+    s = Session()
+    run_statement(s, "let A = P1(z)")
+    run_statement(
+        s,
+        "let b = chain(A, map(z = z^2 + TAU*z), d(z)/z, poles[z, inf])"
+        " - chain(A, id, d(z)/z, poles[z, inf])",
+    )
+    assert run_statement(s, "normalize b")["result"] == "0"
+    run_statement(s, "let c = chain(A, map(z = TAU*z^2), d(z)/z, poles[z, inf])")
+    rep = run_statement(s, "normalize c")
+    assert rep["result"] == "(P1(z), z = TAU*z^2, 1/z dz)"
+    assert rep["details"]["warnings"] == []
