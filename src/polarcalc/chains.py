@@ -85,6 +85,13 @@ class Triple:
 def make_triple(source, map_, form, declared_poles, rng=None) -> Triple:
     """Validated triple; raises with the failing chart and component.
 
+    Each object is checked once, on the first chart that shows it (see
+    `validate_normal_crossing`): a declared component's pole order on its
+    first visible chart, since the valuation does not depend on the
+    chart; undeclared poles on the whole main chart, and on a later chart
+    only along its new divisor {u = 0}.  The charts are taken in order,
+    so the first failing chart is reported.
+
     `rng` is accepted and ignored: the checks draw no random numbers, and
     the parameter stays only for callers that still pass one.
     """
@@ -122,21 +129,46 @@ def make_triple(source, map_, form, declared_poles, rng=None) -> Triple:
         if not report.ok:
             raise ChainError("declared poles violate normal crossing: %s" % report.message())
     for chart in source.charts:
+        firsts = [c for c in declared_poles if c.first_visible_chart().id == chart.id]
+        locus = source.new_locus(chart.id)
+        if not firsts and len(locus) > 1:
+            continue  # no new component and no new divisor
         local = source.transition_form(form, chart.id)
-        polys = [c.poly_on(chart.id) for c in declared_poles if c.visible_on(chart.id)]
-        profile = polar_profile(local, polys)
-        for p, o in profile.components:
+        for comp in firsts:
+            p = comp.poly_on(chart.id)
+            o = local.pole_order(p)
             if o < -1:
                 raise ChainError(
                     "pole of order %d along %s on chart %s (only simple poles allowed)"
                     % (-o, p, chart.id)
                 )
-        if not profile.residual_denominator.is_unit():
+        undeclared = _undeclared_poles(local, chart, locus, declared_poles)
+        if undeclared is not None:
             raise ChainError(
-                "undeclared pole components %s on chart %s"
-                % (profile.residual_denominator, chart.id)
+                "undeclared pole components %s on chart %s" % (undeclared, chart.id)
             )
     return Triple(source, map_, form, declared_poles)
+
+
+def _undeclared_poles(local, chart, locus, declared):
+    """The undeclared pole components of `local` that `chart` shows first.
+
+    On the main chart, the whole residual denominator.  On a later chart,
+    a pole off its new locus lies on an earlier chart, so only the new
+    divisor {u = 0} is left, when the new locus is one.  None if there
+    are none.
+    """
+    if len(locus) > 1:
+        return None
+    polys = [c.poly_on(chart.id) for c in declared if c.visible_on(chart.id)]
+    if not locus:
+        residual = polar_profile(local, polys).residual_denominator
+        return None if residual.is_unit() else residual
+    u = Polynomial.variable(chart.coords, locus[0])
+    order = local.pole_order(u)
+    if order >= 0 or u in polys:
+        return None
+    return u ** -order
 
 
 def _curve_holomorphic(form: DifferentialForm, curve: CatalogVariety) -> bool:
@@ -576,14 +608,33 @@ def _infer_p1_poles(form: DifferentialForm, line: CatalogVariety):
 
 
 class BoundaryResult:
-    """A boundary chain plus per-term provenance records."""
+    """A boundary chain plus per-term provenance records.
 
-    __slots__ = ("chain", "provenance", "raw_terms")
+    The records render every parent and residue form, which only a
+    report reads, so they are built on first access to `provenance`.
+    """
 
-    def __init__(self, chain, provenance, raw_terms):
+    __slots__ = ("chain", "raw_terms", "_sources", "_provenance")
+
+    def __init__(self, chain, sources, raw_terms):
         self.chain = chain
-        self.provenance = list(provenance)
+        self._sources = list(sources)  # (parent Triple, component, ResidueResult)
+        self._provenance = None
         self.raw_terms = list(raw_terms)
+
+    @property
+    def provenance(self):
+        if self._provenance is None:
+            self._provenance = [
+                {
+                    "parent": t.render(),
+                    "component": comp.label,
+                    "residue": str(res.form),
+                    "scalar": str(Scalar.tau()),
+                }
+                for t, comp, res in self._sources
+            ]
+        return self._provenance
 
 
 def _residue_term(parent: Triple, comp: DivisorComponent):
@@ -601,7 +652,7 @@ def _residue_term(parent: Triple, comp: DivisorComponent):
 def boundary(c: PolarChain) -> BoundaryResult:
     """TAU times the sum of residues over every simple-pole component."""
     raw = []
-    provenance = []
+    sources = []
     for lam, parent in c.terms:
         t = scalar_fold(lam, parent)
         if t.degree == 0 or t.source.kind == "curve" or t.form.is_zero():
@@ -611,14 +662,9 @@ def boundary(c: PolarChain) -> BoundaryResult:
                 continue
             res, term = _residue_term(t, comp)
             raw.append((Scalar.tau(), term))
-            provenance.append({
-                "parent": t.render(),
-                "component": comp.label,
-                "residue": str(res.form),
-                "scalar": str(Scalar.tau()),
-            })
+            sources.append((t, comp, res))
     chain = normalize_chain(PolarChain(c.ambient, raw, c.relative_to))
-    return BoundaryResult(chain, provenance, raw)
+    return BoundaryResult(chain, sources, raw)
 
 
 def check_d_squared(c: PolarChain):

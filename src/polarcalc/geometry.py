@@ -11,6 +11,15 @@ rational witness point.  On product charts of higher dimension, normal
 crossing is decided by unit-ideal certificates (Hilbert's
 Nullstellensatz): components meet transversally when their polynomials
 and the maximal minors of their Jacobian generate the unit ideal.
+
+Every check is local, so each object is certified once, on the first
+chart that contains it: a pair of components on the first chart where
+both are visible, a point on the first chart that contains it, and a
+component's pole order (`chains.make_triple`) on its first visible chart.
+The points of chart j outside charts 0..j-1 form its new locus
+(`CatalogVariety.new_locus`); transition denominators are coordinate
+monomials, so it is a coordinate subspace {z = 0 for z in Z}, and chart
+j > 0 is checked on it alone.
 """
 
 from __future__ import annotations
@@ -71,6 +80,7 @@ class CatalogVariety:
         self.dimension = dimension
         self.factors = tuple(factors)  # main coordinate per P1 factor
         self.curve_polys = dict(curve_polys or {})
+        self._new_loci = _new_loci(self.charts, self.coord_maps)
 
     @property
     def main_chart(self) -> Chart:
@@ -81,6 +91,11 @@ class CatalogVariety:
             if c.id == chart_id:
                 return c
         raise GeometryError("unknown chart %r on %s" % (chart_id, self.name))
+
+    def new_locus(self, chart_id):
+        """The coordinates Z such that {z = 0 for z in Z} are the points of
+        the chart outside every earlier chart; () for the main chart."""
+        return self._new_loci[chart_id]
 
     def coord_map(self, from_id, to_id):
         if from_id == to_id:
@@ -118,6 +133,35 @@ class CatalogVariety:
 
     def __repr__(self):
         return "CatalogVariety(%s)" % self.name
+
+
+def _new_loci(charts, coord_maps):
+    """Chart id -> the coordinates cutting out its new locus.
+
+    A point of chart j lies in chart i when every denominator of chart i's
+    coordinates, written in chart j's, is nonzero there.  The denominators
+    are coordinate monomials, so chart j minus chart i is the union of
+    {z = 0} over the coordinates z they contain, and the new locus is the
+    intersection of these unions over i < j, expanded into coordinate
+    subspaces.
+    """
+    loci = {}
+    for j, chart in enumerate(charts):
+        pieces = {frozenset()}
+        for earlier in charts[:j]:
+            cuts = set()
+            for rf in coord_maps[(earlier.id, chart.id)].values():
+                if len(rf.den.elem) != 1:
+                    raise GeometryError("transition denominator %s is not a monomial" % rf.den)
+                ((exp, _),) = rf.den.elem.items()
+                cuts.update(v for v, k in zip(rf.den.variables, exp) if k)
+            pieces = {piece | {z} for piece in pieces for z in cuts}
+            pieces = {p for p in pieces if not any(q < p for q in pieces)}
+        if len(pieces) != 1:
+            raise GeometryError("chart %s has no coordinate-subspace new locus" % chart.id)
+        (piece,) = pieces
+        loci[chart.id] = tuple(v for v in chart.coords if v in piece)
+    return loci
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +260,10 @@ def proj_plane(x="x", y="y") -> CatalogVariety:
 
 
 def plane_curve(p: Polynomial) -> CatalogVariety:
-    """Smooth plane curve in P2, defined by p on the affine chart."""
+    """Smooth plane curve in P2, defined by p on the affine chart.
+
+    Smoothness is certified once per point: on A0, then on the new locus
+    of A1 and of A2."""
     if len(p.variables) != 2:
         raise GeometryError("plane curve needs a polynomial in two variables")
     x, y = p.variables
@@ -230,16 +277,16 @@ def plane_curve(p: Polynomial) -> CatalogVariety:
     for cid in ("A1", "A2"):
         rf = p.substitute(maps[("A0", cid)])
         curve_polys[cid] = _unit_normalize(rf.num)
+    curve = CatalogVariety(
+        "curve", "Curve(%s)" % p, [a0, a1, a2], maps, 1, curve_polys=curve_polys
+    )
     for cid, q in curve_polys.items():
-        sing = _singular_points_2d(q)
+        sing = _singular_points_2d(q, curve.new_locus(cid))
         if sing is not None:
             raise GeometryError(
-                "curve is singular (chart %s, witness %s)" % (cid, sing)
+                "curve is singular (chart %s, witness %s)" % (cid, _point_text(sing))
             )
-    name = "Curve(%s)" % p
-    return CatalogVariety(
-        "curve", name, [a0, a1, a2], maps, 1, curve_polys=curve_polys
-    )
+    return curve
 
 
 def _unit_normalize(p: Polynomial) -> Polynomial:
@@ -504,15 +551,9 @@ def _resultant_eliminate(polys, var):
 
 
 def _drop_var(p: Polynomial, var):
-    rest = tuple(v for v in p.variables if v != var)
-    i = p.variables.index(var)
-    out = {}
-    for e, c in p.terms.items():
-        if e[i] != 0:
-            raise GeometryError("cannot drop live variable %s" % var)
-        ne = tuple(x for j, x in enumerate(e) if j != i)
-        out[ne] = c
-    return Polynomial(rest, out)
+    if p.depends_on(var):
+        raise GeometryError("cannot drop live variable %s" % var)
+    return p.specialize({var: 0})
 
 
 def _drop_var_keep(p, var):
@@ -543,10 +584,7 @@ def common_zeros_2d(polys, coords):
     pts = []
     complete = split
     for x0, _ in roots:
-        specialized = []
-        for p in polys:
-            q = _specialize(p, x, x0)
-            specialized.append(q)
+        specialized = [p.specialize({x: x0}) for p in polys]
         if any(q.is_zero() for q in specialized):
             nonzero = [q for q in specialized if not q.is_zero()]
             if not nonzero:
@@ -564,37 +602,58 @@ def common_zeros_2d(polys, coords):
     return pts, complete
 
 
-def _specialize(p: Polynomial, var, value) -> Polynomial:
-    rest = tuple(v for v in p.variables if v != var)
-    i = p.variables.index(var)
-    out = {}
-    val = Fraction(value)
-    for e, c in p.terms.items():
-        ne = tuple(x for j, x in enumerate(e) if j != i)
-        scaled = c * Scalar.of(val ** e[i])
-        cur = out.get(ne)
-        out[ne] = scaled if cur is None else cur + scaled
-    return Polynomial(rest, out)
+def _new_zeros_2d(polys, coords, locus):
+    """Common rational zeros of a 2-variable system on a chart's new locus.
+
+    Returns (points, complete) as `common_zeros_2d` does, which decides
+    the main chart (locus ()).  On a line {z = 0} the system restricts to
+    one variable and its zeros are the rational roots of a gcd; on the
+    point (0, 0) it is a plain evaluation.
+    """
+    if not locus:
+        return common_zeros_2d(polys, coords)
+    zero = dict.fromkeys(locus, Fraction(0))
+    nonzero = [q for q in (p.specialize(zero) for p in polys) if not q.is_zero()]
+    if len(locus) == len(coords):
+        return ([] if nonzero else [tuple(zero[v] for v in coords)]), True
+    if not nonzero:
+        return [], False
+    g = nonzero[0]
+    for q in nonzero[1:]:
+        if g.is_unit():
+            break
+        g = poly_gcd(g, q)
+    if g.is_unit():
+        return [], True
+    roots, split = rational_roots(g)
+    return [tuple(zero.get(v, r) for v in coords) for r, _ in roots], split
 
 
-def _singular_points_2d(p: Polynomial):
-    """A witness singular point of {p=0}, or None if certified smooth."""
+def _point_text(point) -> str:
+    """A chart point as (1, 1/2)."""
+    return "(%s)" % ", ".join(str(v) for v in point)
+
+
+def _singular_points_2d(p: Polynomial, locus=()):
+    """A witness singular point of {p=0} on the new locus, or None if
+    certified smooth there."""
     x, y = p.variables
     px = p.differentiate(x)
     py = p.differentiate(y)
-    pts, complete = common_zeros_2d([p, px, py], (x, y))
+    pts, complete = _new_zeros_2d([p, px, py], (x, y), locus)
     if pts:
         return pts[0]
     if complete:
         return None
-    # retry with the roles of the variables swapped
-    swapped = [q.rename((y, x)).lift((x, y)) for q in (p, px, py)]
-    pts2, complete2 = common_zeros_2d(swapped, (x, y))
-    if pts2:
-        x0, y0 = pts2[0]
-        return (y0, x0)
-    if complete2:
-        return None
+    if not locus:
+        # retry with the roles of the variables swapped
+        swapped = [q.rename((y, x)).lift((x, y)) for q in (p, px, py)]
+        pts2, complete2 = common_zeros_2d(swapped, (x, y))
+        if pts2:
+            x0, y0 = pts2[0]
+            return (y0, x0)
+        if complete2:
+            return None
     raise GeometryError(
         "cannot certify smoothness of %s: irrational candidate locus" % p
     )
@@ -634,30 +693,61 @@ class NCReport:
 
 
 def validate_normal_crossing(components, variety: CatalogVariety) -> NCReport:
+    """Normal crossing of the components, each object certified once.
+
+    A pair is tested for a shared factor on the first chart where both are
+    visible, and again on a later chart only when both contain its new
+    locus {z = 0}: the one factor no earlier chart shows.  Transversality
+    and triple points are checked on each chart's new locus only: every
+    other point of chart j lies in an earlier chart, where it was checked.
+    Squarefreeness is tested on every chart where a component is visible,
+    because `is_squarefree` tests one variable at a time and so depends on
+    the chart for a reducible component; a linear one passes at once.
+    """
     report = NCReport()
     components = list(components)
     for comp in components:
         if comp.variety is not variety and comp.variety != variety:
             raise GeometryError("component %s lives on a different variety" % comp.label)
+    tested = set()  # pairs (i, j) already tested for a shared factor
+    shared = set()  # pairs sharing a factor: no transversality check
     for chart in variety.charts:
-        visible = [c for c in components if c.visible_on(chart.id)]
-        polys = [c.poly_on(chart.id) for c in visible]
-        for c, p in zip(visible, polys):
-            if not is_squarefree(p):
-                report.fail("component not squarefree", chart.id, [c], p)
-        coprime = []
-        for pair in itertools.combinations(zip(visible, polys), 2):
-            (c1, p1), (c2, p2) = pair
-            g = poly_gcd(p1, p2)
-            if g.is_unit():
-                coprime.append(pair)
-            else:
-                report.fail("components share a factor", chart.id, [c1, c2], g)
+        locus = variety.new_locus(chart.id)
+        vis = [i for i, c in enumerate(components) if c.visible_on(chart.id)]
+        polys = {i: components[i].poly_on(chart.id) for i in vis}
+        for i in vis:
+            if not is_squarefree(polys[i]):
+                report.fail("component not squarefree", chart.id, [components[i]], polys[i])
+        along = set()  # components containing the new locus {z = 0}
+        if len(locus) == 1:
+            zero = dict.fromkeys(locus, 0)
+            along = {i for i in vis if polys[i].specialize(zero).is_zero()}
+        pairs = list(itertools.combinations(vis, 2))
+        for pair in pairs:
+            if pair not in tested or set(pair) <= along:
+                g = poly_gcd(polys[pair[0]], polys[pair[1]])
+                if not g.is_unit():
+                    report.fail(
+                        "components share a factor", chart.id,
+                        [components[i] for i in pair], g,
+                    )
+                    shared.add(pair)
+            tested.add(pair)
         if chart.dimension == 2:
-            _check_pairs_2d(coprime, chart, report)
-            _check_triples_2d(visible, polys, chart, report)
+            _check_pairs_2d(
+                [[(components[i], polys[i]) for i in pair]
+                 for pair in pairs if pair not in shared],
+                chart, locus, report,
+            )
+            _check_triples_2d(
+                [components[i] for i in vis], [polys[i] for i in vis],
+                chart, locus, report,
+            )
         elif chart.dimension > 2:
-            _check_unit_ideals(visible, polys, chart, report)
+            _check_unit_ideals(
+                [components[i] for i in vis], [polys[i] for i in vis],
+                chart, locus, report,
+            )
     return report
 
 
@@ -666,13 +756,13 @@ def _jacobian_minor(p, q, coords):
     return p.differentiate(x) * q.differentiate(y) - p.differentiate(y) * q.differentiate(x)
 
 
-def _check_pairs_2d(coprime, chart, report):
-    """Transversality of each coprime pair ((c1, p1), (c2, p2))."""
+def _check_pairs_2d(coprime, chart, locus, report):
+    """Transversality of each coprime pair ((c1, p1), (c2, p2)) on the new locus."""
     for (c1, p1), (c2, p2) in coprime:
         J = _jacobian_minor(p1, p2, chart.coords)
-        pts, complete = common_zeros_2d([p1, p2, J], chart.coords)
+        pts, complete = _new_zeros_2d([p1, p2, J], chart.coords, locus)
         if pts:
-            report.fail("tangential intersection", chart.id, [c1, c2], pts[0])
+            report.fail("tangential intersection", chart.id, [c1, c2], _point_text(pts[0]))
         elif not complete:
             report.fail(
                 "cannot certify transversality (irrational locus)",
@@ -682,17 +772,17 @@ def _check_pairs_2d(coprime, chart, report):
             )
 
 
-def _check_triples_2d(visible, polys, chart, report):
+def _check_triples_2d(visible, polys, chart, locus, report):
     for trio in itertools.combinations(zip(visible, polys), 3):
         comps = [t[0] for t in trio]
         ps = [t[1] for t in trio]
-        pts, complete = common_zeros_2d(ps, chart.coords)
+        pts, complete = _new_zeros_2d(ps, chart.coords, locus)
         if pts:
             report.fail(
                 "three components through one point in dimension 2",
                 chart.id,
                 comps,
-                pts[0],
+                _point_text(pts[0]),
             )
         elif not complete:
             report.fail(
@@ -703,7 +793,7 @@ def _check_triples_2d(visible, polys, chart, report):
             )
 
 
-def _check_unit_ideals(visible, polys, chart, report):
+def _check_unit_ideals(visible, polys, chart, locus, report):
     """Normal crossing on a chart of dimension n > 2, by unit ideals.
 
     A set S of at most n components meets transversally exactly when p_S
@@ -711,12 +801,15 @@ def _check_unit_ideals(visible, polys, chart, report):
     n + 1 components share no point exactly when p_S have none; by the
     Nullstellensatz, when those polynomials generate the unit ideal.  They
     live in QQ(TAU)[coords], where TAU is a coefficient, not a variable.
+    On the new locus {z = 0 for z in Z}, the coordinates in Z join each
+    ideal.
     """
     if len(polys) < 2:
         return
     n = chart.dimension
     gens = [over_tau_field(p) for p in polys]
     ring = gens[0].ring
+    on_locus = [ring.gens[chart.coords.index(z)] for z in locus]
     for k in range(2, n + 2):
         for members in itertools.combinations(range(len(visible)), k):
             ideal = [gens[i] for i in members]
@@ -731,7 +824,7 @@ def _check_unit_ideals(visible, polys, chart, report):
                 reason = "components do not meet transversally"
             else:
                 reason = "%d components through one point in dimension %d" % (k, n)
-            basis = groebner([g for g in ideal if g], ring)
+            basis = groebner([g for g in ideal if g] + on_locus, ring)
             if basis != [ring.one]:
                 report.fail(
                     reason, chart.id, [visible[i] for i in members],

@@ -245,6 +245,32 @@ class Polynomial:
             at = at.evaluate([(g, _qq(point[v])) for g, v in zip(gens, self.variables)])
         return _scalar({m[-1]: c for m, c in at.items()}, self.shift)
 
+    def specialize(self, values: dict) -> "Polynomial":
+        """Set the variables in `values` to rationals: a polynomial in the rest.
+
+        One pass over the ring element's monomials; a monomial containing a
+        variable set to 0 drops out at once.
+        """
+        keep = [i for i, v in enumerate(self.variables) if v not in values]
+        if len(keep) == len(self.variables):
+            return self
+        rest = tuple(self.variables[i] for i in keep)
+        keep.append(len(self.variables))  # the TAU exponent
+        zeros = [i for i, v in enumerate(self.variables) if v in values and values[v] == 0]
+        at = [(i, _qq(values[v])) for i, v in enumerate(self.variables) if values.get(v, 0) != 0]
+        out: dict = {}
+        for m, c in self.elem.items():
+            if any(m[i] for i in zeros):
+                continue
+            for i, a in at:
+                if m[i]:
+                    c *= a ** m[i]
+            if c:
+                k = tuple(m[i] for i in keep)
+                out[k] = out[k] + c if k in out else c
+        ring = _ring(rest)
+        return Polynomial._wrap(rest, ring.dtype({k: c for k, c in out.items() if c}), self.shift)
+
     def rename(self, variables) -> "Polynomial":
         """Same terms, new variable names (positional)."""
         variables = tuple(variables)
@@ -443,6 +469,9 @@ def poly_resultant(a: Polynomial, b: Polynomial, var: str) -> Polynomial:
 
 
 def is_squarefree(p: Polynomial) -> bool:
+    """No gcd(p, dp/dv) is a nonconstant; a linear p passes at once."""
+    if p.total_degree() <= 1:
+        return True
     for v in p.variables:
         if p.depends_on(v):
             if not poly_gcd(p, p.differentiate(v)).is_unit():

@@ -79,6 +79,49 @@ def test_boundary_of_dlog_pair():
     assert b.key() == expected.key()
 
 
+def test_boundary_renders_provenance_only_when_read(monkeypatch):
+    from polarcalc import chains
+
+    line = proj_line("z")
+    form = parse_form("dlog(z/(z-1))", line.main_chart.coords, line.main_chart.id)
+    t = make_triple(line, VarietyMap.identity(line), form,
+                    [p1_comp(line, 0), p1_comp(line, 1)])
+    renders = []
+    render = chains.Triple.render
+    monkeypatch.setattr(chains.Triple, "render", lambda self: renders.append(1) or render(self))
+    b = boundary(PolarChain(line, [t]))
+    assert renders == []
+    assert [(r["component"], r["residue"], r["scalar"]) for r in b.provenance] == [
+        ("{z}", "1", "TAU"), ("{z - 1}", "-1", "TAU"),
+    ]
+    assert b.provenance[0]["parent"] == t.render()
+    assert len(renders) == 3  # two records, built once, and the line above
+
+
+@pytest.mark.parametrize("text, values, message", [
+    ("d(z)", [INF], "pole of order 2 along z_ on chart z_"),
+    ("d(z)/(z*(z-1)^2)", [0, 1, INF], "pole of order 2 along z - 1 on chart z"),
+])
+def test_pole_order_of_each_component_on_its_first_chart(text, values, message):
+    line = proj_line("z")
+    form = parse_form(text, ("z",), line.main_chart.id)
+    with pytest.raises(ChainError) as err:
+        make_triple(line, VarietyMap.identity(line), form,
+                    [p1_comp(line, v) for v in values])
+    assert str(err.value) == message + " (only simple poles allowed)"
+
+
+def test_undeclared_pole_at_infinity_is_found_on_the_new_divisor():
+    square = product_of_lines(["a", "b"])
+    coords = square.main_chart.coords
+    form = parse_form("d(a) wedge d(b) / (a - 1)", coords, square.main_chart.id)
+    comp = DivisorComponent.from_chart_poly(
+        square, square.main_chart.id, parse_polynomial("a - 1", coords))
+    with pytest.raises(ChainError) as err:
+        make_triple(square, VarietyMap.identity(square), form, [comp])
+    assert str(err.value) == "undeclared pole components b_^2 on chart a|b_"
+
+
 def test_p2_flagship_d_squared():
     plane = proj_plane("x", "y")
     coords = plane.main_chart.coords

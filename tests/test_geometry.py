@@ -1,6 +1,9 @@
+import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from polarcalc.geometry import (
     INF,
@@ -8,6 +11,7 @@ from polarcalc.geometry import (
     GeometryError,
     VarietyPoint,
     catalog_build,
+    common_zeros_2d,
     plane_curve,
     point_component,
     point_from_chart,
@@ -17,7 +21,7 @@ from polarcalc.geometry import (
     validate_normal_crossing,
 )
 from polarcalc.parsing import parse_form, parse_polynomial
-from polarcalc.polynomials import Polynomial
+from polarcalc.polynomials import Polynomial, is_squarefree, poly_gcd
 from polarcalc.scalars import Scalar
 
 
@@ -158,3 +162,224 @@ def test_point_component_on_line():
     inf_comp = point_component(line, VarietyPoint.product_point([INF]))
     assert inf_comp.contains_point(VarietyPoint.product_point([INF]))
     assert not inf_comp.visible_on(line.main_chart.id)
+
+
+# ---------------------------------------------------------------------------
+# each point and each divisor checked once, on the first chart containing it
+# ---------------------------------------------------------------------------
+
+
+def components_on(variety, *specs):
+    """Components from (chart id, polynomial text) pairs."""
+    out = []
+    for chart_id, text in specs:
+        coords = variety.chart(chart_id).coords
+        out.append(DivisorComponent.from_chart_poly(
+            variety, chart_id, parse_polynomial(text, coords)))
+    return out
+
+
+def test_new_locus_of_each_chart():
+    plane = proj_plane("x", "y")
+    assert [plane.new_locus(c.id) for c in plane.charts] == [(), ("x1",), ("x2", "y2")]
+    square = product_of_lines(["a", "b"])
+    assert {c.id: square.new_locus(c.id) for c in square.charts} == {
+        "a|b": (), "a|b_": ("b_",), "a_|b": ("a_",), "a_|b_": ("a_", "b_"),
+    }
+    line = proj_line("z")
+    assert [line.new_locus(c.id) for c in line.charts] == [(), ("z_",)]
+
+
+def test_new_locus_is_where_points_first_appear():
+    plane = proj_plane("x", "y")
+    for triple in ([1, 2, 3], [0, 1, 5], [0, 0, 1], [0, 1, 0]):
+        pt = VarietyPoint.plane_point(triple)
+        chart, values = pt.finite_chart(plane)
+        assert all(values[z] == 0 for z in plane.new_locus(chart.id))
+
+
+def test_parallel_lines_meet_in_a_triple_point_only_the_last_chart_sees():
+    plane = proj_plane("x", "y")
+    comps = components_on(plane, ("A0", "x"), ("A0", "x - 1"), ("A0", "x - 2"))
+    assert validate_normal_crossing(comps, plane).message() == (
+        "normal crossing: rejected\n"
+        "  three components through one point in dimension 2 on chart A2: "
+        "{x}, {x - 1}, {x - 2} (witness (0, 0))"
+    )
+
+
+TRIPLE = "three components through one point in dimension 2"
+
+
+@pytest.mark.parametrize("variety, specs, failure", [
+    (proj_plane("x", "y"), [("A0", "y - x^2"), ("A1", "x1")],
+     ("tangential intersection", "A2", "(0, 0)")),
+    (product_of_lines(["a", "b"]), [("a|b", "b - a^2"), ("a|b_", "b_")],
+     ("tangential intersection", "a_|b_", "(0, 0)")),
+    # off the origin of a line locus: [0:1:1], and (a, b) = (1, inf)
+    (proj_plane("x", "y"), [("A0", "y - x"), ("A0", "y - x - 1"), ("A0", "y - x - 2")],
+     (TRIPLE, "A1", "(0, 1)")),
+    (product_of_lines(["a", "b"]), [("a|b", "(a - 1)^2*b - 1"), ("a|b_", "b_")],
+     ("tangential intersection", "a|b_", "(1, 0)")),
+])
+def test_bad_point_only_a_later_chart_sees(variety, specs, failure):
+    report = validate_normal_crossing(components_on(variety, *specs), variety)
+    assert [(f["reason"], f["chart"], f["witness"]) for f in report.failures] == [failure]
+
+
+def test_tangency_seen_by_every_chart_is_reported_once():
+    plane = proj_plane("x", "y")
+    comps = components_on(plane, ("A0", "y - 1"), ("A0", "y - x^2 + 2*x - 2"))
+    report = validate_normal_crossing(comps, plane)
+    assert [(f["chart"], f["witness"]) for f in report.failures] == [("A0", "(1, 1)")]
+
+
+def test_a_factor_only_a_later_chart_shows_is_still_tested():
+    # both contain the line at infinity {x1 = 0}, which A0 does not see
+    plane = proj_plane("x", "y")
+    comps = components_on(plane, ("A1", "x1*(y1 - 1)"), ("A1", "x1*(y1 - 2)"))
+    report = validate_normal_crossing(comps, plane)
+    assert {"reason": "components share a factor", "chart": "A1",
+            "members": [c.label for c in comps], "witness": "x1"} in report.failures
+
+
+def test_components_visible_on_the_main_chart_eliminate_only_there(monkeypatch):
+    from polarcalc import geometry
+
+    charts = []
+    eliminate = geometry.common_zeros_2d
+
+    def spy(polys, coords):
+        charts.append(coords)
+        return eliminate(polys, coords)
+
+    monkeypatch.setattr(geometry, "common_zeros_2d", spy)
+    plane = proj_plane("x", "y")
+    comps = components_on(plane, ("A0", "x"), ("A0", "y"), ("A0", "x + y - 1"),
+                          ("A0", "y - x^2 - 3"))
+    validate_normal_crossing(comps, plane)
+    assert charts and set(charts) == {("x", "y")}
+
+
+@pytest.mark.parametrize("text, chart", [
+    ("y^2 - x^3", "A0"),
+    ("x*y^2 - 1", "A1"),  # a cusp at [0:1:0]
+    ("y - x^3", "A2"),  # a cusp at [0:0:1]
+])
+def test_curve_singular_where_a_chart_first_sees_it(text, chart):
+    with pytest.raises(GeometryError) as err:
+        plane_curve(parse_polynomial(text, ("x", "y")))
+    assert str(err.value) == "curve is singular (chart %s, witness (0, 0))" % chart
+
+
+def _plane_component(draw, variety):
+    """A line or a conic with small integer coefficients on the main chart,
+    or a coordinate line of chart 1 or 2 (on P2: the line at infinity or
+    {x = 0}; on P1 x P1: inf(b) or inf(a))."""
+    main = variety.main_chart
+    kind = draw(st.sampled_from(["line", "line", "conic", "infinity"]))
+    if kind == "infinity":
+        chart = variety.charts[draw(st.integers(1, 2))]
+        coord = variety.new_locus(chart.id)[0]
+        return chart.id, Polynomial.variable(chart.coords, coord)
+    coeffs = {(0, 0): draw(st.integers(-2, 2))}
+    if kind == "line":  # three directions, so that lines often meet at infinity
+        coeffs.update(zip([(1, 0), (0, 1)], draw(st.sampled_from([(1, 0), (0, 1), (1, -1)]))))
+    else:
+        top = [(2, 0), (1, 1), (0, 2)]
+        coeffs.update({e: draw(st.integers(-1, 1)) for e in top + [(1, 0), (0, 1)]})
+        coeffs[draw(st.sampled_from(top))] = draw(st.sampled_from([1, -1]))
+    return main.id, Polynomial(main.coords, coeffs)
+
+
+@st.composite
+def nc_cases(draw, kind):
+    count = draw(st.integers(2, 4))
+    if kind == "P1":
+        variety = proj_line("z")
+        values = st.one_of(st.just(INF), st.fractions(-2, 2, max_denominator=2))
+        pts = [VarietyPoint.product_point([draw(values)]) for _ in range(count)]
+        comps = [point_component(variety, pt, "c%d" % i) for i, pt in enumerate(pts)]
+        return variety, comps
+    variety = proj_plane("x", "y") if kind == "P2" else product_of_lines(["a", "b"])
+    specs = [_plane_component(draw, variety) for _ in range(count)]
+    return variety, [
+        DivisorComponent.from_chart_poly(variety, chart_id, p, "c%d" % i)
+        for i, (chart_id, p) in enumerate(specs)
+    ]
+
+
+POINT_REASONS = ("tangential intersection", TRIPLE)
+
+
+def all_charts_oracle(comps, variety):
+    """Every test on every chart, over the whole chart.
+
+    Returns (failures, points, refused): the (reason, members) that fail;
+    for each chart and failing pair or triple, the first of its bad points
+    whose first chart (`VarietyPoint.finite_chart`) is this one; and
+    whether some elimination left an irrational locus.
+    """
+    failures, points, shared, refused = set(), set(), set(), False
+    for chart in variety.charts:
+        vis = [c for c in comps if c.visible_on(chart.id)]
+        for c in vis:
+            if not is_squarefree(c.poly_on(chart.id)):
+                failures.add(("component not squarefree", (c.label,)))
+        for c1, c2 in itertools.combinations(vis, 2):
+            if not poly_gcd(c1.poly_on(chart.id), c2.poly_on(chart.id)).is_unit():
+                failures.add(("components share a factor", (c1.label, c2.label)))
+                shared.add((c1.label, c2.label))
+    for chart in variety.charts:
+        if chart.dimension != 2:
+            continue
+        x, y = chart.coords
+        vis = [c for c in comps if c.visible_on(chart.id)]
+        systems = []
+        for c1, c2 in itertools.combinations(vis, 2):
+            if (c1.label, c2.label) in shared:
+                continue
+            p, q = c1.poly_on(chart.id), c2.poly_on(chart.id)
+            jac = p.differentiate(x) * q.differentiate(y) - p.differentiate(y) * q.differentiate(x)
+            systems.append((POINT_REASONS[0], (c1, c2), [p, q, jac]))
+        for trio in itertools.combinations(vis, 3):
+            systems.append((POINT_REASONS[1], trio, [c.poly_on(chart.id) for c in trio]))
+        for reason, members, polys in systems:
+            pts, complete = common_zeros_2d(polys, chart.coords)
+            refused = refused or not complete
+            labels = tuple(c.label for c in members)
+            if pts:
+                failures.add((reason, labels))
+            firsts = [
+                pt for pt in (
+                    point_from_chart(variety, chart.id, dict(zip(chart.coords, v)))
+                    for v in pts
+                )
+                if pt.finite_chart(variety)[0].id == chart.id
+            ]
+            if firsts:
+                points.add((reason, labels, firsts[0]))
+    return failures, points, refused
+
+
+@pytest.mark.parametrize("kind", ["P2", "P1xP1", "P1"])
+@settings(max_examples=17, deadline=None, derandomize=True)
+@given(data=st.data())
+def test_first_chart_rule_matches_all_charts_oracle(kind, data):
+    variety, comps = data.draw(nc_cases(kind))
+    report = validate_normal_crossing(comps, variety)
+    failures, points, refused = all_charts_oracle(comps, variety)
+    if refused:
+        return
+    assert report.ok == (not failures)
+    assert {(f["reason"], tuple(f["members"])) for f in report.failures} == failures
+    named = []
+    for f in report.failures:
+        if f["reason"] in POINT_REASONS:
+            chart = variety.chart(f["chart"])
+            values = [Fraction(v) for v in f["witness"][1:-1].split(", ")]
+            named.append((
+                f["reason"], tuple(f["members"]),
+                point_from_chart(variety, chart.id, dict(zip(chart.coords, values))),
+            ))
+    assert len(named) == len(set(named)) and set(named) == points
