@@ -634,7 +634,7 @@ def _point_text(point) -> str:
     return "(%s)" % ", ".join(str(v) for v in point)
 
 
-def _singular_points_2d(p: Polynomial, locus=()):
+def _singular_points_2d(p: Polynomial, locus):
     """A witness singular point of {p=0} on the new locus, or None if
     certified smooth there."""
     x, y = p.variables
