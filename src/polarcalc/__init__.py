@@ -1,6 +1,5 @@
 """polarcalc: exact engine for polar chains, residues, and the cylinder homotopy."""
 
-from .scalars import Scalar, ScalarError
-from .polynomials import Polynomial, RationalFunction
+from .polynomials import Polynomial, RationalFunction, ScalarError
 
-__all__ = ["Scalar", "ScalarError", "Polynomial", "RationalFunction"]
+__all__ = ["ScalarError", "Polynomial", "RationalFunction"]

@@ -33,7 +33,6 @@ from .polynomials import (
     to_univariate,
 )
 from .residue import ResidueError, classify_component, p1_pole_points, poincare_residue
-from .scalars import Scalar
 
 
 class ChainError(ValueError):
@@ -177,8 +176,8 @@ def _curve_holomorphic(form: DifferentialForm, curve: CatalogVariety) -> bool:
         return True
     coords = curve.main_chart.coords
     x, y = coords
-    a = form.components.get((0,), RationalFunction.constant(coords, Scalar.zero()))
-    b = form.components.get((1,), RationalFunction.constant(coords, Scalar.zero()))
+    a = form.components.get((0,), RationalFunction.constant(coords, 0))
+    b = form.components.get((1,), RationalFunction.constant(coords, 0))
     p = curve.curve_polys["A0"]
     px = RationalFunction.from_poly(p.differentiate(x))
     py = RationalFunction.from_poly(p.differentiate(y))
@@ -190,7 +189,7 @@ def _curve_holomorphic(form: DifferentialForm, curve: CatalogVariety) -> bool:
         return False
     if not g:
         return True
-    d = max(sum(e) for e in p.terms)
+    d = p.total_degree()
     total = 0
     for (k,), coeff in g.items():
         if coeff.denom.degree(0) > 0:
@@ -199,7 +198,7 @@ def _curve_holomorphic(form: DifferentialForm, curve: CatalogVariety) -> bool:
     return total <= d - 3
 
 
-def scalar_fold(lam: Scalar, t: Triple) -> Triple:
+def scalar_fold(lam: Polynomial, t: Triple) -> Triple:
     """Fold a scalar into the triple's form (relation R1)."""
     return t.with_form(t.form.scale(lam))
 
@@ -212,7 +211,7 @@ def scalar_fold(lam: Scalar, t: Triple) -> Triple:
 class PolarChain:
     """Formal sum of triples mapping into one ambient variety.
 
-    Terms are (Scalar, Triple) pairs; normalization folds every scalar
+    Terms are (scalar, Triple) pairs; normalization folds every scalar
     to 1 and applies the relations.
     """
 
@@ -223,7 +222,7 @@ class PolarChain:
         fixed = []
         for item in terms:
             if isinstance(item, Triple):
-                item = (Scalar.one(), item)
+                item = (Polynomial.scalar(1), item)
             lam, t = item
             if t.map.target.signature() != ambient.signature():
                 raise ChainError("term maps into a different ambient variety")
@@ -249,7 +248,7 @@ class PolarChain:
         )
 
     def __neg__(self) -> "PolarChain":
-        minus = Scalar.of(-1)
+        minus = Polynomial.scalar(-1)
         return PolarChain(
             self.ambient,
             [(lam * minus, t) for lam, t in self.terms],
@@ -260,7 +259,7 @@ class PolarChain:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, lam: Scalar) -> "PolarChain":
+    def scale(self, lam: Polynomial) -> "PolarChain":
         return PolarChain(
             self.ambient,
             [(lam * s, t) for s, t in self.terms],
@@ -285,7 +284,7 @@ class PolarChain:
             return "0"
         parts = []
         for lam, t in self.terms:
-            if lam == Scalar.one():
+            if lam.is_one():
                 parts.append(t.render())
             else:
                 parts.append("%s*%s" % (lam, t.render()))
@@ -295,7 +294,7 @@ class PolarChain:
         return "PolarChain(%s)" % self.render()
 
 
-def point_term(ambient, pt: VarietyPoint, weight: Scalar) -> Triple:
+def point_term(ambient, pt: VarietyPoint, weight: Polynomial) -> Triple:
     """0-dimensional generator: a weighted rational point of the ambient."""
     src = point_variety()
     m = VarietyMap.constant(src, ambient, pt)
@@ -303,12 +302,12 @@ def point_term(ambient, pt: VarietyPoint, weight: Scalar) -> Triple:
     return Triple(src, m, form, ())
 
 
-def term_weight(t: Triple) -> Scalar:
-    """The Scalar carried by a 0-dimensional term."""
+def term_weight(t: Triple) -> Polynomial:
+    """The scalar carried by a 0-dimensional term."""
     if t.degree != 0:
         raise ChainError("weights only defined for point terms")
     if t.form.is_zero():
-        return Scalar.zero()
+        return Polynomial.scalar(0)
     return t.form.components[()].constant_value()
 
 
@@ -339,7 +338,7 @@ def _trace_p1(r: RationalFunction, form: DifferentialForm, target_coord):
     d = fiber.degree()
     if d <= 0:
         raise MapError("trace along a constant map is undefined")
-    a = form.components.get((0,), RationalFunction.constant((t,), Scalar.zero()))
+    a = form.components.get((0,), RationalFunction.constant((t,), 0))
     if a.is_zero():
         return DifferentialForm.zero("z", w, 1)
     dr = r.differentiate(t)
@@ -522,7 +521,7 @@ def _merge_group(desc, members, ambient):
     if len(members) == 1:
         return members, []
     if desc[0] == "point":
-        total = Scalar.zero()
+        total = Polynomial.scalar(0)
         for t in members:
             total = total + term_weight(t)
         if total.is_zero():
@@ -630,7 +629,7 @@ class BoundaryResult:
                     "parent": t.render(),
                     "component": comp.label,
                     "residue": str(res.form),
-                    "scalar": str(Scalar.tau()),
+                    "scalar": "TAU",
                 }
                 for t, comp, res in self._sources
             ]
@@ -661,7 +660,7 @@ def boundary(c: PolarChain) -> BoundaryResult:
             if _pole_order(t.form, t.source, comp) >= 0:
                 continue
             res, term = _residue_term(t, comp)
-            raw.append((Scalar.tau(), term))
+            raw.append((Polynomial.scalar(1, 1), term))
             sources.append((t, comp, res))
     chain = normalize_chain(PolarChain(c.ambient, raw, c.relative_to))
     return BoundaryResult(chain, sources, raw)
@@ -679,7 +678,7 @@ def check_d_squared(c: PolarChain):
         pt = t.map.image_point()
         by_point.setdefault(pt, []).append(lam * term_weight(t))
     for pt, weights in sorted(by_point.items(), key=lambda kv: kv[0].sort_key()):
-        total = Scalar.zero()
+        total = Polynomial.scalar(0)
         for w in weights:
             total = total + w
         cancellations.append({
@@ -769,13 +768,13 @@ def is_cycle(c: PolarChain):
 def boundary_witness_p1(zero_cycle, line=None) -> PolarChain:
     """A 1-chain whose boundary is the given zero-sum 0-chain on P1.
 
-    zero_cycle: list of (rational point value, Scalar weight).
+    zero_cycle: list of (rational point value, scalar weight).
     """
     if line is None:
         line = proj_line("z")
     coord = line.main_chart.coords[0]
     coords = (coord,)
-    total = Scalar.zero()
+    total = Polynomial.scalar(0)
     entries = []
     for value, weight in zero_cycle:
         total = total + weight
@@ -788,11 +787,11 @@ def boundary_witness_p1(zero_cycle, line=None) -> PolarChain:
     if not entries:
         return PolarChain(line)
     form = DifferentialForm.zero(line.main_chart.id, coords, 1)
-    tau_inv = Scalar.one() / Scalar.tau()
+    tau_inv = Polynomial.scalar(1, -1)
     z = Polynomial.variable(coords, coord)
     decl = []
     for value, weight in entries:
-        p = z - Polynomial.constant(coords, Scalar.of(value))
+        p = z - Polynomial.constant(coords, value)
         term = RationalFunction(
             Polynomial.constant(coords, weight * tau_inv), p
         )

@@ -17,7 +17,6 @@ from .polynomials import (
     poly_divides,
     poly_gcd,
 )
-from .scalars import Scalar
 
 
 class FormError(ValueError):
@@ -95,7 +94,7 @@ class DifferentialForm:
     def d_coordinate(chart, coords, name) -> "DifferentialForm":
         coords = tuple(coords)
         i = coords.index(name)
-        one = RationalFunction.constant(coords, Scalar.one())
+        one = RationalFunction.constant(coords, 1)
         return DifferentialForm(chart, coords, 1, {(i,): one})
 
     # -- predicates ----------------------------------------------------
@@ -130,7 +129,7 @@ class DifferentialForm:
     def __sub__(self, other):
         return self + (-other)
 
-    def scale(self, scalar: Scalar) -> "DifferentialForm":
+    def scale(self, scalar: Polynomial) -> "DifferentialForm":
         """scalar * self; a nonzero scalar carries the memo over (each
         memoized chart transition scaled, pole orders unchanged)."""
         if scalar.is_one():
@@ -340,7 +339,7 @@ def polar_profile(form: DifferentialForm, declared) -> PolarProfile:
             components.append((p, POLE_FREE))
             continue
         components.append((p, form.pole_order(p)))
-    residual = Polynomial.constant(form.coords, Scalar.one())
+    residual = Polynomial.constant(form.coords, 1)
     seen = set()
     for rf in form.components.values():
         den = rf.den

@@ -24,6 +24,7 @@ j > 0 is checked on it alone.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from .forms import DifferentialForm
 from .polynomials import (
     Polynomial,
     RationalFunction,
+    _canonical_assoc,
     is_squarefree,
     over_tau_field,
     poly_gcd,
@@ -41,7 +43,6 @@ from .polynomials import (
     rational_roots,
     to_univariate,
 )
-from .scalars import Scalar
 
 INF = "inf"  # point-at-infinity marker in a P1 factor
 
@@ -169,29 +170,34 @@ def _new_loci(charts, coord_maps):
 # ---------------------------------------------------------------------------
 
 
+# A catalog variety is immutable, so each is built once and shared.
+
+
+@functools.cache
 def point_variety() -> CatalogVariety:
     return CatalogVariety("point", "Point", [Chart("pt", ())], {}, 0)
 
 
 def proj_line(coord="z") -> CatalogVariety:
-    return _product_core([coord], kind="P1", name="P1(%s)" % coord)
+    return _product_core((coord,), "P1", "P1(%s)" % coord)
 
 
 def product_of_lines(coords) -> CatalogVariety:
-    coords = list(coords)
+    coords = tuple(coords)
     if len(coords) == 1:
         return proj_line(coords[0])
     name = " x ".join("P1(%s)" % c for c in coords)
-    return _product_core(coords, kind="product", name=name)
+    return _product_core(coords, "product", name)
 
 
 def _inv_name(coord):
     return coord + "_"
 
 
-def _product_core(coords, kind, name):
+@functools.cache
+def _product_core(coords: tuple, kind, name):
     if len(set(coords)) != len(coords):
-        raise GeometryError("duplicate coordinate names %s" % coords)
+        raise GeometryError("duplicate coordinate names %s" % list(coords))
     for c in coords:
         if c.endswith("_"):
             raise GeometryError("coordinate name %r reserved for the infinity chart" % c)
@@ -213,7 +219,7 @@ def _product_core(coords, kind, name):
                 va, vb = ca.coords[i], cb.coords[i]
                 target = RationalFunction.variable(cb.coords, vb)
                 if ma[i] != mb[i]:
-                    one = RationalFunction.constant(cb.coords, Scalar.one())
+                    one = RationalFunction.constant(cb.coords, 1)
                     target = one / target
                 mapping[va] = target
             coord_maps[(ca.id, cb.id)] = mapping
@@ -237,7 +243,7 @@ def _p2_coord_maps(a0, a1, a2):
         return RationalFunction.variable(ch.coords, n)
 
     def inv(rf):
-        one = RationalFunction.constant(rf.variables, Scalar.one())
+        one = RationalFunction.constant(rf.variables, 1)
         return one / rf
 
     maps = {}
@@ -276,7 +282,7 @@ def plane_curve(p: Polynomial) -> CatalogVariety:
     curve_polys = {"A0": p}
     for cid in ("A1", "A2"):
         rf = p.substitute(maps[("A0", cid)])
-        curve_polys[cid] = _unit_normalize(rf.num)
+        curve_polys[cid] = _canonical_assoc(rf.num)
     curve = CatalogVariety(
         "curve", "Curve(%s)" % p, [a0, a1, a2], maps, 1, curve_polys=curve_polys
     )
@@ -287,13 +293,6 @@ def plane_curve(p: Polynomial) -> CatalogVariety:
                 "curve is singular (chart %s, witness %s)" % (cid, _point_text(sing))
             )
     return curve
-
-
-def _unit_normalize(p: Polynomial) -> Polynomial:
-    if p.is_zero():
-        return p
-    _, lead = p.leading()
-    return p.scale(lead.inverse())
 
 
 def catalog_build(spec: str) -> CatalogVariety:
@@ -463,16 +462,16 @@ class DivisorComponent:
             poly = poly.lift(chart.coords)
         if poly.is_constant():
             raise GeometryError("defining polynomial must be nonconstant")
-        poly = _unit_normalize(poly)
+        poly = _canonical_assoc(poly)
         polys = {chart_id: poly}
         for other in variety.charts:
             if other.id == chart_id:
                 continue
             mapping = variety.coord_map(chart_id, other.id)
             rf = poly.substitute(mapping)
-            q = _unit_normalize(rf.num)
+            q = _canonical_assoc(rf.num)
             if q.is_constant():
-                q = Polynomial.constant(other.coords, Scalar.one())
+                q = Polynomial.constant(other.coords, 1)
             polys[other.id] = q
         if label is None:
             label = "{%s}" % poly
@@ -519,7 +518,7 @@ def point_component(variety: CatalogVariety, pt: VarietyPoint, label=None) -> Di
     if variety.kind != "P1":
         raise GeometryError("point components only supported on P1 sources")
     v = Polynomial.variable(chart.coords, coord)
-    c = Polynomial.constant(chart.coords, Scalar.of(values[coord]))
+    c = Polynomial.constant(chart.coords, values[coord])
     return DivisorComponent.from_chart_poly(variety, chart.id, v - c, label)
 
 
@@ -558,7 +557,7 @@ def _drop_var(p: Polynomial, var):
 
 def _drop_var_keep(p, var):
     rest = tuple(v for v in p.variables if v != var)
-    return Polynomial.constant(rest, Scalar.one())
+    return Polynomial.constant(rest, 1)
 
 
 def common_zeros_2d(polys, coords):
@@ -710,7 +709,7 @@ def validate_normal_crossing(components, variety: CatalogVariety) -> NCReport:
         if comp.variety is not variety and comp.variety != variety:
             raise GeometryError("component %s lives on a different variety" % comp.label)
     tested = set()  # pairs (i, j) already tested for a shared factor
-    shared = set()  # pairs sharing a factor: no transversality check
+    shared = set()  # pairs sharing a factor: no transversality or triple-point check
     for chart in variety.charts:
         locus = variety.new_locus(chart.id)
         vis = [i for i, c in enumerate(components) if c.visible_on(chart.id)]
@@ -740,7 +739,9 @@ def validate_normal_crossing(components, variety: CatalogVariety) -> NCReport:
                 chart, locus, report,
             )
             _check_triples_2d(
-                [components[i] for i in vis], [polys[i] for i in vis],
+                [[(components[i], polys[i]) for i in trio]
+                 for trio in itertools.combinations(vis, 3)
+                 if not any(pair in shared for pair in itertools.combinations(trio, 2))],
                 chart, locus, report,
             )
         elif chart.dimension > 2:
@@ -772,8 +773,10 @@ def _check_pairs_2d(coprime, chart, locus, report):
             )
 
 
-def _check_triples_2d(visible, polys, chart, locus, report):
-    for trio in itertools.combinations(zip(visible, polys), 3):
+def _check_triples_2d(trios, chart, locus, report):
+    """No common point of three components, for each triple [(c, p)] * 3
+    whose pairs are coprime, on the new locus."""
+    for trio in trios:
         comps = [t[0] for t in trio]
         ps = [t[1] for t in trio]
         pts, complete = _new_zeros_2d(ps, chart.coords, locus)

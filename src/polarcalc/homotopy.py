@@ -39,8 +39,7 @@ from .geometry import (
     validate_normal_crossing,
 )
 from .maps import VarietyMap
-from .polynomials import RationalFunction
-from .scalars import Scalar
+from .polynomials import Polynomial, RationalFunction
 
 BASEPOINT_PROBES = 12
 
@@ -109,7 +108,7 @@ def _section_formulas(fs, zc, value, src_coords):
     out = {}
     for coord, rf in fs.items():
         if coord == zc:
-            out[coord] = RationalFunction.constant(src_coords, Scalar.of(value))
+            out[coord] = RationalFunction.constant(src_coords, value)
         else:
             out[coord] = rf if rf.variables == src_coords else rf.lift(src_coords)
     return out
@@ -140,13 +139,13 @@ def section_pushforwards(a: PolarChain, basepoint=0) -> PolarChain:
 
 def _section_rf(coords, zc, value):
     z = RationalFunction.variable(coords, zc)
-    return z - RationalFunction.constant(coords, Scalar.of(value))
+    return z - RationalFunction.constant(coords, value)
 
 
 def _kernel(cyl, zc, g_lift, c):
     """(1/(z-g) - 1/(z-c)), the partial-fraction form of the beta kernel."""
     coords = cyl.main_chart.coords
-    one = RationalFunction.constant(coords, Scalar.one())
+    one = RationalFunction.constant(coords, 1)
     z = RationalFunction.variable(coords, zc)
     return one / (z - g_lift) - one / _section_rf(coords, zc, c)
 
@@ -162,7 +161,7 @@ def _h_point_term(lam, t, ambient, zc, c):
     coords = (zc,)
     if v == INF:
         # limit of the kernel as the graph point escapes to infinity
-        one = RationalFunction.constant(coords, Scalar.one())
+        one = RationalFunction.constant(coords, 1)
         kernel = -(one / _section_rf(coords, zc, c))
         chart_pt = VarietyPoint(
             pt.kind,
@@ -170,26 +169,26 @@ def _h_point_term(lam, t, ambient, zc, c):
         )
     else:
         kernel = _kernel(
-            line, zc, RationalFunction.constant(coords, Scalar.of(v)), c
+            line, zc, RationalFunction.constant(coords, v), c
         )
         chart_pt = pt
     beta = DifferentialForm.d_coordinate(line.main_chart.id, coords, zc).multiply(
         kernel
-    ).scale(weight / Scalar.tau())
+    ).scale(weight / Polynomial.scalar(1, 1))
     chart, values = chart_pt.finite_chart(ambient)
     formulas = {}
     for coord, val in values.items():
         if coord == zc:
             formulas[coord] = RationalFunction.variable(coords, zc)
         else:
-            formulas[coord] = RationalFunction.constant(coords, Scalar.of(val))
+            formulas[coord] = RationalFunction.constant(coords, val)
     m = VarietyMap(line, ambient, chart.id, formulas)
     decl = [
         point_component(line, VarietyPoint.product_point([v])),
         point_component(line, VarietyPoint.product_point([Fraction(c)])),
     ]
     triple = make_triple(line, m, beta, decl)
-    return [(Scalar.one(), triple)], {
+    return [(Polynomial.scalar(1), triple)], {
         "term": t.render(), "basepoint": str(c), "repaired": False,
     }
 
@@ -233,7 +232,7 @@ def _h_line_term(lam, t, ambient, zc, c):
 
     alpha = t.source.transition_form(t.form, t.source.main_chart.id)
     a_coeff = alpha.components.get(
-        (0,), RationalFunction.constant((told,), Scalar.zero())
+        (0,), RationalFunction.constant((told,), 0)
     )
     alpha_lift = DifferentialForm(
         cyl.main_chart.id, coords, 1,
@@ -264,8 +263,8 @@ def _h_line_term(lam, t, ambient, zc, c):
                 "graph section coincides with a lifted pole component %s" % v.label
             )
 
-    one = RationalFunction.constant(coords, Scalar.one())
-    tau_inv = Scalar.one() / Scalar.tau()
+    one = RationalFunction.constant(coords, 1)
+    tau_inv = Polynomial.scalar(1, -1)
     is_const_g = g.num.is_constant() and g.den.is_constant()
     for probe in _probe_sequence(c):
         section = DivisorComponent.from_chart_poly(
@@ -286,7 +285,7 @@ def _h_line_term(lam, t, ambient, zc, c):
             main = make_triple(cyl, lifted_map, beta, kept)
         except ChainError:
             continue
-        terms = [(Scalar.one(), main)]
+        terms = [(Polynomial.scalar(1), main)]
         repaired = probe != c
         if repaired:
             # beta(c) - beta(probe): only section and vertical poles remain
@@ -299,7 +298,7 @@ def _h_line_term(lam, t, ambient, zc, c):
             )
             decl2 = [base_section, section] + verticals
             tail = make_triple(cyl, lifted_map, diff, prune_declared(diff, cyl, decl2))
-            terms.append((Scalar.one(), tail))
+            terms.append((Polynomial.scalar(1), tail))
         return terms, {
             "term": t.render(),
             "basepoint": str(probe),

@@ -9,7 +9,6 @@ from sympy.polys.matrices import DomainMatrix
 
 from .geometry import CatalogVariety, VarietyPoint, point_from_chart
 from .polynomials import RationalFunction, to_field
-from .scalars import Scalar
 
 
 class MapError(ValueError):
@@ -55,7 +54,7 @@ class VarietyMap:
         chart, values = point.finite_chart(target)
         src = source.main_chart.coords
         return VarietyMap(source, target, chart.id, {
-            c: RationalFunction.constant(src, Scalar.of(v))
+            c: RationalFunction.constant(src, v)
             for c, v in values.items()
         })
 

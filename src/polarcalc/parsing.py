@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 from .forms import DifferentialForm
 from .polynomials import Polynomial, RationalFunction
-from .scalars import Scalar
 
 
 class ParseError(ValueError):
@@ -162,12 +161,12 @@ def _parse_atom(ts: TokenStream, ctx: ExprContext):
         return v
     if t.kind == "number":
         ts.next()
-        return RationalFunction.constant(ctx.coords, Scalar.of(int(t.text)))
+        return RationalFunction.constant(ctx.coords, int(t.text))
     if t.kind == "name":
         name = t.text
         ts.next()
         if name == "TAU":
-            return RationalFunction.constant(ctx.coords, Scalar.tau())
+            return RationalFunction.constant(ctx.coords, Polynomial.scalar(1, 1))
         if name in ("d", "dlog") and ts.peek().text == "(":
             ts.next()
             inner = parse_expression(ts, ctx)
@@ -182,7 +181,7 @@ def _parse_atom(ts: TokenStream, ctx: ExprContext):
                 if inner.is_zero():
                     raise ParseError("dlog(0) is undefined", t.line, t.col)
                 df = df.multiply(
-                    RationalFunction.constant(ctx.coords, Scalar.one()) / inner
+                    RationalFunction.constant(ctx.coords, 1) / inner
                 )
             return df
         rf = ctx.coordinate(name)
@@ -245,7 +244,7 @@ def _apply_binop(op, a, b, ctx, tok):
         if b_form:
             raise ParseError("cannot divide by a form", tok.line, tok.col)
         if a_form:
-            one = RationalFunction.constant(ctx.coords, Scalar.one())
+            one = RationalFunction.constant(ctx.coords, 1)
             return a.multiply(one / b)
         return a / b
     raise ParseError("unknown operator %r" % op, tok.line, tok.col)

@@ -1,11 +1,15 @@
-"""Sparse multivariate polynomials and rational functions over Scalar.
+"""Exact polynomials and rational functions over Q[TAU, TAU^-1].
 
 A Polynomial is TAU^shift times one element of the sympy sparse ring
 QQ[<variables>, TAU], one ring per variable tuple.  The shift is chosen
 so that the element's lowest TAU power is 0, which keeps negative TAU
 powers exact and makes equality and hashing structural.  Arithmetic,
 gcd, exact division, resultants and rational roots are the ring's own
-operations; `terms` is a read-only {exponent: Scalar} view.  Substituting
+operations.  A scalar of the theory, an element of Q[TAU, TAU^-1], is the
+polynomial in zero variables (`Polynomial.scalar`); coefficients
+(`terms`, `leading`), values (`evaluate`, `constant_value`), chain
+coefficients and point weights are such polynomials, and one divides
+them only by a TAU-monomial.  Substituting
 fractions n_v/d_v into a Polynomial builds one numerator over the common
 denominator prod_v d_v^(degree in v) and normalizes that fraction once.
 A RationalFunction substitutes num and den over the same denominator
@@ -20,9 +24,11 @@ g = gcd(d1, d2) and then gcd(t, g) for the numerator t over
 (d1/g)(d2/g), and a derivative (n/d)' = (n'd - nd')/d^2 is already
 reduced when gcd(d, d') is 1.  A gcd whose denominator is 1 is skipped,
 and the result only has its denominator's leading TAU-monomial divided
-out.  Scaling by a nonzero Scalar keeps a fraction canonical.
+out.  Scaling by a nonzero scalar keeps a fraction canonical.
 Canonical printing sorts by graded lexicographic order of
-the exponent vectors over the chart's declared coordinate order.
+the exponent vectors over the chart's declared coordinate order; a
+scalar prints bare (`1 + TAU`), a TAU-sum coefficient of a polynomial
+or of a function in parentheses (`(1 + TAU)*x`).
 `to_sympy`/`from_sympy` convert to and from sympy expressions and are
 not used by the engine.
 
@@ -44,8 +50,6 @@ from sympy.polys.domains import QQ
 from sympy.polys.fields import FracField
 from sympy.polys.orderings import grevlex, lex
 from sympy.polys.rings import PolyRing
-
-from .scalars import Scalar
 
 TAU_SYM = sp.Symbol("TAU")
 
@@ -76,17 +80,34 @@ def _frac(c) -> Fraction:
     return Fraction(int(c.numerator), int(c.denominator))
 
 
-def _scalar(tau_coeffs: dict, shift: int) -> Scalar:
-    """The Scalar sum of c * TAU^(k + shift) over {k: c}."""
-    return Scalar({k + shift: _frac(c) for k, c in tau_coeffs.items()})
-
-
 def _tau_groups(elem) -> dict:
     """{exponent: {TAU power: c}}: a ring element's terms grouped by monomial."""
     grouped: dict = {}
     for m, c in elem.items():
         grouped.setdefault(m[:-1], {})[m[-1]] = c
     return grouped
+
+
+def _from_tau(tau_coeffs: dict, shift: int) -> "Polynomial":
+    """The scalar sum of c * TAU^(k + shift) over {k: c}."""
+    elem = _ring(()).dtype({(k,): c for k, c in tau_coeffs.items()})
+    return Polynomial._wrap((), elem, shift)
+
+
+def _tau_text(tau_coeffs: dict, shift: int) -> str:
+    """The sum of c * TAU^(k + shift) over {k: c}, rising powers first."""
+    if not tau_coeffs:
+        return "0"
+    parts = []
+    for k in sorted(tau_coeffs):
+        c, k = tau_coeffs[k], k + shift
+        if k == 0:
+            parts.append(str(c))
+        elif k == 1:
+            parts.append("%s*TAU" % c if c != 1 else "TAU")
+        else:
+            parts.append("%s*TAU^%d" % (c, k) if c != 1 else "TAU^%d" % k)
+    return " + ".join(parts).replace("+ -", "- ")
 
 
 def _lead(elem):
@@ -99,24 +120,30 @@ class PolynomialError(ArithmeticError):
     pass
 
 
+class ScalarError(ArithmeticError):
+    """A scalar operation outside Q[TAU, TAU^-1]: division by a TAU-sum or
+    by zero, or the rational value of a scalar with TAU in it."""
+
+
 def grlex_key(exp):
     return (sum(exp), exp)
 
 
 class Polynomial:
-    """Polynomial in an ordered tuple of variables, Scalar coefficients."""
+    """Polynomial in an ordered tuple of variables over Q[TAU, TAU^-1]."""
 
     __slots__ = ("variables", "elem", "shift")
 
     def __init__(self, variables, terms=None):
+        """terms: {exponent: coefficient}, each an int, a Fraction or a scalar."""
         self.variables = tuple(variables)
-        scalars = {
-            tuple(e): c if isinstance(c, Scalar) else Scalar.of(c)
+        scalars = [
+            (tuple(e), c if isinstance(c, Polynomial) else Polynomial.scalar(c))
             for e, c in (terms or {}).items()
-        }
-        low = min((c.min_tau() for c in scalars.values() if not c.is_zero()), default=0)
+        ]
+        low = min((c.shift for _, c in scalars if c.elem), default=0)
         self.elem = _ring(self.variables).dtype(
-            {e + (k - low,): _qq(q) for e, c in scalars.items() for k, q in c.coeffs.items()}
+            {e + (k + c.shift - low,): q for e, c in scalars for (k,), q in c.elem.items()}
         )
         self.shift = low
 
@@ -133,6 +160,12 @@ class Polynomial:
     # -- constructors -------------------------------------------------
 
     @staticmethod
+    def scalar(value, tau_exp: int = 0) -> "Polynomial":
+        """value * TAU^tau_exp for a rational value: a polynomial in zero variables."""
+        q = _qq(value)
+        return Polynomial._wrap((), _ring(()).dtype({(0,): q} if q else {}), tau_exp)
+
+    @staticmethod
     def constant(variables, scalar) -> "Polynomial":
         return Polynomial(variables, {(0,) * len(variables): scalar})
 
@@ -147,13 +180,16 @@ class Polynomial:
 
     @property
     def terms(self) -> dict:
-        """Read-only view {exponent: Scalar}."""
-        return {e: _scalar(cs, self.shift) for e, cs in _tau_groups(self.elem).items()}
+        """Read-only view {exponent: scalar coefficient}."""
+        return {e: _from_tau(cs, self.shift) for e, cs in _tau_groups(self.elem).items()}
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
         return not self.elem
+
+    def is_one(self) -> bool:
+        return self.shift == 0 and self.elem == self.elem.ring.one
 
     def is_constant(self) -> bool:
         return all(d <= 0 for d in self.elem.degrees()[:-1])
@@ -161,10 +197,20 @@ class Polynomial:
     def is_unit(self) -> bool:
         return self.is_constant() and not self.is_zero()
 
-    def constant_value(self) -> Scalar:
+    def is_rational(self) -> bool:
+        """A constant free of TAU."""
+        return self.shift == 0 and self.elem.is_ground
+
+    def rational_value(self) -> Fraction:
+        if not self.is_rational():
+            raise ScalarError("scalar has nonzero TAU grade: %s" % self)
+        return _frac(self.elem.get(self.elem.ring.zero_monom, QQ.zero))
+
+    def constant_value(self) -> "Polynomial":
+        """The scalar value of a constant."""
         if not self.is_constant():
             raise PolynomialError("not a constant: %s" % self)
-        return _scalar({m[-1]: c for m, c in self.elem.items()}, self.shift)
+        return _from_tau({m[-1]: c for m, c in self.elem.items()}, self.shift)
 
     def total_degree(self) -> int:
         return max((sum(m[:-1]) for m in self.elem), default=-1)
@@ -211,39 +257,46 @@ class Polynomial:
             self.variables, self.elem * other.elem, self.shift + other.shift
         )
 
+    def __truediv__(self, other: "Polynomial") -> "Polynomial":
+        """Division by a constant TAU-monomial c*TAU^k."""
+        self._check(other)
+        if other.is_zero():
+            raise ScalarError("division by zero scalar")
+        if len(other.elem) != 1 or not other.is_constant():
+            raise ScalarError(
+                "division only defined by a single TAU-monomial, got %s" % other
+            )
+        ((_, c),) = other.elem.items()
+        return Polynomial._wrap(
+            self.variables, self.elem.quo_ground(c), self.shift - other.shift
+        )
+
     def __pow__(self, n: int) -> "Polynomial":
         if n < 0:
             raise PolynomialError("negative polynomial power")
         if n == 0:
-            return Polynomial.constant(self.variables, Scalar.one())
+            return _one(self.variables)
         return Polynomial._wrap(self.variables, self.elem**n, self.shift * n)
 
-    def scale(self, scalar: Scalar) -> "Polynomial":
+    def scale(self, scalar: "Polynomial") -> "Polynomial":
         return self * Polynomial.constant(self.variables, scalar)
 
     # -- structure -----------------------------------------------------
 
     def leading(self):
-        """(exponent, Scalar) of the graded-lex leading term."""
+        """(exponent, scalar) of the graded-lex leading term."""
         if self.is_zero():
             raise PolynomialError("zero polynomial has no leading term")
         e, lead = _lead(self.elem)
-        return e, _scalar(lead, self.shift)
-
-    def sorted_terms(self):
-        return sorted(self.terms.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
+        return e, _from_tau(lead, self.shift)
 
     def differentiate(self, name: str) -> "Polynomial":
         i = self.variables.index(name)
         return Polynomial._wrap(self.variables, self.elem.diff(i), self.shift)
 
-    def evaluate(self, point: dict) -> Scalar:
-        """Exact value at a rational point {var: Fraction}."""
-        at = self.elem
-        if self.variables:
-            gens = at.ring.gens
-            at = at.evaluate([(g, _qq(point[v])) for g, v in zip(gens, self.variables)])
-        return _scalar({m[-1]: c for m, c in at.items()}, self.shift)
+    def evaluate(self, point: dict) -> "Polynomial":
+        """Exact scalar value at a rational point {var: Fraction}."""
+        return self.specialize({v: point[v] for v in self.variables})
 
     def specialize(self, values: dict) -> "Polynomial":
         """Set the variables in `values` to rationals: a polynomial in the rest.
@@ -333,28 +386,33 @@ class Polynomial:
         return "Polynomial(%s)" % str(self)
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for e, c in self.sorted_terms():
-            mono = "*".join(
-                ("%s^%d" % (v, k) if k > 1 else v)
-                for v, k in zip(self.variables, e)
-                if k
-            )
-            cs = str(c)
-            if len(c.coeffs) > 1:
-                cs = "(%s)" % cs
-            if not mono:
-                parts.append(cs)
-            elif c.is_one():
-                parts.append(mono)
-            elif cs == "-1":
-                parts.append("-%s" % mono)
-            else:
-                parts.append("%s*%s" % (cs, mono))
-        s = " + ".join(parts)
-        return s.replace("+ -", "- ")
+        if not self.variables:  # a scalar prints bare
+            return _tau_text({m[-1]: c for m, c in self.elem.items()}, self.shift)
+        return _poly_text(self)
+
+
+def _poly_text(p: Polynomial) -> str:
+    """p's terms, graded-lex descending; a TAU-sum coefficient in parentheses."""
+    groups = _tau_groups(p.elem)
+    if not groups:
+        return "0"
+    parts = []
+    for e in sorted(groups, key=grlex_key, reverse=True):
+        mono = "*".join(
+            ("%s^%d" % (v, k) if k > 1 else v) for v, k in zip(p.variables, e) if k
+        )
+        cs = _tau_text(groups[e], p.shift)
+        if len(groups[e]) > 1:
+            cs = "(%s)" % cs
+        if not mono:
+            parts.append(cs)
+        elif cs == "1":
+            parts.append(mono)
+        elif cs == "-1":
+            parts.append("-%s" % mono)
+        else:
+            parts.append("%s*%s" % (cs, mono))
+    return " + ".join(parts).replace("+ -", "- ")
 
 
 # ---------------------------------------------------------------------------
@@ -426,17 +484,19 @@ def _substituted(polys, mapping: dict, target_vars=None):
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
-    """Canonical gcd; unit-normalized so the leading Scalar is 1."""
+    """Canonical gcd; unit-normalized so the leading coefficient is 1."""
     return _canonical_assoc(Polynomial._wrap(a.variables, a.elem.gcd(b.elem)))
 
 
 def _canonical_assoc(p: Polynomial) -> Polynomial:
-    """Divide out the leading Scalar (must be a TAU-monomial)."""
+    """Divide out the leading coefficient (must be a TAU-monomial)."""
     if p.is_zero():
         return p
     _, lead = _lead(p.elem)
     if len(lead) != 1:
-        raise PolynomialError("leading coefficient is not a TAU-monomial: %s" % p)
+        raise PolynomialError(
+            "leading coefficient is not a TAU-monomial: %s" % _poly_text(p)
+        )
     ((k, c),) = lead.items()
     return Polynomial._wrap(p.variables, p.elem.quo_ground(c), -k)
 
@@ -547,7 +607,7 @@ class RationalFunction:
     def is_constant(self) -> bool:
         return self.num.is_constant() and self.den.is_constant()
 
-    def constant_value(self) -> Scalar:
+    def constant_value(self) -> Polynomial:
         return self.num.constant_value() / self.den.constant_value()
 
     def is_polynomial(self) -> bool:
@@ -559,8 +619,8 @@ class RationalFunction:
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         n1._check(n2)
         if d1 == d2:  # g = d1: only gcd(n1 + n2, d1) is left
-            return RationalFunction(n1 + n2, d1, _canonical=_is_one(d1))
-        if not (_is_one(d1) or _is_one(d2)):
+            return RationalFunction(n1 + n2, d1, _canonical=d1.is_one())
+        if not (d1.is_one() or d2.is_one()):
             g, e1, e2 = _cofactors(d1, d2)
             if not g.is_constant():
                 # t/g2 over (d1/g)(d2/g2), g2 = gcd(t, g)
@@ -578,9 +638,9 @@ class RationalFunction:
         n1, d1, n2, d2 = self.num, self.den, other.num, other.den
         n1._check(n2)
         if not (n1.is_zero() or n2.is_zero()):
-            if not _is_one(d2):
+            if not d2.is_one():
                 _, n1, d2 = _cofactors(n1, d2)
-            if not _is_one(d1):
+            if not d1.is_one():
                 _, n2, d1 = _cofactors(n2, d1)
         return _coprime(n1 * n2, d1 * d2)
 
@@ -591,12 +651,10 @@ class RationalFunction:
 
     def __pow__(self, n: int) -> "RationalFunction":
         if n < 0:
-            return (RationalFunction.constant(self.variables, Scalar.one()) / self) ** (
-                -n
-            )
+            return (RationalFunction.constant(self.variables, 1) / self) ** -n
         return RationalFunction(self.num**n, self.den**n)
 
-    def scale(self, scalar: Scalar) -> "RationalFunction":
+    def scale(self, scalar: Polynomial) -> "RationalFunction":
         return _coprime(self.num.scale(scalar), self.den)
 
     # -- calculus / evaluation ------------------------------------------
@@ -606,7 +664,7 @@ class RationalFunction:
             raise PolynomialError("unknown variable %s" % name)
         n, d = self.num, self.den
         dn = n.differentiate(name)
-        if _is_one(d):
+        if d.is_one():
             return RationalFunction(dn, d, _canonical=True)
         dd = d.differentiate(name)
         if dd.is_zero():
@@ -617,7 +675,7 @@ class RationalFunction:
         # d = g e and d' = g f: (n' e - n f) / (g e^2)
         return RationalFunction(dn * e - n * f, g * e * e)
 
-    def evaluate(self, point: dict) -> Scalar:
+    def evaluate(self, point: dict) -> Polynomial:
         dv = self.den.evaluate(point)
         if dv.is_zero():
             raise ZeroDivisionError("evaluation at a pole")
@@ -668,52 +726,52 @@ class RationalFunction:
         return "RationalFunction(%s)" % str(self)
 
     def __str__(self):
+        """num, or num/den; a constant prints as a coefficient, a TAU-sum in
+        parentheses, also in zero variables."""
+        ns = _poly_text(self.num)
         if self.den.is_unit():
-            return str(self.num)
-        ns = str(self.num)
-        if len(self.num.terms) > 1 or not _atomic(self.num):
+            return ns
+        if not _atomic(self.num):
             ns = "(%s)" % ns
-        ds = str(self.den)
-        if len(self.den.terms) > 1 or not _atomic(self.den):
+        ds = _poly_text(self.den)
+        if not _atomic(self.den):
             ds = "(%s)" % ds
         return "%s/%s" % (ns, ds)
 
 
 def _atomic(p: Polynomial) -> bool:
     """Single term that prints without an ambiguous * or ^."""
-    if len(p.terms) != 1:
+    groups = _tau_groups(p.elem)
+    if len(groups) != 1:
         return False
-    ((e, c),) = p.terms.items()
+    ((e, cs),) = groups.items()
+    text = _tau_text(cs, p.shift)
     if sum(e) == 0:
-        return c.is_monomial() and len(str(c).replace("-", "").split("*")) == 1
-    return sum(e) == 1 and (c.is_one() or str(c) == "-1")
+        return len(cs) == 1 and "*" not in text
+    return sum(e) == 1 and text in ("1", "-1")
 
 
 def _normalize(num: Polynomial, den: Polynomial):
     """Reduce to the canonical fraction (gcd out, den leading coeff 1).
 
     With num = TAU^s N, den = TAU^t D and h = gcd(N, D), the fraction is
-    TAU^(s-t) (N/h) / (D/h); dividing both by the leading Scalar c*TAU^k
+    TAU^(s-t) (N/h) / (D/h); dividing both by the leading coefficient c*TAU^k
     of D/h makes the denominator's leading coefficient 1.  Leading
-    Scalars multiply, so D/h has a TAU-monomial lead iff D has.
+    coefficients multiply, so D/h has a TAU-monomial lead iff D has.
     """
     if num.is_zero():
         return num, _one(den.variables)
-    if _is_one(den):
+    if den.is_one():
         return num, den
     _, lead = _lead(den.elem)
     if len(lead) != 1:
         poly_gcd(num, den)  # a common factor with a TAU-sum lead is reported first
         raise PolynomialError(
             "cannot normalize: denominator leading coefficient %s is a TAU-sum"
-            % _scalar(lead, den.shift)
+            % _tau_text(lead, den.shift)
         )
     _, num, den = _cofactors(num, den)
     return _lead_one(num, den)
-
-
-def _is_one(p: Polynomial) -> bool:
-    return p.shift == 0 and p.elem == p.elem.ring.one
 
 
 def _cofactors(a: Polynomial, b: Polynomial):
@@ -727,7 +785,7 @@ def _cofactors(a: Polynomial, b: Polynomial):
 
 
 def _lead_one(num: Polynomial, den: Polynomial):
-    """num and den divided by den's leading Scalar, a TAU-monomial c*TAU^k."""
+    """num and den divided by den's leading coefficient, a TAU-monomial c*TAU^k."""
     ((k, c),) = _lead(den.elem)[1].items()
     k += den.shift
     if k == 0 and c == 1:

@@ -31,7 +31,6 @@ from .polynomials import (
     poly_divides,
     rational_roots,
 )
-from .scalars import Scalar
 
 
 class ResidueError(ValueError):
@@ -55,12 +54,12 @@ class ResidueResult:
         self.form = form
 
     @property
-    def value(self) -> Scalar:
-        """The Scalar carried by a point residue."""
+    def value(self) -> Polynomial:
+        """The scalar carried by a point residue."""
         if self.kind != "scalar":
             raise ResidueError("residue is not a point residue")
         if self.form.is_zero():
-            return Scalar.zero()
+            return Polynomial.scalar(0)
         return self.form.components[()].constant_value()
 
     def __repr__(self):
@@ -73,17 +72,10 @@ class ResidueResult:
 
 
 def _linear_root(p: Polynomial, coord) -> Fraction:
-    """Root of a polynomial that is degree 1 in its single variable."""
-    a = Scalar.zero()
-    b = Scalar.zero()
-    for e, c in p.terms.items():
-        k = e[p.variables.index(coord)]
-        if k == 1:
-            a = a + c
-        elif k == 0:
-            b = b + c
-        else:
-            raise ResidueError("component polynomial is not linear")
+    """Root -b/a of a polynomial a*coord + b in its single variable."""
+    at0 = {coord: 0}
+    b = p.specialize(at0)
+    a = p.differentiate(coord).specialize(at0)
     return -b.rational_value() / a.rational_value()
 
 
@@ -122,15 +114,9 @@ def classify_component(comp: DivisorComponent, variety: CatalogVariety):
             if solve is None:
                 continue
             param = next(c for c in ch.coords if c != solve)
-            a = Polynomial.zero(ch.coords)
-            b = Polynomial.zero(ch.coords)
-            for e, c in p.terms.items():
-                k = e[ch.coords.index(solve)]
-                t = Polynomial(ch.coords, {e: c})
-                if k == 1:
-                    a = a + _drop_exponent(t, solve)
-                else:
-                    b = b + t
+            # p = a*solve + b with a, b free of solve
+            a = p.differentiate(solve)
+            b = p.specialize({solve: 0}).lift(ch.coords)
             value = RationalFunction(-b, a)
             return ("graph", ch, solve, param, value)
         if variety.kind == "P2":
@@ -144,16 +130,6 @@ def classify_component(comp: DivisorComponent, variety: CatalogVariety):
             "unsupported divisor component %s on %s" % (comp.label, variety.name)
         )
     raise ResidueError("residues only implemented up to dimension 2")
-
-
-def _drop_exponent(p: Polynomial, coord) -> Polynomial:
-    i = p.variables.index(coord)
-    out = {}
-    for e, c in p.terms.items():
-        ne = list(e)
-        ne[i] -= 1
-        out[tuple(ne)] = c
-    return Polynomial(p.variables, out)
 
 
 # ---------------------------------------------------------------------------
@@ -180,7 +156,7 @@ def _contracted(form: DifferentialForm, p: Polynomial, coords, direction):
     """The pre-restriction form: contraction of p*omega."""
     j = _choose_direction(p, coords, direction)
     dp = p.differentiate(j)
-    scale = RationalFunction.from_poly(Polynomial.constant(p.variables, Scalar.one())) / RationalFunction.from_poly(dp)
+    scale = RationalFunction.constant(p.variables, 1) / RationalFunction.from_poly(dp)
     return form.multiply(RationalFunction.from_poly(p)).contract(j, scale)
 
 
@@ -263,7 +239,7 @@ def poincare_residue(
 
 
 def _zero_rf(coords) -> RationalFunction:
-    return RationalFunction.constant(coords, Scalar.zero())
+    return RationalFunction.constant(coords, 0)
 
 
 def _require_simple(form: DifferentialForm, p: Polynomial, comp):
@@ -348,7 +324,7 @@ def p1_pole_points(omega: DifferentialForm, variety: CatalogVariety):
 
 def total_residue_p1(omega: DifferentialForm, variety: CatalogVariety):
     """Sum of the residues of a simple-pole 1-form on P1 (always zero)."""
-    total = Scalar.zero()
+    total = Polynomial.scalar(0)
     breakdown = []
     for pt in p1_pole_points(omega, variety):
         comp = point_component(variety, pt)

@@ -50,9 +50,8 @@ from .parsing import (
     parse_expression,
     tokenize,
 )
-from .polynomials import Polynomial, PolynomialError
+from .polynomials import Polynomial, PolynomialError, ScalarError
 from .residue import ResidueError, poincare_residue
-from .scalars import Scalar, ScalarError
 
 COMPUTE_ERRORS = (
     ChainError,
@@ -470,7 +469,7 @@ def _run_command(session: Session, ts: TokenStream, stmt: str):
     if cmd == "witness-p1":
         pairs = _parse_witness_pairs(ts)
         _expect_end(ts)
-        chain = boundary_witness_p1([(v, Scalar.of(w)) for v, w in pairs])
+        chain = boundary_witness_p1([(v, Polynomial.scalar(w)) for v, w in pairs])
         line = chain.ambient
         front = Session()
         front.bind("W", line)

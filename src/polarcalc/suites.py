@@ -34,7 +34,6 @@ from .maps import VarietyMap
 from .parsing import TokenStream, parse_form, tokenize
 from .polynomials import Polynomial, RationalFunction
 from .residue import iterated_residue, poincare_residue, total_residue_p1
-from .scalars import Scalar
 
 
 class SuiteResult:
@@ -68,10 +67,10 @@ def _distinct_fractions(rng, count, lo=-6, hi=6, den=4):
 
 def _dlog_split_poly(coords, var, roots):
     """d log of a split polynomial prod (var - root): exact rational data."""
-    p = Polynomial.constant(coords, Scalar.one())
+    p = Polynomial.constant(coords, 1)
     v = Polynomial.variable(coords, var)
     for r in roots:
-        p = p * (v - Polynomial.constant(coords, Scalar.of(r)))
+        p = p * (v - Polynomial.constant(coords, r))
     return p
 
 
@@ -79,7 +78,7 @@ def _dlog_form(chart, coords, p):
     rf = RationalFunction.from_poly(p)
     f = DifferentialForm.function(chart, coords, rf)
     return f.exterior_derivative().multiply(
-        RationalFunction.constant(coords, Scalar.one()) / rf
+        RationalFunction.constant(coords, 1) / rf
     )
 
 
@@ -129,9 +128,7 @@ def _random_product_chain(rng):
         f = _dlog_form(chart, coords, p)
         form = f if form is None else form.wedge(f)
         for r in roots:
-            q = Polynomial.variable(coords, var) - Polynomial.constant(
-                coords, Scalar.of(r)
-            )
+            q = Polynomial.variable(coords, var) - Polynomial.constant(coords, r)
             decl.append(DivisorComponent.from_chart_poly(amb, chart, q))
         decl.append(_product_inf_component(amb, var))
     t = make_triple(amb, VarietyMap.identity(amb), form, decl)
@@ -152,9 +149,8 @@ def _random_p2_chain(rng):
             c = _rand_fraction(rng, -4, 4, 2)
             x = Polynomial.variable(coords, "x")
             y = Polynomial.variable(coords, "y")
-            q = x * Polynomial.constant(coords, Scalar.of(a)) + y * (
-                Polynomial.constant(coords, Scalar.of(b))
-            ) + Polynomial.constant(coords, Scalar.of(c))
+            q = (x * Polynomial.constant(coords, a) + y * Polynomial.constant(coords, b)
+                 + Polynomial.constant(coords, c))
             if not any(_proportional(q, other, coords) for other in lines):
                 lines.append(q)
         split = rng.randint(1, count - 1)
@@ -175,7 +171,7 @@ def _random_p2_chain(rng):
 
 
 def _product(polys, coords):
-    out = Polynomial.constant(coords, Scalar.one())
+    out = Polynomial.constant(coords, 1)
     for p in polys:
         out = out * p
     return out
@@ -234,12 +230,12 @@ def suite_residue_anticommute(seed=0):
             c1 = DivisorComponent.from_chart_poly(
                 amb, chart,
                 Polynomial.variable(coords, "z1")
-                - Polynomial.constant(coords, Scalar.of(a)),
+                - Polynomial.constant(coords, a),
             )
             c2 = DivisorComponent.from_chart_poly(
                 amb, chart,
                 Polynomial.variable(coords, "z2")
-                - Polynomial.constant(coords, Scalar.of(b)),
+                - Polynomial.constant(coords, b),
             )
         else:
             amb = proj_plane("x", "y")
@@ -249,7 +245,7 @@ def suite_residue_anticommute(seed=0):
             c1 = DivisorComponent.from_chart_poly(
                 amb, chart,
                 Polynomial.variable(coords, "x")
-                - Polynomial.constant(coords, Scalar.of(a)),
+                - Polynomial.constant(coords, a),
             )
             c2 = DivisorComponent.from_chart_poly(
                 amb, chart, Polynomial.variable(coords, "y")
@@ -262,7 +258,7 @@ def suite_residue_anticommute(seed=0):
         )
         fwd = iterated_residue(omega, c1, c2, amb)
         bwd = iterated_residue(omega, c2, c1, amb)
-        if fwd.value + bwd.value != Scalar.zero():
+        if not (fwd.value + bwd.value).is_zero():
             failures.append({"case": i, "forward": str(fwd.value),
                              "backward": str(bwd.value)})
     return SuiteResult(
@@ -275,15 +271,15 @@ def suite_residue_anticommute(seed=0):
 
 
 def _random_poly(rng, coords, max_deg):
-    p = Polynomial.constant(coords, Scalar.of(_rand_fraction(rng)))
+    p = Polynomial.constant(coords, _rand_fraction(rng))
     for v in coords:
         if rng.random() < 0.7:
             term = Polynomial.variable(coords, v) * Polynomial.constant(
-                coords, Scalar.of(_rand_fraction(rng))
+                coords, _rand_fraction(rng)
             )
             p = p + term
     if p.is_zero():
-        p = Polynomial.constant(coords, Scalar.one())
+        p = Polynomial.constant(coords, 1)
     return p
 
 
@@ -298,12 +294,12 @@ def homotopy_corpus():
     cases = [
         ("weighted point 5.[2]",
          PolarChain(line, [point_term(
-             line, VarietyPoint.product_point([2]), Scalar.of(5))]),
+             line, VarietyPoint.product_point([2]), Polynomial.scalar(5))]),
          Fraction(0)),
         ("weighted point -7/2.[-1/2]",
          PolarChain(line, [point_term(
              line, VarietyPoint.product_point([Fraction(-1, 2)]),
-             Scalar.of(Fraction(-7, 2)))]),
+             Polynomial.scalar(Fraction(-7, 2)))]),
          Fraction(1)),
     ]
     amb = product_of_lines(["t", "z"])
@@ -325,7 +321,7 @@ def homotopy_corpus():
         return PolarChain(amb, [t])
 
     t_rf = RationalFunction.variable(tc, "t")
-    one = Polynomial.constant(tc, Scalar.one())
+    one = Polynomial.constant(tc, 1)
     tp = Polynomial.variable(tc, "t")
     ch = src.main_chart.id
     # diagonal section, poles at 0 and 1: basepoint 0 forces the repair
@@ -339,8 +335,8 @@ def homotopy_corpus():
         Fraction(0),
     ))
     # diagonal-free crossings: poles away from the graph/section overlaps
-    two = Polynomial.constant(tc, Scalar.of(2))
-    three = Polynomial.constant(tc, Scalar.of(3))
+    two = Polynomial.constant(tc, 2)
+    three = Polynomial.constant(tc, 3)
     cases.append((
         "diagonal section, dlog((t-2)/(t-3))",
         section_chain(
@@ -351,8 +347,8 @@ def homotopy_corpus():
         Fraction(0),
     ))
     # affine section z = 2t + 1 with dlog(t)
-    g = t_rf * RationalFunction.constant(tc, Scalar.of(2)) + (
-        RationalFunction.constant(tc, Scalar.one())
+    g = t_rf * RationalFunction.constant(tc, 2) + (
+        RationalFunction.constant(tc, 1)
     )
     cases.append((
         "section z = 2t+1, dlog(t)",
@@ -409,7 +405,7 @@ def _check_residue_table(chain, cyl, basepoint):
     """TAU.res_graph = alpha, TAU.res_section = -alpha, vertical rows."""
     errs = []
     lam0, t0 = chain.terms[0]
-    tau = Scalar.tau()
+    tau = Polynomial.scalar(1, 1)
     if t0.degree == 0:
         w = lam0 * _point_weight(t0)
         v = t0.map.image_point().data[0]
@@ -447,7 +443,7 @@ def _check_residue_table(chain, cyl, basepoint):
     sect = _sum_tagged(acc, "section")
     if graph is None or not _forms_match(graph.scale(tau), alpha, t0):
         errs.append("graph row: TAU.res_graph != alpha")
-    if sect is None or not _forms_match(sect.scale(tau), alpha.scale(-Scalar.one()), t0):
+    if sect is None or not _forms_match(sect.scale(tau), alpha.scale(Polynomial.scalar(-1)), t0):
         errs.append("section row: TAU.res_section != -alpha")
     shift = _sum_tagged(acc, "shift")
     if shift is not None and not shift.is_zero():
@@ -545,7 +541,7 @@ def _check_vertical_rows(chain, cyl, basepoint):
         # beta = (1/TAU) dz.kernel ^ alpha: contracting along t flips the sign
         expected = _kernel_form(
             got.coords, got.chart, zc, g_at_a, Fraction(basepoint)
-        ).scale(-(res_a * Scalar.tau().inverse()))
+        ).scale(-(res_a * Polynomial.scalar(1, -1)))
         if got != expected:
             errs.append("vertical row mismatch at t = %s" % a)
     return errs
@@ -596,9 +592,9 @@ def _vertical_residue(cyl_chain, zc, a):
 def _kernel_form(coords, chart, zc, g_value, c):
     """(1/(z - g) - 1/(z - c)) dz on the z-line."""
     z = Polynomial.variable(coords, zc)
-    one = Polynomial.constant(coords, Scalar.one())
-    k1 = RationalFunction(one, z - Polynomial.constant(coords, Scalar.of(g_value)))
-    k2 = RationalFunction(one, z - Polynomial.constant(coords, Scalar.of(c)))
+    one = Polynomial.constant(coords, 1)
+    k1 = RationalFunction(one, z - Polynomial.constant(coords, g_value))
+    k2 = RationalFunction(one, z - Polynomial.constant(coords, c))
     idx = (coords.index(zc),)
     return DifferentialForm(chart, coords, 1, {idx: k1 - k2})
 
@@ -635,11 +631,11 @@ def suite_witness_p1(seed=0):
         points = _distinct_fractions(rng, k, -9, 9, 5)
         weights = [_rand_fraction(rng, -5, 5, 3) for _ in range(k - 1)]
         weights.append(-sum(weights))
-        cycle = [(v, Scalar.of(w)) for v, w in zip(points, weights)]
+        cycle = [(v, Polynomial.scalar(w)) for v, w in zip(points, weights)]
         b = boundary_witness_p1(cycle, line)
         got = boundary(b).chain
         expected = normalize_chain(PolarChain(line, [
-            point_term(line, VarietyPoint.product_point([v]), Scalar.of(w))
+            point_term(line, VarietyPoint.product_point([v]), Polynomial.scalar(w))
             for v, w in zip(points, weights) if w != 0
         ]))
         if got.key() != expected.key():
@@ -648,7 +644,7 @@ def suite_witness_p1(seed=0):
     refused = False
     try:
         boundary_witness_p1(
-            [(Fraction(0), Scalar.one()), (Fraction(1), Scalar.one())], line
+            [(Fraction(0), Polynomial.scalar(1)), (Fraction(1), Polynomial.scalar(1))], line
         )
     except ChainError:
         refused = True
@@ -701,16 +697,16 @@ def suite_global_residue(seed=0):
 
 def _random_univar(rng, coords, max_deg):
     z = Polynomial.variable(coords, "z")
-    p = Polynomial.constant(coords, Scalar.of(_rand_fraction(rng, -5, 5, 3)))
-    power = Polynomial.constant(coords, Scalar.one())
+    p = Polynomial.constant(coords, _rand_fraction(rng, -5, 5, 3))
+    power = Polynomial.constant(coords, 1)
     for _ in range(max_deg):
         power = power * z
         if rng.random() < 0.6:
             p = p + power * Polynomial.constant(
-                coords, Scalar.of(_rand_fraction(rng, -5, 5, 3))
+                coords, _rand_fraction(rng, -5, 5, 3)
             )
     if p.is_zero():
-        p = Polynomial.constant(coords, Scalar.one())
+        p = Polynomial.constant(coords, 1)
     return p
 
 
@@ -733,14 +729,12 @@ def suite_adjunction(seed=0):
             continue
         x = Polynomial.variable(coords, "x")
         y = Polynomial.variable(coords, "y")
-        g = x * x * x + x * Polynomial.constant(coords, Scalar.of(a)) + (
-            Polynomial.constant(coords, Scalar.of(b))
-        )
+        g = x * x * x + x * Polynomial.constant(coords, a) + Polynomial.constant(coords, b)
         p = y * y - g
         comp = DivisorComponent.from_chart_poly(plane, chart, p)
         omega = DifferentialForm(
             chart, coords, 2,
-            {(0, 1): RationalFunction(Polynomial.constant(coords, Scalar.one()), p)},
+            {(0, 1): RationalFunction(Polynomial.constant(coords, 1), p)},
         )
         res = poincare_residue(omega, comp, plane)
         got = res.form.components.get((0,))
@@ -770,7 +764,7 @@ def _adjunction_oracle(coords, g):
     independently of the engine's curve-ring division.
     """
     y = Polynomial.variable(coords, "y")
-    u1_num = y * Polynomial.constant(coords, Scalar.of(Fraction(-1, 2)))
+    u1_num = y * Polynomial.constant(coords, Fraction(-1, 2))
     return RationalFunction(u1_num, g)
 
 
@@ -790,7 +784,7 @@ def suite_relations(seed=0):
     z = Polynomial.variable(coords, "z")
     dz_over_z = DifferentialForm(
         chart, coords, 1,
-        {(0,): RationalFunction(Polynomial.constant(coords, Scalar.one()), z)},
+        {(0,): RationalFunction(Polynomial.constant(coords, 1), z)},
     )
     decl = [
         point_component(line, VarietyPoint.product_point([0])),
@@ -801,7 +795,7 @@ def suite_relations(seed=0):
     })
     t_sq = make_triple(line, sq, dz_over_z, decl)
     t_id = make_triple(line, VarietyMap.identity(line), dz_over_z, decl)
-    pair = PolarChain(line, [(Scalar.one(), t_sq), (-Scalar.one(), t_id)])
+    pair = PolarChain(line, [(Polynomial.scalar(1), t_sq), (Polynomial.scalar(-1), t_id)])
     if not normalize_chain(pair).is_zero():
         failures.append({"check": "R2 squaring pair", "error": "nonzero"})
 
@@ -851,9 +845,9 @@ def _random_relation_chain(rng, line):
             })
         else:
             m = VarietyMap.identity(line)
-        lam = Scalar.of(_rand_fraction(rng, -3, 3, 2))
+        lam = Polynomial.scalar(_rand_fraction(rng, -3, 3, 2))
         if lam.is_zero():
-            lam = Scalar.one()
+            lam = Polynomial.scalar(1)
         terms.append((lam, make_triple(line, m, form, decl)))
     return PolarChain(line, terms)
 
@@ -950,10 +944,10 @@ def _random_roundtrip_form(rng, coords):
         num = _random_poly(rng, coords, 2)
         den = _random_poly(rng, coords, 1)
         if den.is_zero():
-            den = Polynomial.constant(coords, Scalar.one())
+            den = Polynomial.constant(coords, 1)
         components[idx] = RationalFunction(num, den)
     if not components:
-        components[indices[0]] = RationalFunction.constant(coords, Scalar.one())
+        components[indices[0]] = RationalFunction.constant(coords, 1)
     return DifferentialForm("", coords, deg, components)
 
 

@@ -28,8 +28,7 @@ from polarcalc.geometry import (
 )
 from polarcalc.maps import VarietyMap
 from polarcalc.parsing import parse_form, parse_polynomial, parse_rational
-from polarcalc.polynomials import RationalFunction
-from polarcalc.scalars import Scalar
+from polarcalc.polynomials import Polynomial, RationalFunction
 
 
 def p1_comp(line, value):
@@ -73,8 +72,8 @@ def test_boundary_of_dlog_pair():
                     [p1_comp(line, 0), p1_comp(line, 1)])
     b = boundary(PolarChain(line, [t])).chain
     expected = normalize_chain(PolarChain(line, [
-        point_term(line, VarietyPoint.product_point([0]), Scalar.tau()),
-        point_term(line, VarietyPoint.product_point([1]), -Scalar.tau()),
+        point_term(line, VarietyPoint.product_point([0]), Polynomial.scalar(1, 1)),
+        point_term(line, VarietyPoint.product_point([1]), Polynomial.scalar(-1, 1)),
     ]))
     assert b.key() == expected.key()
 
@@ -180,7 +179,7 @@ def test_r2_squaring_pair_cancels():
     })
     t_sq = make_triple(line, sq, form, decl)
     t_id = make_triple(line, VarietyMap.identity(line), form, decl)
-    pair = PolarChain(line, [(Scalar.one(), t_sq), (-Scalar.one(), t_id)])
+    pair = PolarChain(line, [(Polynomial.scalar(1), t_sq), (Polynomial.scalar(-1), t_id)])
     assert normalize_chain(pair).is_zero()
 
 
@@ -230,7 +229,7 @@ def test_r1_scalar_folding_merges_terms():
     n = normalize_chain(doubled)
     assert len(n.terms) == 1
     lam, t = n.terms[0]
-    assert lam == Scalar.one()
+    assert lam == Polynomial.scalar(1)
 
 
 def test_support_reports_images():
@@ -258,16 +257,16 @@ def test_relative_cycle():
 
 def test_witness_refuses_nonzero_total():
     with pytest.raises(ChainError):
-        boundary_witness_p1([(Fraction(0), Scalar.one()),
-                             (Fraction(1), Scalar.of(2))])
+        boundary_witness_p1([(Fraction(0), Polynomial.scalar(1)),
+                             (Fraction(1), Polynomial.scalar(2))])
 
 
 def test_witness_round_trip():
     line = proj_line("z")
     cycle = [
-        (Fraction(0), Scalar.of(2)),
-        (Fraction(1), Scalar.of(-3)),
-        (Fraction(-2), Scalar.one()),
+        (Fraction(0), Polynomial.scalar(2)),
+        (Fraction(1), Polynomial.scalar(-3)),
+        (Fraction(-2), Polynomial.scalar(1)),
     ]
     w = boundary_witness_p1(cycle, line)
     b = boundary(w).chain

@@ -21,7 +21,6 @@ from polarcalc.polynomials import (
     from_univariate,
     to_univariate,
 )
-from polarcalc.scalars import Scalar
 
 COORDS = ("x", "y")
 X, Y = sp.symbols("x y")
@@ -35,16 +34,21 @@ CURVES = (
     "x*y^2 + y - x^3 - 1",
 )
 
+def laurent(coeffs):
+    """The scalar sum of c * TAU^k over {k: c}."""
+    return sum((Polynomial.scalar(c, k) for k, c in coeffs.items()), Polynomial.scalar(0))
+
+
 fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 nonzero = fractions.filter(bool)
 tau_monomials = st.builds(
-    Scalar.of,
+    Polynomial.scalar,
     st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 3)),
     st.integers(-2, 2),
 )
 scalars = st.one_of(
     tau_monomials,
-    st.dictionaries(st.integers(-2, 2), fractions, max_size=2).map(Scalar),
+    st.dictionaries(st.integers(-2, 2), fractions, max_size=2).map(laurent),
 )
 
 
@@ -105,7 +109,7 @@ def test_pushforward_matches_root_sum(src, map_formula, an, ad, k):
     """P1(src) -> P1(z) of degree 1-3; src = z puts one name on both sides."""
     coords = (src,)
     r = RationalFunction(*(p.rename(coords) for p in map_formula))
-    a = RationalFunction(an.rename(coords), ad.rename(coords)).scale(Scalar.tau(k))
+    a = RationalFunction(an.rename(coords), ad.rename(coords)).scale(Polynomial.scalar(1, k))
     assume(not r.is_constant())
     source, image = proj_line(src), proj_line("z")
     map_ = VarietyMap(source, image, image.main_chart.id, {"z": r})
@@ -117,7 +121,7 @@ def test_pushforward_matches_root_sum(src, map_formula, an, ad, k):
     R, A = expr(r).subs(s, t), (an.to_sympy() / ad.to_sympy()).subs(sp.Symbol("s"), t)
     fiber = sp.Poly(r.num.to_sympy().subs(s, t) - w * r.den.to_sympy().subs(s, t), t)
     trace = sp.cancel(sp.RootSum(fiber, sp.Lambda(t, A / sp.diff(R, t))))
-    zero = RationalFunction.constant(("z",), Scalar.zero())
+    zero = RationalFunction.constant(("z",), 0)
     assert sp.cancel(expr(got.components.get((0,), zero)) - TAU_SYM**k * trace) == 0
 
 
@@ -144,8 +148,8 @@ def test_curve_reduce_of_tau_sum_denominator():
     """
     curve = plane_curve(parse_polynomial("y^2 - x^3 - x - 1", COORDS))
     x, y = (Polynomial.variable(COORDS, v) for v in COORDS)
-    line = x + y.scale(Scalar({0: 1, 1: 1}))
-    one = Polynomial.constant(COORDS, Scalar.one())
+    line = x + y.scale(laurent({0: 1, 1: 1}))
+    one = Polynomial.constant(COORDS, 1)
     reduced = curve_reduce(RationalFunction(one, line), curve)
     assert reduced.degree() == 1
     modulus = to_univariate(RationalFunction.from_poly(curve.curve_polys["A0"]), "y")

@@ -4,7 +4,6 @@ from polarcalc.forms import DifferentialForm, FormError, polar_profile
 from polarcalc.geometry import DivisorComponent, product_of_lines, proj_plane
 from polarcalc.parsing import parse_form
 from polarcalc.polynomials import Polynomial, RationalFunction
-from polarcalc.scalars import Scalar
 
 COORDS = ("x", "y")
 
@@ -47,7 +46,7 @@ def test_leibniz_on_products():
 
 def test_contract_extracts_coefficient():
     omega = dx().wedge(dy()).multiply(rf("1/(x*y)"))
-    iota = omega.contract("x", RationalFunction.constant(COORDS, Scalar.one()))
+    iota = omega.contract("x", RationalFunction.constant(COORDS, 1))
     assert iota == dy().multiply(rf("1/(x*y)"))
 
 
@@ -117,11 +116,11 @@ def test_transition_form_is_computed_once(variety):
 
 
 @pytest.mark.parametrize("variety", _plane_and_product(), ids=["P2", "P1xP1"])
-@pytest.mark.parametrize("lam", [Scalar.of(-1), Scalar.one() + Scalar.tau()],
+@pytest.mark.parametrize("lam", [Polynomial.scalar(-1), Polynomial.scalar(1) + Polynomial.scalar(1, 1)],
                          ids=["-1", "1+TAU"])
 def test_scale_carries_transitions_and_pole_orders(variety, lam, monkeypatch):
     omega = _dlog_form(variety)
-    assert omega.scale(Scalar.one()) is omega
+    assert omega.scale(Polynomial.scalar(1)) is omega
 
     def profile(form):
         """{chart id: (local form, pole orders along the visible polys)}"""

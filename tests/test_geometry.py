@@ -15,6 +15,7 @@ from polarcalc.geometry import (
     plane_curve,
     point_component,
     point_from_chart,
+    point_variety,
     product_of_lines,
     proj_line,
     proj_plane,
@@ -22,7 +23,6 @@ from polarcalc.geometry import (
 )
 from polarcalc.parsing import parse_form, parse_polynomial
 from polarcalc.polynomials import Polynomial, is_squarefree, poly_gcd
-from polarcalc.scalars import Scalar
 
 
 def test_catalog_build_mini_syntax():
@@ -35,6 +35,17 @@ def test_catalog_build_mini_syntax():
     assert catalog_build("Point").kind == "point"
     with pytest.raises(GeometryError):
         catalog_build("P3(x,y,z)")
+
+
+def test_catalog_varieties_are_built_once():
+    assert proj_line("z") is proj_line("z")
+    assert product_of_lines(["a", "b"]) is product_of_lines(("a", "b"))
+    assert point_variety() is point_variety()
+    for _ in range(2):
+        with pytest.raises(GeometryError, match=r"duplicate coordinate names \['a', 'a'\]"):
+            product_of_lines(["a", "a"])
+        with pytest.raises(GeometryError, match="reserved for the infinity chart"):
+            proj_line("z_")
 
 
 def test_p1_transition_involutes():
@@ -208,6 +219,15 @@ def test_parallel_lines_meet_in_a_triple_point_only_the_last_chart_sees():
     )
 
 
+def test_components_sharing_a_factor_are_not_tested_for_triple_points():
+    plane = proj_plane("x", "y")
+    comps = components_on(plane, ("A0", "x"), ("A0", "x"), ("A0", "x"))
+    assert validate_normal_crossing(comps, plane).message() == (
+        "normal crossing: rejected\n"
+        + "\n".join(["  components share a factor on chart A0: {x}, {x} (witness x)"] * 3)
+    )
+
+
 TRIPLE = "three components through one point in dimension 2"
 
 
@@ -315,6 +335,9 @@ POINT_REASONS = ("tangential intersection", TRIPLE)
 def all_charts_oracle(comps, variety):
     """Every test on every chart, over the whole chart.
 
+    A pair, or a triple containing a pair, that shares a factor on some
+    chart is not tested for points.
+
     Returns (failures, points, refused): the (reason, members) that fail;
     for each chart and failing pair or triple, the first of its bad points
     whose first chart (`VarietyPoint.finite_chart`) is this one; and
@@ -343,6 +366,8 @@ def all_charts_oracle(comps, variety):
             jac = p.differentiate(x) * q.differentiate(y) - p.differentiate(y) * q.differentiate(x)
             systems.append((POINT_REASONS[0], (c1, c2), [p, q, jac]))
         for trio in itertools.combinations(vis, 3):
+            if any((c1.label, c2.label) in shared for c1, c2 in itertools.combinations(trio, 2)):
+                continue
             systems.append((POINT_REASONS[1], trio, [c.poly_on(chart.id) for c in trio]))
         for reason, members, polys in systems:
             pts, complete = common_zeros_2d(polys, chart.coords)

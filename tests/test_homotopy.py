@@ -19,13 +19,12 @@ from polarcalc.homotopy import (
 )
 from polarcalc.maps import VarietyMap
 from polarcalc.parsing import parse_form
-from polarcalc.polynomials import RationalFunction
-from polarcalc.scalars import Scalar
+from polarcalc.polynomials import Polynomial, RationalFunction
 
 
 def weighted_point(line, value, weight):
     return PolarChain(line, [point_term(
-        line, VarietyPoint.product_point([value]), Scalar.of(weight)
+        line, VarietyPoint.product_point([value]), Polynomial.scalar(weight)
     )])
 
 
@@ -73,7 +72,7 @@ def test_point_at_basepoint_maps_to_zero():
 def test_point_on_infinity_section():
     line = proj_line("z")
     a = PolarChain(line, [point_term(
-        line, VarietyPoint.product_point([INF]), Scalar.of(2)
+        line, VarietyPoint.product_point([INF]), Polynomial.scalar(2)
     )])
     rep = verify_homotopy_identity(a, 0)
     assert rep["zero"]
@@ -149,7 +148,7 @@ def test_homotopy_requires_line_factor():
 
     plane = proj_plane("x", "y")
     a = PolarChain(plane, [point_term(
-        plane, VarietyPoint.plane_point([1, 0, 0]), Scalar.one()
+        plane, VarietyPoint.plane_point([1, 0, 0]), Polynomial.scalar(1)
     )])
     with pytest.raises(HomotopyError):
         cylinder_homotopy(a, 0)

@@ -11,8 +11,7 @@ from polarcalc.geometry import (
 )
 from polarcalc.maps import MapError, VarietyMap
 from polarcalc.parsing import parse_rational
-from polarcalc.polynomials import RationalFunction
-from polarcalc.scalars import Scalar
+from polarcalc.polynomials import Polynomial, RationalFunction
 
 
 def rf_var(coords, name):
@@ -61,7 +60,7 @@ def test_retarget_through_charts():
     })
     other = [ch.id for ch in line.charts if ch.id != line.main_chart.id][0]
     fs = sq.formulas_on(other)
-    assert fs["z_"] == RationalFunction.constant(coords, Scalar.one()) / (
+    assert fs["z_"] == RationalFunction.constant(coords, 1) / (
         rf_var(coords, "z") ** 2
     )
 
@@ -72,7 +71,7 @@ def test_section_into_product():
     coords = line.main_chart.coords
     m = VarietyMap(line, prod, prod.main_chart.id, {
         "t": rf_var(coords, "t"),
-        "z": rf_var(coords, "t") * RationalFunction.constant(coords, Scalar.of(2)),
+        "z": rf_var(coords, "t") * RationalFunction.constant(coords, 2),
     })
     assert not m.is_constant()
     assert m.jacobian_max_rank() == 1
@@ -108,7 +107,7 @@ def test_compose_through_a_non_main_chart():
     # first changes outer's formulas to that chart
     line = proj_line("z")
     coords = line.main_chart.coords
-    z, one = rf_var(coords, "z"), RationalFunction.constant(coords, Scalar.one())
+    z, one = rf_var(coords, "z"), RationalFunction.constant(coords, 1)
     inner = VarietyMap(line, line, "z_", {"z_": z - one})  # z -> 1/(z - 1)
     outer = VarietyMap(line, line, "z", {"z": z ** 2 + one})
     composite = outer.compose(inner).formulas_on("z")["z"]
@@ -117,7 +116,7 @@ def test_compose_through_a_non_main_chart():
     plane = proj_plane("x", "y")
     coords = plane.main_chart.coords
     x, y = rf_var(coords, "x"), rf_var(coords, "y")
-    one = RationalFunction.constant(coords, Scalar.one())
+    one = RationalFunction.constant(coords, 1)
     # on A1, x = 1/x1 and y = y1/x1: (x, y) -> (1/(x - 1), y/(x - 1))
     inner = VarietyMap(plane, plane, "A1", {"x1": x - one, "y1": y})
     outer = VarietyMap(plane, plane, "A0", {"x": x + y, "y": x * y})

@@ -1,7 +1,7 @@
 """The engine draws no random numbers: only the verification suites sample.
 
 An AST scan of `src/polarcalc`, so that a random probe cannot come back
-into the engine unnoticed.
+into the engine unnoticed.  The same scan finds imports that nothing uses.
 """
 
 import ast
@@ -56,3 +56,27 @@ def test_only_the_compatibility_parameters_are_named_rng():
         if param == "rng"
     }
     assert found == IGNORED_RNG
+
+
+def exported(tree):
+    """The names listed in a module's `__all__`."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return {elt.value for elt in node.value.elts}
+    return set()
+
+
+def test_no_module_imports_an_unused_name():
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        imported = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(a.asname or a.name.split(".")[0] for a in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(a.asname or a.name for a in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        unused = imported - used - exported(tree)
+        assert not unused, "%s: %s" % (path.name, sorted(unused))

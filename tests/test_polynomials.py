@@ -17,7 +17,6 @@ from polarcalc.polynomials import (
     poly_resultant,
     rational_roots,
 )
-from polarcalc.scalars import Scalar
 from polarcalc.session import Session, run_text
 
 COORDS = ("x", "y")
@@ -32,7 +31,7 @@ def y():
 
 
 def const(v):
-    return Polynomial.constant(COORDS, Scalar.of(v))
+    return Polynomial.constant(COORDS, v)
 
 
 def test_ring_arithmetic():
@@ -47,7 +46,7 @@ def test_zeroth_powers_are_one():
     one = const(1)
     assert Polynomial.zero(COORDS) ** 0 == one
     assert (x() - y()) ** 0 == one
-    zero = RationalFunction.constant(COORDS, Scalar.zero())
+    zero = RationalFunction.constant(COORDS, 0)
     assert zero ** 0 == RationalFunction.from_poly(one)
 
 
@@ -67,7 +66,7 @@ def test_rational_function_canonical_form():
     rf = RationalFunction(p, q)
     assert rf == RationalFunction(x(), y())
     assert RationalFunction(p, p) == RationalFunction.constant(
-        COORDS, Scalar.one()
+        COORDS, 1
     )
 
 
@@ -81,14 +80,14 @@ def test_ord_along():
     assert rf.ord_along(x()) == -2
     assert rf.ord_along(y()) == 1
     assert RationalFunction.from_poly(const(5)).ord_along(x()) == 0
-    assert RationalFunction.constant(COORDS, Scalar.zero()).ord_along(
+    assert RationalFunction.constant(COORDS, 0).ord_along(
         x()
     ) == POLE_FREE
 
 
 def test_evaluate_and_pole_detection():
     rf = RationalFunction(const(1), x() - const(1))
-    assert rf.evaluate({"x": Fraction(3), "y": Fraction(0)}) == Scalar.of(
+    assert rf.evaluate({"x": Fraction(3), "y": Fraction(0)}) == Polynomial.scalar(
         Fraction(1, 2)
     )
     with pytest.raises(ZeroDivisionError):
@@ -101,7 +100,7 @@ def test_rational_roots_with_multiplicity():
     def u(v=None):
         if v is None:
             return Polynomial.variable(coords, "x")
-        return Polynomial.constant(coords, Scalar.of(v))
+        return Polynomial.constant(coords, v)
 
     # (x - 1/2)^2 (x + 3), all roots rational: fully split
     p = (u() - u(Fraction(1, 2))) * (u() - u(Fraction(1, 2))) * (u() + u(3))
@@ -125,13 +124,13 @@ def test_substitute_with_explicit_targets():
     rf = RationalFunction(x() + y(), x())
     out = rf.substitute(
         {
-            "x": RationalFunction.constant(("t",), Scalar.of(2)),
+            "x": RationalFunction.constant(("t",), 2),
             "y": RationalFunction.variable(("t",), "t"),
         },
         ("t",),
     )
     t = Polynomial.variable(("t",), "t")
-    two = Polynomial.constant(("t",), Scalar.of(2))
+    two = Polynomial.constant(("t",), 2)
     assert out == RationalFunction(t + two, two)
 
 
@@ -140,15 +139,22 @@ def test_substitute_with_explicit_targets():
 # ---------------------------------------------------------------------------
 
 VARIABLE_SETS = (("x",), ("x", "y"), ("x", "y", "z"))
+
+
+def laurent(coeffs):
+    """The scalar sum of c * TAU^k over {k: c}."""
+    return sum((Polynomial.scalar(c, k) for k, c in coeffs.items()), Polynomial.scalar(0))
+
+
 fractions = st.builds(Fraction, st.integers(-3, 3), st.integers(1, 3))
 tau_monomials = st.builds(
-    Scalar.of,
+    Polynomial.scalar,
     st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 3)),
     st.integers(-2, 2),
 )
 scalars = st.one_of(
     tau_monomials,
-    st.dictionaries(st.integers(-2, 2), fractions, max_size=2).map(Scalar),
+    st.dictionaries(st.integers(-2, 2), fractions, max_size=2).map(laurent),
 )
 
 
@@ -321,12 +327,12 @@ def test_rational_roots_match_sympy(roots, extra, c):
 def test_rational_roots_refuse_tau():
     u = Polynomial.variable(("x",), "x")
     with pytest.raises(PolynomialError):
-        rational_roots(u - Polynomial.constant(("x",), Scalar.tau(-1)))
+        rational_roots(u - Polynomial.constant(("x",), Polynomial.scalar(1, -1)))
 
 
 def test_resultant_of_laurent_coefficients():
     # res_x(x - 1/TAU, x + y - 1) = y - 1 + 1/TAU
-    a = x() - const(1).scale(Scalar.tau(-1))
+    a = x() - const(1).scale(Polynomial.scalar(1, -1))
     b = x() + y() - const(1)
     res = poly_resultant(a, b, "x")
     assert same(res.to_sympy(), sp.Symbol("y") - 1 + 1 / TAU_SYM)
@@ -445,9 +451,9 @@ def _raises_exactly(kind, message, call):
 
 def test_substitute_error_paths():
     u, v = (RationalFunction.variable(TARGET, name) for name in TARGET)
-    one = RationalFunction.constant(TARGET, Scalar.one())
+    one = RationalFunction.constant(TARGET, 1)
     chart = {"x": one / u, "y": v / u}
-    tau_sum = RationalFunction(const(1), x() + y().scale(Scalar({0: 1, 1: 1})))
+    tau_sum = RationalFunction(const(1), x() + y().scale(laurent({0: 1, 1: 1})))
     _raises_exactly(
         PolynomialError,
         "cannot normalize: denominator leading coefficient 1 + TAU is a TAU-sum",
@@ -457,7 +463,7 @@ def test_substitute_error_paths():
         ZeroDivisionError,
         "division by zero rational function",
         lambda: RationalFunction(const(1), x()).substitute(
-            {"x": RationalFunction.constant(TARGET, Scalar.zero())}, TARGET
+            {"x": RationalFunction.constant(TARGET, 0)}, TARGET
         ),
     )
     _raises_exactly(
@@ -541,7 +547,7 @@ def assert_canonical_cancel(rf, expr, variables):
     denominator whose leading coefficient is 1."""
     N, D = sp.fraction(sp.cancel(expr))
     if N == 0:
-        assert rf.is_zero() and rf.den == Polynomial.constant(variables, Scalar.one())
+        assert rf.is_zero() and rf.den == Polynomial.constant(variables, 1)
         return
     lc = grlex_lc(D, variables)
     assert same(rf.num.to_sympy(), N / lc)

@@ -27,7 +27,6 @@ from polarcalc.residue import (
     poincare_residue,
     total_residue_p1,
 )
-from polarcalc.scalars import Scalar
 
 
 def line_z():
@@ -42,16 +41,16 @@ def test_residue_of_dlog_at_origin():
     line = line_z()
     omega = parse_form("dlog(z)", ("z",), line.main_chart.id)
     res = poincare_residue(omega, comp_at(line, 0), line)
-    assert res.value == Scalar.one()
+    assert res.value == Polynomial.scalar(1)
 
 
 def test_partial_fraction_residues():
     line = line_z()
     omega = parse_form("d(z)/(z*(z-1)*(z-2))", ("z",), line.main_chart.id)
     expected = {
-        Fraction(0): Scalar.of(Fraction(1, 2)),
-        Fraction(1): Scalar.of(-1),
-        Fraction(2): Scalar.of(Fraction(1, 2)),
+        Fraction(0): Polynomial.scalar(Fraction(1, 2)),
+        Fraction(1): Polynomial.scalar(-1),
+        Fraction(2): Polynomial.scalar(Fraction(1, 2)),
     }
     for value, want in expected.items():
         res = poincare_residue(omega, comp_at(line, value), line)
@@ -64,7 +63,7 @@ def test_residue_at_infinity():
     res = poincare_residue(
         omega, point_component(line, VarietyPoint.product_point([INF])), line
     )
-    assert res.value == Scalar.of(-1)
+    assert res.value == Polynomial.scalar(-1)
 
 
 def test_second_order_pole_rejected():
@@ -123,8 +122,8 @@ def test_iterated_residue_anticommutes():
     fwd = iterated_residue(omega, c1, c2, prod)
     bwd = iterated_residue(omega, c2, c1, prod)
     # numerator at the origin is 3, so the residues are +3 and -3
-    assert fwd.value == Scalar.of(3)
-    assert bwd.value == Scalar.of(-3)
+    assert fwd.value == Polynomial.scalar(3)
+    assert bwd.value == Polynomial.scalar(-3)
 
 
 def test_direction_independence():
@@ -152,6 +151,6 @@ def test_elliptic_curve_residue():
     assert res.kind == "curve"
     # -dx/(2y) in the curve ring: y-numerator over y^2 = x^3 + 2x + 3
     g = parse_polynomial("x^3 + 2*x + 3", coords)
-    num = Polynomial.variable(coords, "y").scale(Scalar.of(Fraction(-1, 2)))
+    num = Polynomial.variable(coords, "y").scale(Polynomial.scalar(Fraction(-1, 2)))
     expected = RationalFunction(num, g)
     assert res.form.components[(0,)] == expected
