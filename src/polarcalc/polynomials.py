@@ -16,7 +16,8 @@ A RationalFunction substitutes num and den over the same denominator
 prod_v d_v^D_v, D_v the larger of their degrees in v; it cancels, so the
 result is the one fraction N_num/N_den, normalized once.  The canonical
 fraction is unique, so either equals any term-by-term evaluation (only
-the text of a TAU-sum refusal may name a different common factor).
+the text of a TAU-sum refusal, which names the leading coefficient of the
+denominator before cancelling, may differ).
 Fraction arithmetic cross-cancels (Henrici; Knuth, TAOCP vol. 2,
 4.5.1): canonical operands have coprime num and den, so a product
 n1/d1 * n2/d2 divides out only gcd(n1, d2) and gcd(n2, d1), a sum only
@@ -31,6 +32,20 @@ scalar prints bare (`1 + TAU`), a TAU-sum coefficient of a polynomial
 or of a function in parentheses (`(1 + TAU)*x`).
 `to_sympy`/`from_sympy` convert to and from sympy expressions and are
 not used by the engine.
+
+Two one-term paths skip sympy's general machinery; both are exact by
+exponent arithmetic.  When every n_v has at most one term and every d_v
+one term (chart transitions, renamings, rational constants and 0), the
+product prod_v n_v^e_v d_v^(D_v - e_v) is a single term, so each term of
+a polynomial maps to one term: its exponent vector (TAU column included)
+is a sum of exponent vectors and its coefficient a product of rationals;
+terms that land on one exponent are summed and zero sums dropped
+(`_map_terms`, which `specialize` and `evaluate` use too).  When one
+operand of a gcd is a single term, every common divisor is a monomial,
+and the largest is the monomial of least exponents over the terms of both
+operands; the cofactors subtract exponents.  This differs from sympy's
+gcd only by a constant factor, which normalization divides out with the
+denominator's leading coefficient, so canonical fractions are unchanged.
 
 Arithmetic in one variable over the field of the others (curve rings,
 traces along a fiber) runs in sympy's PolyRing([var], QQ(rest, TAU));
@@ -301,28 +316,22 @@ class Polynomial:
     def specialize(self, values: dict) -> "Polynomial":
         """Set the variables in `values` to rationals: a polynomial in the rest.
 
-        One pass over the ring element's monomials; a monomial containing a
-        variable set to 0 drops out at once.
+        One pass over the ring element's terms (`_map_terms`): a kept
+        variable moves to its place in the rest, a set one scales the
+        coefficient.
         """
-        keep = [i for i, v in enumerate(self.variables) if v not in values]
-        if len(keep) == len(self.variables):
+        rest = tuple(v for v in self.variables if v not in values)
+        if len(rest) == len(self.variables):
             return self
-        rest = tuple(self.variables[i] for i in keep)
-        keep.append(len(self.variables))  # the TAU exponent
-        zeros = [i for i, v in enumerate(self.variables) if v in values and values[v] == 0]
-        at = [(i, _qq(values[v])) for i, v in enumerate(self.variables) if values.get(v, 0) != 0]
-        out: dict = {}
-        for m, c in self.elem.items():
-            if any(m[i] for i in zeros):
-                continue
-            for i, a in at:
-                if m[i]:
-                    c *= a ** m[i]
-            if c:
-                k = tuple(m[i] for i in keep)
-                out[k] = out[k] + c if k in out else c
-        ring = _ring(rest)
-        return Polynomial._wrap(rest, ring.dtype({k: c for k, c in out.items() if c}), self.shift)
+        moves, scales = [], []
+        for i, v in enumerate(self.variables):
+            if v not in values:
+                moves.append((i, len(moves), 1))
+            elif values[v] != 1:
+                scales.append((i, _qq(values[v])))
+        moves.append((len(self.variables), len(rest), 1))  # TAU
+        out = _map_terms(self.elem, moves, scales, (0,) * (len(rest) + 1))
+        return Polynomial._wrap(rest, _ring(rest).dtype(out), self.shift)
 
     def rename(self, variables) -> "Polynomial":
         """Same terms, new variable names (positional)."""
@@ -431,7 +440,8 @@ def _substituted(polys, mapping: dict, target_vars=None):
     polys, each p becomes N_p / prod_v d_v^D_v with
     N_p = sum_e c_e prod_v n_v^e_v d_v^(D_v - e_v).  Returns the N_p and
     the factors d_v^D_v.  Each poly is checked for missing substitutions
-    and variable mismatches in turn.
+    and variable mismatches in turn.  One-term maps take
+    `_monomial_substituted`, with no powers or ring products.
     """
     target = tuple(target_vars) if target_vars is not None else None
     degrees: dict = {}
@@ -450,6 +460,8 @@ def _substituted(polys, mapping: dict, target_vars=None):
                     "variable mismatch: %s vs %s" % (target, mapping[v].variables)
                 )
             degrees[v] = max(k, degrees.get(v, 0))
+    if all(len(mapping[v].num.elem) <= 1 and len(mapping[v].den.elem) == 1 for v in degrees):
+        return _monomial_substituted(polys, mapping, degrees, target)
     ring = _ring(target)
     tau = (0,) * len(target)
     # factors[v][k] = (elem, s) with n_v^k d_v^(D_v - k) = TAU^(low_v + s) elem
@@ -483,9 +495,74 @@ def _substituted(polys, mapping: dict, target_vars=None):
     return nums, den_powers
 
 
+def _monomial_substituted(polys, mapping: dict, degrees: dict, target):
+    """_substituted for maps with n_v = a_v x^A_v or 0 and d_v = x^B_v,
+    as a canonical one-term denominator is (coefficient 1, no TAU).
+
+    With TAU^shift counted in A_v's TAU column, n_v^e d_v^(D_v - e) is the
+    one term a_v^e x^(D_v B_v + e (A_v - B_v)), so each term of p maps to
+    one term by exponent arithmetic.  Its TAU exponent is at least
+    D_v min(A_v[TAU], 0), which goes into the shift, so every exponent of
+    the result is >= 0.  For n_v = 0, only the terms with e = 0 are left.
+    """
+    ring, tau = _ring(target), len(target)
+    start, low, den_powers, images = [0] * (tau + 1), 0, [], {}
+    for v, top in degrees.items():
+        n, (B,) = mapping[v].num, mapping[v].den.elem
+        d_top = ring.dtype({tuple(top * k for k in B): QQ.one})
+        den_powers.append(Polynomial._wrap(target, d_top))
+        for j, k in enumerate(B):
+            start[j] += top * k
+        if n.elem:
+            ((A, a),) = n.elem.items()
+            A = A[:-1] + (A[-1] + n.shift,)
+            images[v] = ([(j, x - y) for j, (x, y) in enumerate(zip(A, B)) if x != y], a)
+            floor = top * min(A[-1], 0)
+            start[-1] -= floor
+            low += floor
+        else:
+            images[v] = ([], QQ.zero)
+    nums = []
+    for p in polys:
+        moves, scales = [(len(p.variables), tau, 1)], []  # TAU stays TAU
+        for i, v in enumerate(p.variables):
+            if v in images:
+                delta, a = images[v]
+                moves.extend((i, j, d) for j, d in delta)
+                if a != 1:
+                    scales.append((i, a))
+        out = _map_terms(p.elem, moves, scales, start)
+        nums.append(Polynomial._wrap(target, ring.dtype(out), p.shift + low))
+    return nums, den_powers
+
+
+def _map_terms(elem, moves, scales, start) -> dict:
+    """The terms of the image of elem under a map that sends each term to one term.
+
+    A term c * x^m (m[-1] the TAU power) goes to c * prod r^m_i over the
+    (i, r) in scales, at the exponent start + sum m_i * d e_j over the
+    (i, j, d) in moves; it vanishes when some r is 0 and m_i > 0.  Terms
+    that land on one exponent are summed, and zero sums dropped.
+    """
+    out: dict = {}
+    for m, c in elem.items():
+        for i, r in scales:
+            if m[i]:
+                if not r:
+                    break
+                c *= r ** m[i]
+        else:
+            e = list(start)
+            for i, j, d in moves:
+                e[j] += m[i] * d
+            e = tuple(e)
+            out[e] = out[e] + c if e in out else c
+    return {e: c for e, c in out.items() if c}
+
+
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
     """Canonical gcd; unit-normalized so the leading coefficient is 1."""
-    return _canonical_assoc(Polynomial._wrap(a.variables, a.elem.gcd(b.elem)))
+    return _canonical_assoc(_cofactors(a, b)[0])
 
 
 def _canonical_assoc(p: Polynomial) -> Polynomial:
@@ -757,31 +834,48 @@ def _normalize(num: Polynomial, den: Polynomial):
     With num = TAU^s N, den = TAU^t D and h = gcd(N, D), the fraction is
     TAU^(s-t) (N/h) / (D/h); dividing both by the leading coefficient c*TAU^k
     of D/h makes the denominator's leading coefficient 1.  Leading
-    coefficients multiply, so D/h has a TAU-monomial lead iff D has.
+    coefficients multiply, so D/h has the lead of D divided by the lead of
+    h: a TAU-sum lead of D can cancel against h, as in (1 + TAU)/(1 + TAU).
+    A denominator refused here still has a TAU-sum lead after h is divided
+    out; the refusal names the lead of D.
     """
     if num.is_zero():
         return num, _one(den.variables)
     if den.is_one():
         return num, den
-    _, lead = _lead(den.elem)
-    if len(lead) != 1:
-        poly_gcd(num, den)  # a common factor with a TAU-sum lead is reported first
+    _, num, reduced = _cofactors(num, den)
+    if len(_lead(reduced.elem)[1]) != 1:
         raise PolynomialError(
             "cannot normalize: denominator leading coefficient %s is a TAU-sum"
-            % _tau_text(lead, den.shift)
+            % _tau_text(_lead(den.elem)[1], den.shift)
         )
-    _, num, den = _cofactors(num, den)
-    return _lead_one(num, den)
+    return _lead_one(num, reduced)
 
 
 def _cofactors(a: Polynomial, b: Polynomial):
-    """(h, a/h, b/h) for a gcd h of a and b, fixed up to a constant factor."""
-    h, p, q = a.elem.cofactors(b.elem)
+    """(h, a/h, b/h) for a gcd h of a and b, fixed up to a constant factor.
+
+    When a or b is a single term, h is a monomial: the least exponent of
+    each variable (and of TAU) over the terms of both.
+    """
+    A, B = a.elem, b.elem
+    if A and B and (len(A) == 1 or len(B) == 1):
+        low = tuple(map(min, *A, *B))
+        if not any(low):
+            return _one(a.variables), a, b
+        h, p, q = A.new({low: QQ.one}), _quo_monom(A, low), _quo_monom(B, low)
+    else:
+        h, p, q = A.cofactors(B)
     return (
         Polynomial._wrap(a.variables, h),
         Polynomial._wrap(a.variables, p, a.shift),
         Polynomial._wrap(b.variables, q, b.shift),
     )
+
+
+def _quo_monom(elem, low):
+    """elem divided by the monomial low, which divides each of its terms."""
+    return elem.new({tuple(x - y for x, y in zip(m, low)): c for m, c in elem.items()})
 
 
 def _lead_one(num: Polynomial, den: Polynomial):

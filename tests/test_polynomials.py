@@ -4,7 +4,10 @@ import pytest
 import sympy as sp
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy.polys.rings import PolyElement
 
+from polarcalc import polynomials
+from polarcalc.geometry import product_of_lines, proj_line, proj_plane
 from polarcalc.polynomials import (
     POLE_FREE,
     TAU_SYM,
@@ -17,7 +20,7 @@ from polarcalc.polynomials import (
     poly_resultant,
     rational_roots,
 )
-from polarcalc.session import Session, run_text
+from polarcalc.session import Session, run_statement, run_text
 
 COORDS = ("x", "y")
 
@@ -224,12 +227,13 @@ def test_canonical_fraction_matches_cancel(case):
     if num.is_zero():
         assert RationalFunction(num, den) == RationalFunction.constant(variables, 0)
         return
-    if not tau_monomial(grlex_lc(cleared(den), variables)):
+    N, D = sp.fraction(sp.cancel(num.to_sympy() / den.to_sympy()))
+    lc = grlex_lc(D, variables)
+    # refused only when the cancelled denominator keeps a TAU-sum lead
+    if not tau_monomial(lc):
         with pytest.raises(PolynomialError):
             RationalFunction(num, den)
         return
-    N, D = sp.fraction(sp.cancel(num.to_sympy() / den.to_sympy()))
-    lc = grlex_lc(D, variables)
     rf = RationalFunction(num, den)
     assert same(rf.num.to_sympy(), N / lc)
     assert same(rf.den.to_sympy(), D / lc)
@@ -372,6 +376,14 @@ def substitutions(draw):
     return p, mapping
 
 
+def substituted_expr(p, mapping):
+    """sympy.cancel of p with each variable replaced by its image."""
+    images = {
+        sp.Symbol(v): m.num.to_sympy() / m.den.to_sympy() for v, m in mapping.items()
+    }
+    return sp.cancel(p.to_sympy().subs(images, simultaneous=True))
+
+
 @differential
 @given(substitutions())
 def test_substitute_matches_cancel(case):
@@ -379,10 +391,7 @@ def test_substitute_matches_cancel(case):
     rf = p.substitute(mapping, TARGET)
     assert rf.variables == TARGET
     assert rf == RationalFunction(rf.num, rf.den)
-    images = {
-        sp.Symbol(v): m.num.to_sympy() / m.den.to_sympy() for v, m in mapping.items()
-    }
-    N, D = sp.fraction(sp.cancel(p.to_sympy().subs(images, simultaneous=True)))
+    N, D = sp.fraction(substituted_expr(p, mapping))
     if N == 0:
         assert rf.is_zero()
         return
@@ -416,10 +425,7 @@ def rational_substitutions(draw):
 @given(rational_substitutions())
 def test_rational_substitute_matches_cancel(case):
     rf, mapping = case
-    images = {
-        sp.Symbol(v): m.num.to_sympy() / m.den.to_sympy() for v, m in mapping.items()
-    }
-    num, den = (sp.cancel(p.to_sympy().subs(images, simultaneous=True)) for p in (rf.num, rf.den))
+    num, den = (substituted_expr(p, mapping) for p in (rf.num, rf.den))
     if den == 0:
         with pytest.raises(ZeroDivisionError):
             rf.substitute(mapping, TARGET)
@@ -428,16 +434,15 @@ def test_rational_substitute_matches_cancel(case):
     if N == 0:
         assert rf.substitute(mapping, TARGET).is_zero()
         return
-    # a canonical fraction is refused when the substituted denominator, over
-    # a denominator with leading coefficient 1, has a TAU-sum lead
-    if not tau_monomial(grlex_lc(sp.fraction(den)[0], TARGET)):
+    # refused only when the cancelled denominator keeps a TAU-sum lead
+    lc = grlex_lc(D, TARGET)
+    if not tau_monomial(lc):
         with pytest.raises(PolynomialError):
             rf.substitute(mapping, TARGET)
         return
     out = rf.substitute(mapping, TARGET)
     assert out.variables == TARGET
     assert out == RationalFunction(out.num, out.den)
-    lc = grlex_lc(D, TARGET)
     assert same(out.num.to_sympy(), N / lc)
     assert same(out.den.to_sympy(), D / lc)
 
@@ -585,3 +590,190 @@ def test_fraction_kernel_matches_cancel():
     reached_kernel_branches.clear()
     _fraction_kernel_matches_cancel()
     assert reached_kernel_branches == KERNEL_BRANCHES
+
+
+# ---------------------------------------------------------------------------
+# one-term paths: substitution by exponent arithmetic, gcds with a monomial
+# ---------------------------------------------------------------------------
+
+TRANSITIONS = {
+    variety.name: list(variety.coord_maps.values())
+    for variety in (proj_line("x"), product_of_lines(("x", "y")), proj_plane("x", "y"))
+}
+
+
+def one_terms(variables):
+    """A TAU-monomial (TAU powers -2..2) times a monomial: one term of the ring."""
+    exps = st.tuples(*[st.integers(0, 2)] * len(variables))
+    return st.builds(lambda e, c: Polynomial(variables, {e: c}), exps, tau_monomials)
+
+
+@st.composite
+def one_term_substitutions(draw):
+    """(kind, p, q, mapping): every variable sent to a one-term fraction.
+
+    kind is the variety of a P1, P1 x P1 or P2 chart transition;
+    "monomial", a one-term fraction, a constant or 0 for each of x and y;
+    or "collide", x and y both sent to one such fraction, with
+    p = r + s - s(y, x), whose s part maps to zero.  q is a denominator
+    with a TAU-monomial lead for the rational case.
+    """
+    kind = draw(st.sampled_from([*TRANSITIONS, "monomial", "collide"]))
+    if kind in TRANSITIONS:
+        mapping = draw(st.sampled_from(TRANSITIONS[kind]))
+        variables = tuple(mapping)
+    else:
+        variables = ("x", "y")
+        nums = st.one_of(
+            st.just(Polynomial.zero(TARGET)),
+            tau_monomials.map(lambda c: Polynomial.constant(TARGET, c)),
+            one_terms(TARGET),
+        )
+        x_image = RationalFunction(draw(nums), draw(one_terms(TARGET)))
+        y_image = x_image if kind == "collide" else RationalFunction(
+            draw(nums), draw(one_terms(TARGET)))
+        mapping = {"x": x_image, "y": y_image}
+    p = draw(polys(variables))
+    if kind == "collide":
+        s = draw(polys(variables, min_terms=1))
+        p = p + s - Polynomial(variables, {e[::-1]: c for e, c in s.terms.items()})
+    q = draw(polys(variables, tau_monomials, min_terms=1))
+    return kind, p, q, mapping
+
+
+reached_monomial_cases = set()
+one_term_branch_calls = []  # filled by the spies of the two tests below
+sympy_cofactors_calls = []
+
+
+def _spy(calls, f):
+    def spy(*args):
+        calls.append(args)
+        return f(*args)
+    return spy
+
+
+@differential
+@given(one_term_substitutions())
+def _one_term_substitute_matches_cancel(case):
+    kind, p, q, mapping = case
+    target = next(iter(mapping.values())).variables
+    calls = len(one_term_branch_calls)
+    (N,), _ = polynomials._substituted((p,), mapping, target)
+    assert len(one_term_branch_calls) == calls + 1
+    assert len(N.elem) <= len(p.elem)  # each term maps to at most one term
+    reached_monomial_cases.add(kind)
+    if len(N.elem) < len(p.elem):
+        reached_monomial_cases.add("terms collide or vanish")
+    for m in mapping.values():
+        if m.is_zero():
+            reached_monomial_cases.add("zero constant")
+        elif m.is_constant():
+            reached_monomial_cases.add("constant")
+        if any(s.shift < 0 for s in (m.num, m.den)):
+            reached_monomial_cases.add("negative TAU power")
+    if p.is_zero():
+        reached_monomial_cases.add("zero polynomial")
+    assert_canonical_cancel(p.substitute(mapping, target), substituted_expr(p, mapping), target)
+    rf = RationalFunction(p, q)
+    den = substituted_expr(rf.den, mapping)
+    if den == 0:
+        with pytest.raises(ZeroDivisionError):
+            rf.substitute(mapping, target)
+        return
+    expr = substituted_expr(rf.num, mapping) / den
+    if not tau_monomial(grlex_lc(sp.fraction(sp.cancel(expr))[1], target)):
+        with pytest.raises(PolynomialError):
+            rf.substitute(mapping, target)
+        return
+    assert_canonical_cancel(rf.substitute(mapping, target), expr, target)
+    reached_monomial_cases.add("rational function")
+
+
+def test_one_term_substitute_matches_cancel(monkeypatch):
+    reached_monomial_cases.clear()
+    monkeypatch.setattr(polynomials, "_monomial_substituted", _spy(
+        one_term_branch_calls, polynomials._monomial_substituted))
+    _one_term_substitute_matches_cancel()
+    assert reached_monomial_cases == {
+        "P1(x)", "P1(x) x P1(y)", "P2(x,y)", "monomial", "collide",
+        "terms collide or vanish", "zero constant", "constant",
+        "negative TAU power", "zero polynomial", "rational function",
+    }
+
+
+@st.composite
+def one_term_pairs(draw):
+    """(a, b) with one of them, or both, a single term of the ring; the
+    other is arbitrary, a single term, or a multiple of the first."""
+    variables = draw(st.sampled_from(VARIABLE_SETS))
+    term = draw(one_terms(variables))
+    other = draw(st.one_of(
+        polys(variables, min_terms=1),
+        one_terms(variables),
+        polys(variables, min_terms=1).map(lambda p: p * term),
+    ).filter(lambda p: not p.is_zero()))
+    return (term, other) if draw(st.booleans()) else (other, term)
+
+
+reached_cofactor_cases = set()
+
+
+@differential
+@given(one_term_pairs())
+def _one_term_cofactors_match_sympy(case):
+    a, b = case
+    calls = len(sympy_cofactors_calls)
+    h, p, q = polynomials._cofactors(a, b)
+    assert len(sympy_cofactors_calls) == calls
+    assert h * p == a and h * q == b
+    G, _, _ = sp.cofactors(cleared(a), cleared(b))
+    ratio = sp.cancel(h.to_sympy() / G)
+    assert ratio.is_Rational and ratio != 0
+    reached_cofactor_cases.add(
+        "both" if len(a.elem) == len(b.elem) == 1 else "first" if len(a.elem) == 1 else "second"
+    )
+    reached_cofactor_cases.add("coprime" if h.is_constant() else "monomial gcd")
+    if h.is_constant():
+        assert poly_gcd(a, b).is_one()
+    else:
+        assert poly_gcd(a, b) == h
+
+
+def test_one_term_cofactors_match_sympy(monkeypatch):
+    reached_cofactor_cases.clear()
+    monkeypatch.setattr(PolyElement, "cofactors", _spy(sympy_cofactors_calls, PolyElement.cofactors))
+    _one_term_cofactors_match_sympy()
+    assert reached_cofactor_cases == {"both", "first", "second", "coprime", "monomial gcd"}
+
+
+def test_dsq_takes_no_sympy_gcd_of_a_single_term(monkeypatch):
+    """Every gcd with a one-term operand on a P1 x P1 `dsq` is a monomial
+    gcd of `_cofactors`, not a call of sympy's `cofactors`."""
+    calls = []
+    monkeypatch.setattr(PolyElement, "cofactors", _spy(calls, PolyElement.cofactors))
+    reports = run_text(Session(), """
+        let A = P1(z1) x P1(z2);
+        let c = chain(A, id, dlog(z1) wedge dlog(z2 + 6), poles[z1, inf(z1), z2 + 6, inf(z2)]);
+        dsq c;
+    """)
+    assert [r["status"] for r in reports] == ["ok", "ok", "ok"]
+    assert calls  # the spy sees the general gcds
+    assert not [(f, g) for f, g in calls if len(f) == 1 or len(g) == 1]
+
+
+def test_quotient_by_a_cancelling_tau_sum():
+    """A TAU-sum lead that cancels against the numerator is no refusal."""
+    session = Session()
+    for stmt in ("let A = P1(z)", "let c = chain(A, const(2), (1 + TAU)/(1 + TAU))"):
+        assert run_statement(session, stmt)["status"] == "ok"
+    report = run_statement(session, "normalize c")
+    assert report["status"] == "ok"
+    assert report["result"] == "(Point, z = 2, 1)"
+    tau_sum = Polynomial.constant(COORDS, laurent({0: 1, 1: 1}))
+    assert RationalFunction(x() * tau_sum, y() * tau_sum) == RationalFunction(x(), y())
+    _raises_exactly(
+        PolynomialError,
+        "cannot normalize: denominator leading coefficient 1 + 2*TAU + TAU^2 is a TAU-sum",
+        lambda: RationalFunction(x() * tau_sum, y() * tau_sum * tau_sum),
+    )
