@@ -522,6 +522,23 @@ def point_component(variety: CatalogVariety, pt: VarietyPoint, label=None) -> Di
     return DivisorComponent.from_chart_poly(variety, chart.id, v - c, label)
 
 
+def infinity_component(variety: CatalogVariety, factor=None) -> DivisorComponent:
+    """The point inf of P1, {factor = inf} on a product of lines, or the
+    line at infinity of P2."""
+    if variety.kind == "P1":
+        return point_component(variety, VarietyPoint.product_point([INF]))
+    if variety.kind == "P2":
+        chart = variety.chart("A1")
+        p = Polynomial.variable(chart.coords, chart.coords[0])
+        return DivisorComponent.from_chart_poly(variety, "A1", p, "{line at infinity}")
+    if variety.kind != "product" or factor not in variety.factors:
+        raise GeometryError("no component at infinity %s on %s" % (factor, variety.name))
+    inv = _inv_name(factor)
+    chart = next(ch for ch in variety.charts if inv in ch.coords)
+    p = Polynomial.variable(chart.coords, inv)
+    return DivisorComponent.from_chart_poly(variety, chart.id, p, "{%s = inf}" % factor)
+
+
 # ---------------------------------------------------------------------------
 # exact 2D elimination
 # ---------------------------------------------------------------------------
@@ -574,9 +591,7 @@ def common_zeros_2d(polys, coords):
     elim = [p for p in _resultant_eliminate(polys, y) if not p.is_zero()]
     if not elim:
         return [], False
-    g = elim[0]
-    for p in elim[1:]:
-        g = poly_gcd(g, p)
+    g = functools.reduce(poly_gcd, elim)
     if g.is_unit():
         return [], True
     roots, split = rational_roots(g)
@@ -589,9 +604,7 @@ def common_zeros_2d(polys, coords):
             if not nonzero:
                 return [], False
             specialized = nonzero
-        gy = specialized[0]
-        for q in specialized[1:]:
-            gy = poly_gcd(gy, q)
+        gy = functools.reduce(poly_gcd, specialized)
         if gy.is_unit():
             continue
         yroots, ysplit = rational_roots(gy)

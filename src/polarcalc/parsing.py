@@ -255,13 +255,17 @@ def _apply_binop(op, a, b, ctx, tok):
 # ---------------------------------------------------------------------------
 
 
-def parse_rational(text: str, coords) -> RationalFunction:
+def _parse_whole(text: str, ctx: ExprContext):
     ts = TokenStream(tokenize(text))
-    ctx = ExprContext(coords)
     v = parse_expression(ts, ctx)
     end = ts.peek()
     if end.kind != "end":
         raise ParseError("trailing input %r" % end.text, end.line, end.col)
+    return v
+
+
+def parse_rational(text: str, coords) -> RationalFunction:
+    v = _parse_whole(text, ExprContext(coords))
     if isinstance(v, DifferentialForm):
         raise ParseError("expected a function, got a form")
     return v
@@ -284,10 +288,5 @@ def parse_polynomial(text: str, coords=None) -> Polynomial:
 
 
 def parse_form(text: str, coords, chart="") -> DifferentialForm:
-    ts = TokenStream(tokenize(text))
     ctx = ExprContext(coords, chart)
-    v = parse_expression(ts, ctx)
-    end = ts.peek()
-    if end.kind != "end":
-        raise ParseError("trailing input %r" % end.text, end.line, end.col)
-    return _as_form(v, ctx)
+    return _as_form(_parse_whole(text, ctx), ctx)

@@ -25,7 +25,8 @@ g = gcd(d1, d2) and then gcd(t, g) for the numerator t over
 (d1/g)(d2/g), and a derivative (n/d)' = (n'd - nd')/d^2 is already
 reduced when gcd(d, d') is 1.  A gcd whose denominator is 1 is skipped,
 and the result only has its denominator's leading TAU-monomial divided
-out.  Scaling by a nonzero scalar keeps a fraction canonical.
+out.  Scaling by a nonzero scalar keeps a fraction canonical, and a
+product with a p that divides den is num / (den / p) (`times_poly`).
 Canonical printing sorts by graded lexicographic order of
 the exponent vectors over the chart's declared coordinate order; a
 scalar prints bare (`1 + TAU`), a TAU-sum coefficient of a polynomial
@@ -33,7 +34,7 @@ or of a function in parentheses (`(1 + TAU)*x`).
 `to_sympy`/`from_sympy` convert to and from sympy expressions and are
 not used by the engine.
 
-Two one-term paths skip sympy's general machinery; both are exact by
+Three one-term paths skip sympy's general machinery; all are exact by
 exponent arithmetic.  When every n_v has at most one term and every d_v
 one term (chart transitions, renamings, rational constants and 0), the
 product prod_v n_v^e_v d_v^(D_v - e_v) is a single term, so each term of
@@ -46,6 +47,8 @@ and the largest is the monomial of least exponents over the terms of both
 operands; the cofactors subtract exponents.  This differs from sympy's
 gcd only by a constant factor, which normalization divides out with the
 denominator's leading coefficient, so canonical fractions are unchanged.
+The valuation of q along a single term c x^a (`_poly_ord`) is the least
+m_i // a_i over the terms x^m of q and the i with a_i > 0.
 
 Arithmetic in one variable over the field of the others (curve rings,
 traces along a fiber) runs in sympy's PolyRing([var], QQ(rest, TAU));
@@ -182,7 +185,15 @@ class Polynomial:
 
     @staticmethod
     def constant(variables, scalar) -> "Polynomial":
-        return Polynomial(variables, {(0,) * len(variables): scalar})
+        """A scalar (an int, a Fraction or a polynomial in zero variables),
+        its ring element moved to `variables` by prefixing zero exponents."""
+        variables, zeros = tuple(variables), (0,) * len(variables)
+        if isinstance(scalar, Polynomial):
+            elem = {zeros + (k,): c for (k,), c in scalar.elem.items()}
+            return Polynomial._wrap(variables, _ring(variables).dtype(elem), scalar.shift)
+        q = _qq(scalar)
+        elem = _ring(variables).dtype({zeros + (0,): q} if q else {})
+        return Polynomial._wrap(variables, elem)
 
     @staticmethod
     def zero(variables) -> "Polynomial":
@@ -734,6 +745,17 @@ class RationalFunction:
     def scale(self, scalar: Polynomial) -> "RationalFunction":
         return _coprime(self.num.scale(scalar), self.den)
 
+    def times_poly(self, p: Polynomial) -> "RationalFunction":
+        """self * p.  Where p divides den, num / (den / p) is coprime as it
+        stands, and the lead of den / p is a unit of Q[TAU, TAU^-1] (leads
+        multiply, den's is 1), a TAU-monomial for `_coprime` to divide out;
+        elsewhere the cross-cancelling product."""
+        quo, rem = self.den.elem.div(p.elem)
+        if rem:
+            return self * RationalFunction.from_poly(p)
+        quo = Polynomial._wrap(self.variables, quo, self.den.shift - p.shift)
+        return _coprime(self.num, quo)
+
     # -- calculus / evaluation ------------------------------------------
 
     def differentiate(self, name: str) -> "RationalFunction":
@@ -898,6 +920,11 @@ def _coprime(num: Polynomial, den: Polynomial) -> RationalFunction:
 
 
 def _poly_ord(q: Polynomial, p: Polynomial) -> int:
+    """The largest k with p^k dividing a nonzero q: for a one-term p = c x^a,
+    the least m_i // a_i over the terms x^m of q and the i with a_i > 0."""
+    if len(p.elem) == 1:
+        ((a, _),) = p.elem.items()
+        return min(m[i] // k for m in q.elem for i, k in enumerate(a) if k)
     k = 0
     q, p = q.elem, p.elem
     while True:

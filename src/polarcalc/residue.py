@@ -1,8 +1,13 @@
 """Poincare residues of simple-pole forms onto divisor components.
 
-The extraction formula is: pick a coordinate direction j whose partial
-of the defining polynomial is not divisible by it, contract p*omega with
-(1/d_j p) d_j, and restrict to {p = 0}.  Restriction is realized by
+The extraction formula is: pick a coordinate direction j along which the
+defining polynomial p has a nonzero partial, contract p*omega with
+(1/d_j p) d_j, and restrict to {p = 0}.  Where p divides the denominator
+of a coefficient c (the pole along p is simple), p*c is c.num over the
+exact quotient c.den / p: that fraction is coprime as it stands, and only
+the lead of its denominator, a TAU-monomial, is divided out to make it
+canonical; elsewhere c has no pole along p and the product cross-cancels
+(`RationalFunction.times_poly`).  Restriction is realized by
 parametrization substitution for rational loci, by curve-ring reduction
 for smooth plane curves, and by evaluation for points.
 """
@@ -28,7 +33,6 @@ from .polynomials import (
     Polynomial,
     RationalFunction,
     from_univariate,
-    poly_divides,
     rational_roots,
 )
 
@@ -138,26 +142,31 @@ def classify_component(comp: DivisorComponent, variety: CatalogVariety):
 
 
 def _choose_direction(p: Polynomial, coords, direction=None):
+    """(x_j, d_j p) with d_j p nonzero, and so of lower degree in x_j than p."""
     if direction is not None:
-        d = p.differentiate(direction)
-        if d.is_zero() or poly_divides(p, d):
+        dp = p.differentiate(direction)
+        if dp.is_zero():
             raise ResidueError("direction %s is not admissible" % direction)
-        return direction
+        return direction, dp
     for coord in coords:
-        d = p.differentiate(coord)
-        if d.is_zero():
-            continue
-        if not poly_divides(p, d):
-            return coord
+        dp = p.differentiate(coord)
+        if not dp.is_zero():
+            return coord, dp
     raise ResidueError("no admissible direction for %s" % p)
 
 
 def _contracted(form: DifferentialForm, p: Polynomial, coords, direction):
-    """The pre-restriction form: contraction of p*omega."""
-    j = _choose_direction(p, coords, direction)
-    dp = p.differentiate(j)
-    scale = RationalFunction.constant(p.variables, 1) / RationalFunction.from_poly(dp)
-    return form.multiply(RationalFunction.from_poly(p)).contract(j, scale)
+    """The pre-restriction form: contraction of p*omega with (1/d_j p) d_j,
+    1/d_j p a scalar when d_j p is a constant TAU-monomial (p a coordinate, a line)."""
+    j, dp = _choose_direction(p, coords, direction)
+    times_p = DifferentialForm(
+        form.chart, form.coords, form.degree,
+        {i: c.times_poly(p) for i, c in form.components.items()},
+    )
+    if dp.is_constant() and len(dp.elem) == 1:
+        return times_p.scale(Polynomial.scalar(1) / dp.constant_value()).contract(j)
+    one = RationalFunction.constant(p.variables, 1)
+    return times_p.contract(j, one / RationalFunction.from_poly(dp))
 
 
 def poincare_residue(
@@ -171,9 +180,8 @@ def poincare_residue(
 
     if shape[0] == "point":
         _, chart, root = shape
-        form = variety.transition_form(omega, chart.id)
         p = comp.poly_on(chart.id)
-        _require_simple(form, p, comp)
+        form = _simple_form(omega, comp, variety, chart.id, p)
         rho = _contracted(form, p, chart.coords, direction)
         coord = chart.coords[0]
         try:
@@ -190,9 +198,8 @@ def poincare_residue(
 
     if shape[0] == "graph":
         _, chart, solve, param, value = shape
-        form = variety.transition_form(omega, chart.id)
         p = comp.poly_on(chart.id)
-        _require_simple(form, p, comp)
+        form = _simple_form(omega, comp, variety, chart.id, p)
         rho = _contracted(form, p, chart.coords, direction)
         base = param.rstrip("_") or param
         target = proj_line(base)
@@ -210,8 +217,7 @@ def poincare_residue(
     # plane-curve target
     _, p = shape
     chart = variety.chart("A0")
-    form = variety.transition_form(omega, chart.id)
-    _require_simple(form, p, comp)
+    form = _simple_form(omega, comp, variety, chart.id, p)
     try:
         curve = plane_curve(p)
     except GeometryError as e:
@@ -242,13 +248,16 @@ def _zero_rf(coords) -> RationalFunction:
     return RationalFunction.constant(coords, 0)
 
 
-def _require_simple(form: DifferentialForm, p: Polynomial, comp):
+def _simple_form(omega, comp, variety, chart_id, p: Polynomial) -> DifferentialForm:
+    """omega on the chart, checked to have at most a simple pole along p."""
+    form = variety.transition_form(omega, chart_id)
     worst = form.pole_order(p)
     if worst < -1:
         raise ResidueError(
             "pole of order %d along %s; only simple poles supported"
             % (-worst, comp.label)
         )
+    return form
 
 
 # ---------------------------------------------------------------------------

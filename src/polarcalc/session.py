@@ -39,7 +39,7 @@ from .geometry import (
     GeometryError,
     VarietyPoint,
     catalog_build,
-    point_component,
+    infinity_component,
 )
 from .homotopy import HomotopyError, verify_homotopy_identity
 from .maps import MapError, VarietyMap
@@ -154,8 +154,7 @@ def _parse_value(ts: TokenStream):
     if ts.at_name("inf"):
         ts.next()
         return INF
-    ctx = ExprContext(())
-    v = parse_expression(ts, ctx)
+    v = parse_expression(ts, ExprContext(()))
     if isinstance(v, DifferentialForm) or not v.is_constant():
         t = ts.peek()
         raise ParseError("expected a rational constant", t.line, t.col)
@@ -198,8 +197,7 @@ def _parse_map(ts: TokenStream, ambient: CatalogVariety):
                 raise ParseError("expected a coordinate name", name.line, name.col)
             ts.next()
             ts.expect("=")
-            ctx = ExprContext(coords)
-            rf = parse_expression(ts, ctx)
+            rf = parse_expression(ts, ExprContext(coords))
             if isinstance(rf, DifferentialForm):
                 raise ParseError("map formulas must be functions", name.line, name.col)
             formulas[name.text] = rf
@@ -222,9 +220,7 @@ def _parse_pole_entry(ts: TokenStream, ambient: CatalogVariety):
             ts.expect(")")
             return _infinity_component(ambient, name.text, t)
         return _infinity_component(ambient, None, t)
-    coords = ambient.main_chart.coords
-    ctx = ExprContext(coords)
-    v = parse_expression(ts, ctx)
+    v = parse_expression(ts, ExprContext(ambient.main_chart.coords))
     if isinstance(v, DifferentialForm) or not v.is_polynomial():
         raise ParseError("pole entries must be polynomials", t.line, t.col)
     return DivisorComponent.from_chart_poly(
@@ -233,8 +229,6 @@ def _parse_pole_entry(ts: TokenStream, ambient: CatalogVariety):
 
 
 def _infinity_component(ambient: CatalogVariety, factor, tok):
-    if ambient.kind == "P1":
-        return point_component(ambient, VarietyPoint.product_point([INF]))
     if ambient.kind == "product":
         if factor is None:
             raise ParseError(
@@ -243,20 +237,9 @@ def _infinity_component(ambient: CatalogVariety, factor, tok):
             )
         if factor not in ambient.factors:
             raise ParseError("unknown factor %r" % factor, tok.line, tok.col)
-        inv = factor + "_"
-        for ch in ambient.charts:
-            if inv in ch.coords:
-                p = Polynomial.variable(ch.coords, inv)
-                return DivisorComponent.from_chart_poly(
-                    ambient, ch.id, p, "{%s = inf}" % factor
-                )
-    if ambient.kind == "P2":
-        ch = ambient.chart("A1")
-        p = Polynomial.variable(ch.coords, ch.coords[0])
-        return DivisorComponent.from_chart_poly(
-            ambient, "A1", p, "{line at infinity}"
-        )
-    raise ParseError("inf poles unsupported on %s" % ambient.name, tok.line, tok.col)
+    elif ambient.kind not in ("P1", "P2"):
+        raise ParseError("inf poles unsupported on %s" % ambient.name, tok.line, tok.col)
+    return infinity_component(ambient, factor)
 
 
 def _parse_chain_term(ts: TokenStream, session: Session):
@@ -274,8 +257,7 @@ def _parse_chain_term(ts: TokenStream, session: Session):
     mapspec = _parse_map(ts, ambient)
     ts.expect(",")
     if mapspec[0] == "const":
-        ctx = ExprContext(())
-        v = parse_expression(ts, ctx)
+        v = parse_expression(ts, ExprContext(()))
         if isinstance(v, DifferentialForm) or not v.is_constant():
             raise ParseError("point terms take a constant weight", tok.line, tok.col)
         ts.expect(")")
@@ -283,8 +265,7 @@ def _parse_chain_term(ts: TokenStream, session: Session):
             ambient, [point_term(ambient, mapspec[1], v.constant_value())]
         )
     coords = ambient.main_chart.coords
-    ctx = ExprContext(coords, ambient.main_chart.id)
-    v = parse_expression(ts, ctx)
+    v = parse_expression(ts, ExprContext(coords, ambient.main_chart.id))
     if not isinstance(v, DifferentialForm):
         v = DifferentialForm.function(ambient.main_chart.id, coords, v)
     poles = []
@@ -302,14 +283,9 @@ def _parse_chain_term(ts: TokenStream, session: Session):
     ts.expect(")")
     if mapspec[0] == "id":
         m = VarietyMap.identity(ambient)
-        source = ambient
     else:
-        source = ambient
-        m = VarietyMap(
-            ambient, ambient, ambient.main_chart.id, mapspec[1]
-        )
-    t = make_triple(source, m, v, poles)
-    return PolarChain(ambient, [t])
+        m = VarietyMap(ambient, ambient, ambient.main_chart.id, mapspec[1])
+    return PolarChain(ambient, [make_triple(ambient, m, v, poles)])
 
 
 def parse_chain_expr(ts: TokenStream, session: Session) -> PolarChain:
@@ -357,11 +333,7 @@ def render_pole(comp: DivisorComponent, ambient: CatalogVariety) -> str:
     if ambient.kind == "P2":
         return "inf"
     for factor in getattr(ambient, "factors", ()):
-        try:
-            probe = _infinity_component(ambient, factor, None)
-        except ParseError:
-            continue
-        if probe == comp:
+        if infinity_component(ambient, factor) == comp:
             return "inf(%s)" % factor
     raise SessionError("component %s has no grammar rendering" % comp.label)
 

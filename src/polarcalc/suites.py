@@ -21,9 +21,9 @@ from .chains import (
 )
 from .forms import DifferentialForm
 from .geometry import (
-    INF,
     DivisorComponent,
     VarietyPoint,
+    infinity_component,
     point_component,
     product_of_lines,
     proj_line,
@@ -82,27 +82,6 @@ def _dlog_form(chart, coords, p):
     )
 
 
-def _p1_inf_component(line):
-    return point_component(line, VarietyPoint.product_point([INF]))
-
-
-def _product_inf_component(ambient, factor):
-    inv = factor + "_"
-    for ch in ambient.charts:
-        if inv in ch.coords:
-            p = Polynomial.variable(ch.coords, inv)
-            return DivisorComponent.from_chart_poly(
-                ambient, ch.id, p, "{%s = inf}" % factor
-            )
-    raise ValueError(factor)
-
-
-def _p2_inf_component(plane):
-    ch = plane.chart("A1")
-    p = Polynomial.variable(ch.coords, ch.coords[0])
-    return DivisorComponent.from_chart_poly(plane, "A1", p, "{line at infinity}")
-
-
 def _random_p1_chain(rng):
     line = proj_line("z")
     coords = line.main_chart.coords
@@ -111,7 +90,7 @@ def _random_p1_chain(rng):
     form = _dlog_form(line.main_chart.id, coords, p)
     decl = [
         point_component(line, VarietyPoint.product_point([r])) for r in roots
-    ] + [_p1_inf_component(line)]
+    ] + [infinity_component(line)]
     t = make_triple(line, VarietyMap.identity(line), form, decl)
     return PolarChain(line, [t])
 
@@ -130,7 +109,7 @@ def _random_product_chain(rng):
         for r in roots:
             q = Polynomial.variable(coords, var) - Polynomial.constant(coords, r)
             decl.append(DivisorComponent.from_chart_poly(amb, chart, q))
-        decl.append(_product_inf_component(amb, var))
+        decl.append(infinity_component(amb, var))
     t = make_triple(amb, VarietyMap.identity(amb), form, decl)
     return PolarChain(amb, [t])
 
@@ -161,7 +140,7 @@ def _random_p2_chain(rng):
             continue
         decl = [
             DivisorComponent.from_chart_poly(plane, chart, q) for q in lines
-        ] + [_p2_inf_component(plane)]
+        ] + [infinity_component(plane)]
         try:  # make_triple's normal-crossing check filters the sample
             t = make_triple(plane, VarietyMap.identity(plane), form, decl)
         except ChainError:
@@ -312,7 +291,7 @@ def homotopy_corpus():
             for r in decl_roots
         ]
         if inf_pole:
-            decl.append(_p1_inf_component(src))
+            decl.append(infinity_component(src))
         m = VarietyMap(src, amb, amb.main_chart.id, {
             "t": RationalFunction.variable(tc, "t"),
             "z": g_rf,
@@ -788,7 +767,7 @@ def suite_relations(seed=0):
     )
     decl = [
         point_component(line, VarietyPoint.product_point([0])),
-        _p1_inf_component(line),
+        infinity_component(line),
     ]
     sq = VarietyMap(line, line, chart, {
         "z": RationalFunction.variable(coords, "z") ** 2
@@ -838,7 +817,7 @@ def _random_relation_chain(rng, line):
         decl = [
             point_component(line, VarietyPoint.product_point([r]))
             for r in roots
-        ] + [_p1_inf_component(line)]
+        ] + [infinity_component(line)]
         if rng.random() < 0.4:
             m = VarietyMap(line, line, chart, {
                 "z": RationalFunction.variable(coords, "z") ** 2

@@ -12,6 +12,7 @@ from polarcalc.geometry import (
     VarietyPoint,
     catalog_build,
     common_zeros_2d,
+    infinity_component,
     plane_curve,
     point_component,
     point_from_chart,
@@ -408,3 +409,23 @@ def test_first_chart_rule_matches_all_charts_oracle(kind, data):
                 point_from_chart(variety, chart.id, dict(zip(chart.coords, values))),
             ))
     assert len(named) == len(set(named)) and set(named) == points
+
+
+def test_infinity_components():
+    """The point inf of P1, {factor = inf} on a product of lines, the line
+    at infinity of P2; a factor the variety does not have is refused."""
+    line = proj_line("z")
+    assert infinity_component(line) == point_component(line, VarietyPoint.product_point([INF]))
+    prod = product_of_lines(("a", "b"))
+    for factor in ("a", "b"):
+        comp = infinity_component(prod, factor)
+        assert comp.label == "{%s = inf}" % factor
+        assert not comp.visible_on(prod.main_chart.id)
+    assert infinity_component(prod, "a") != infinity_component(prod, "b")
+    plane = proj_plane("x", "y")
+    comp = infinity_component(plane)
+    assert comp.label == "{line at infinity}"
+    assert [comp.visible_on(c) for c in ("A0", "A1", "A2")] == [False, True, True]
+    for variety, factor in ((prod, "c"), (prod, None), (point_variety(), None)):
+        with pytest.raises(GeometryError, match="no component at infinity"):
+            infinity_component(variety, factor)

@@ -300,6 +300,74 @@ def test_ord_along_matches_sympy(case, j, k):
     assert rf.ord_along(p) == expected
 
 
+def _div_loop_valuation(q, p):
+    """The largest k with p^k dividing q, by repeated ring division."""
+    k, q = 0, q.elem
+    while True:
+        quo, rem = q.div(p.elem)
+        if rem:
+            return k
+        q, k = quo, k + 1
+
+
+@st.composite
+def one_term_ord_cases(draw):
+    """(shapes, q, p): p = c x^a a coordinate, a product of coordinates or a
+    power, c 1 or a TAU-monomial; q a nonzero multiple of a power of p."""
+    shape = draw(st.sampled_from(["coordinate", "product", "power"]))
+    variables = draw(st.sampled_from(VARIABLE_SETS[1:] if shape == "product" else VARIABLE_SETS))
+    if shape == "coordinate":
+        i = draw(st.integers(0, len(variables) - 1))
+        a = tuple(int(k == i) for k in range(len(variables)))
+    elif shape == "product":
+        a = draw(st.tuples(*[st.integers(0, 1)] * len(variables)).filter(lambda a: sum(a) > 1))
+    else:
+        a = draw(st.tuples(*[st.integers(0, 3)] * len(variables)).filter(lambda a: max(a) > 1))
+    c = draw(st.one_of(st.just(Polynomial.scalar(1)), tau_monomials))
+    p = Polynomial(variables, {a: c})
+    shapes = {shape}
+    if not c.is_one():
+        shapes.add("TAU-multiple")
+    q = draw(polys(variables, min_terms=1).filter(lambda q: not q.is_zero()))
+    return shapes, q * p ** draw(st.integers(0, 2)), p
+
+
+reached_ord_shapes = set()
+ord_div_calls = []
+
+
+@differential
+@given(one_term_ord_cases())
+def _one_term_ord_matches_division(case):
+    shapes, q, p = case
+    calls = len(ord_div_calls)
+    k = polynomials._poly_ord(q, p)
+    assert len(ord_div_calls) == calls  # exponent arithmetic, no division
+    assert k == _div_loop_valuation(q, p)
+    reached_ord_shapes.update(shapes)
+
+
+def test_one_term_ord_matches_division(monkeypatch):
+    reached_ord_shapes.clear()
+    monkeypatch.setattr(PolyElement, "div", _spy(ord_div_calls, PolyElement.div))
+    _one_term_ord_matches_division()
+    assert reached_ord_shapes == {"coordinate", "product", "power", "TAU-multiple"}
+
+
+@pytest.mark.parametrize("variables", [(), ("x",), ("x", "y"), ("x", "y", "z")])
+def test_constant_equals_the_term_constructor(variables):
+    values = [
+        0, 1, -3, Fraction(2, 7), Polynomial.scalar(0), Polynomial.scalar(5),
+        Polynomial.scalar(Fraction(-1, 2), 3), Polynomial.scalar(1, -2),
+        laurent({-1: 2, 0: 1, 2: Fraction(1, 3)}), laurent({1: 1, 2: -1}),
+    ]
+    for value in values:
+        direct = Polynomial.constant(variables, value)
+        built = Polynomial(variables, {(0,) * len(variables): value})
+        assert direct == built and hash(direct) == hash(built)
+        assert direct.shift == built.shift and str(direct) == str(built)
+
+
 @differential
 @given(poly_tuples(2, VARIABLE_SETS[1:]))
 def test_resultant_matches_sympy(case):
@@ -749,15 +817,24 @@ def test_one_term_cofactors_match_sympy(monkeypatch):
 
 def test_dsq_takes_no_sympy_gcd_of_a_single_term(monkeypatch):
     """Every gcd with a one-term operand on a P1 x P1 `dsq` is a monomial
-    gcd of `_cofactors`, not a call of sympy's `cofactors`."""
+    gcd of `_cofactors`, not a call of sympy's `cofactors`.  With poles at
+    z1 = 0 and z2 = -6 the residues divide exactly and no general gcd is
+    left; with z1 = 1 the spy still sees general gcds."""
     calls = []
     monkeypatch.setattr(PolyElement, "cofactors", _spy(calls, PolyElement.cofactors))
-    reports = run_text(Session(), """
-        let A = P1(z1) x P1(z2);
-        let c = chain(A, id, dlog(z1) wedge dlog(z2 + 6), poles[z1, inf(z1), z2 + 6, inf(z2)]);
-        dsq c;
-    """)
-    assert [r["status"] for r in reports] == ["ok", "ok", "ok"]
+
+    def dsq(form, poles):
+        calls.clear()
+        reports = run_text(Session(), """
+            let A = P1(z1) x P1(z2);
+            let c = chain(A, id, %s, poles[%s]);
+            dsq c;
+        """ % (form, poles))
+        assert [r["status"] for r in reports] == ["ok", "ok", "ok"]
+        return list(calls)
+
+    assert dsq("dlog(z1) wedge dlog(z2 + 6)", "z1, inf(z1), z2 + 6, inf(z2)") == []
+    calls = dsq("dlog(z1 - 1) wedge dlog(z2 + 6)", "z1 - 1, inf(z1), z2 + 6, inf(z2)")
     assert calls  # the spy sees the general gcds
     assert not [(f, g) for f, g in calls if len(f) == 1 or len(g) == 1]
 

@@ -8,7 +8,20 @@ and from the classical minus-one residue at infinity of dz/z.
 from fractions import Fraction
 
 import pytest
+import sympy as sp
+from hypothesis import assume, given
+from hypothesis import strategies as st
+from sympy.polys.rings import PolyElement
+from test_polynomials import (
+    _spy,
+    assert_canonical_cancel,
+    differential,
+    polys,
+    tau_monomials,
+)
 
+from polarcalc import residue
+from polarcalc.forms import DifferentialForm
 from polarcalc.geometry import (
     INF,
     DivisorComponent,
@@ -20,7 +33,7 @@ from polarcalc.geometry import (
     proj_plane,
 )
 from polarcalc.parsing import parse_form, parse_polynomial, parse_rational
-from polarcalc.polynomials import Polynomial, RationalFunction
+from polarcalc.polynomials import Polynomial, RationalFunction, poly_divides
 from polarcalc.residue import (
     ResidueError,
     iterated_residue,
@@ -154,3 +167,84 @@ def test_elliptic_curve_residue():
     num = Polynomial.variable(coords, "y").scale(Polynomial.scalar(Fraction(-1, 2)))
     expected = RationalFunction(num, g)
     assert res.form.components[(0,)] == expected
+
+
+# ---------------------------------------------------------------------------
+# p * omega by exact division, against sympy.cancel
+# ---------------------------------------------------------------------------
+
+PLANE = ("x", "y")
+POLES = {  # a coordinate, lines, conics; each also times a TAU-monomial
+    "coordinate": "y",
+    "line": "x + 2*y - 1",
+    "conic": "x^2 + y^2 - 1",
+    "parabola": "y - x^2 + 3",
+}
+
+
+@st.composite
+def simple_pole_forms(draw):
+    """(shape, p, form, direction): a 1- or 2-form on PLANE whose first
+    coefficient has a simple pole along p; the second coefficient of a
+    1-form has one or none."""
+    shape = draw(st.sampled_from(sorted(POLES)))
+    p = parse_polynomial(POLES[shape], PLANE)
+    if draw(st.booleans()):
+        p = p.scale(draw(tau_monomials))
+        shape += " times a TAU-monomial"
+    nums = polys(PLANE, min_terms=1).filter(lambda a: not a.is_zero())
+    dens = polys(PLANE, tau_monomials, min_terms=1)
+    first = RationalFunction(draw(nums), p * draw(dens))
+    if draw(st.booleans()):
+        form = DifferentialForm("A0", PLANE, 2, {(0, 1): first})
+    else:
+        second = RationalFunction(draw(nums), draw(dens) * p ** draw(st.integers(0, 1)))
+        form = DifferentialForm("A0", PLANE, 1, {(0,): first, (1,): second})
+    assume(form.pole_order(p) == -1)
+    direction = draw(st.sampled_from([None] + [v for v in PLANE if p.depends_on(v)]))
+    return shape, p, form, direction
+
+
+reached_contraction_cases = set()
+contraction_gcd_calls = []
+
+
+@differential
+@given(simple_pole_forms())
+def _contracted_matches_cancel(case):
+    shape, p, form, direction = case
+    rho = residue._contracted(form, p, PLANE, direction)
+    P = p.to_sympy()
+    j = direction or next(v for v in PLANE if p.depends_on(v))
+    dP = sp.diff(P, sp.Symbol(j))
+    expected = {}
+    for idx, c in form.components.items():
+        exact = poly_divides(p, c.den)
+        calls = len(contraction_gcd_calls)
+        times_p = c.times_poly(p)
+        if exact:  # one division, no general gcd
+            assert len(contraction_gcd_calls) == calls
+        assert times_p == c * RationalFunction.from_poly(p)
+        reached_contraction_cases.add("exact division" if exact else "product")
+        i = PLANE.index(j)
+        if i in idx:
+            times_p = sp.cancel(c.num.to_sympy() / c.den.to_sympy() * P)
+            sign = -1 if idx.index(i) % 2 else 1
+            expected[tuple(k for k in idx if k != i)] = sign * times_p / dP
+    assert set(rho.components) == set(expected)
+    for idx, expr in expected.items():
+        assert_canonical_cancel(rho.components[idx], expr, PLANE)
+    reached_contraction_cases.add(shape)
+    reached_contraction_cases.add("scalar 1/d_j p" if dP.is_constant() else "fraction 1/d_j p")
+
+
+def test_contracted_matches_cancel(monkeypatch):
+    """The contraction of p * omega with (1/d_j p) d_j equals sympy's
+    cancelled product and quotient, through both branches of `times_poly`."""
+    reached_contraction_cases.clear()
+    monkeypatch.setattr(PolyElement, "cofactors", _spy(contraction_gcd_calls, PolyElement.cofactors))
+    _contracted_matches_cancel()
+    shapes = {s + t for s in POLES for t in ("", " times a TAU-monomial")}
+    assert reached_contraction_cases == shapes | {
+        "exact division", "product", "scalar 1/d_j p", "fraction 1/d_j p",
+    }
