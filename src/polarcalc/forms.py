@@ -195,8 +195,8 @@ class DifferentialForm:
                 out[nidx] = c if cur is None else cur + c
         return DifferentialForm(self.chart, self.coords, deg, out)
 
-    def contract(self, direction: str, scale: RationalFunction = None) -> "DifferentialForm":
-        """Interior product with scale * d/d(direction), or d/d(direction)."""
+    def contract(self, direction: str, scale: RationalFunction) -> "DifferentialForm":
+        """Interior product with the vector field scale * d/d(direction)."""
         if self.degree == 0:
             raise FormError("cannot contract a 0-form")
         j = self.coords.index(direction)
@@ -206,7 +206,7 @@ class DifferentialForm:
                 continue
             p = idx.index(j)
             nidx = idx[:p] + idx[p + 1 :]
-            c = rf if scale is None else rf * scale
+            c = rf * scale
             if p % 2 == 1:
                 c = -c
             cur = out.get(nidx)

@@ -591,7 +591,9 @@ def common_zeros_2d(polys, coords):
     elim = [p for p in _resultant_eliminate(polys, y) if not p.is_zero()]
     if not elim:
         return [], False
-    g = functools.reduce(poly_gcd, elim)
+    g = elim[0]
+    for p in elim[1:]:
+        g = poly_gcd(g, p)
     if g.is_unit():
         return [], True
     roots, split = rational_roots(g)
@@ -604,7 +606,9 @@ def common_zeros_2d(polys, coords):
             if not nonzero:
                 return [], False
             specialized = nonzero
-        gy = functools.reduce(poly_gcd, specialized)
+        gy = specialized[0]
+        for q in specialized[1:]:
+            gy = poly_gcd(gy, q)
         if gy.is_unit():
             continue
         yroots, ysplit = rational_roots(gy)

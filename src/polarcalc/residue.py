@@ -156,15 +156,12 @@ def _choose_direction(p: Polynomial, coords, direction=None):
 
 
 def _contracted(form: DifferentialForm, p: Polynomial, coords, direction):
-    """The pre-restriction form: contraction of p*omega with (1/d_j p) d_j,
-    1/d_j p a scalar when d_j p is a constant TAU-monomial (p a coordinate, a line)."""
+    """The pre-restriction form: contraction of p*omega with (1/d_j p) d_j."""
     j, dp = _choose_direction(p, coords, direction)
     times_p = DifferentialForm(
         form.chart, form.coords, form.degree,
         {i: c.times_poly(p) for i, c in form.components.items()},
     )
-    if dp.is_constant() and len(dp.elem) == 1:
-        return times_p.scale(Polynomial.scalar(1) / dp.constant_value()).contract(j)
     one = RationalFunction.constant(p.variables, 1)
     return times_p.contract(j, one / RationalFunction.from_poly(dp))
 
@@ -180,8 +177,9 @@ def poincare_residue(
 
     if shape[0] == "point":
         _, chart, root = shape
+        form = variety.transition_form(omega, chart.id)
         p = comp.poly_on(chart.id)
-        form = _simple_form(omega, comp, variety, chart.id, p)
+        _require_simple(form, p, comp)
         rho = _contracted(form, p, chart.coords, direction)
         coord = chart.coords[0]
         try:
@@ -198,8 +196,9 @@ def poincare_residue(
 
     if shape[0] == "graph":
         _, chart, solve, param, value = shape
+        form = variety.transition_form(omega, chart.id)
         p = comp.poly_on(chart.id)
-        form = _simple_form(omega, comp, variety, chart.id, p)
+        _require_simple(form, p, comp)
         rho = _contracted(form, p, chart.coords, direction)
         base = param.rstrip("_") or param
         target = proj_line(base)
@@ -217,7 +216,8 @@ def poincare_residue(
     # plane-curve target
     _, p = shape
     chart = variety.chart("A0")
-    form = _simple_form(omega, comp, variety, chart.id, p)
+    form = variety.transition_form(omega, chart.id)
+    _require_simple(form, p, comp)
     try:
         curve = plane_curve(p)
     except GeometryError as e:
@@ -248,16 +248,13 @@ def _zero_rf(coords) -> RationalFunction:
     return RationalFunction.constant(coords, 0)
 
 
-def _simple_form(omega, comp, variety, chart_id, p: Polynomial) -> DifferentialForm:
-    """omega on the chart, checked to have at most a simple pole along p."""
-    form = variety.transition_form(omega, chart_id)
+def _require_simple(form: DifferentialForm, p: Polynomial, comp):
     worst = form.pole_order(p)
     if worst < -1:
         raise ResidueError(
             "pole of order %d along %s; only simple poles supported"
             % (-worst, comp.label)
         )
-    return form
 
 
 # ---------------------------------------------------------------------------

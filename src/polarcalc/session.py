@@ -154,7 +154,8 @@ def _parse_value(ts: TokenStream):
     if ts.at_name("inf"):
         ts.next()
         return INF
-    v = parse_expression(ts, ExprContext(()))
+    ctx = ExprContext(())
+    v = parse_expression(ts, ctx)
     if isinstance(v, DifferentialForm) or not v.is_constant():
         t = ts.peek()
         raise ParseError("expected a rational constant", t.line, t.col)
@@ -197,7 +198,8 @@ def _parse_map(ts: TokenStream, ambient: CatalogVariety):
                 raise ParseError("expected a coordinate name", name.line, name.col)
             ts.next()
             ts.expect("=")
-            rf = parse_expression(ts, ExprContext(coords))
+            ctx = ExprContext(coords)
+            rf = parse_expression(ts, ctx)
             if isinstance(rf, DifferentialForm):
                 raise ParseError("map formulas must be functions", name.line, name.col)
             formulas[name.text] = rf
@@ -220,7 +222,9 @@ def _parse_pole_entry(ts: TokenStream, ambient: CatalogVariety):
             ts.expect(")")
             return _infinity_component(ambient, name.text, t)
         return _infinity_component(ambient, None, t)
-    v = parse_expression(ts, ExprContext(ambient.main_chart.coords))
+    coords = ambient.main_chart.coords
+    ctx = ExprContext(coords)
+    v = parse_expression(ts, ctx)
     if isinstance(v, DifferentialForm) or not v.is_polynomial():
         raise ParseError("pole entries must be polynomials", t.line, t.col)
     return DivisorComponent.from_chart_poly(
@@ -257,7 +261,8 @@ def _parse_chain_term(ts: TokenStream, session: Session):
     mapspec = _parse_map(ts, ambient)
     ts.expect(",")
     if mapspec[0] == "const":
-        v = parse_expression(ts, ExprContext(()))
+        ctx = ExprContext(())
+        v = parse_expression(ts, ctx)
         if isinstance(v, DifferentialForm) or not v.is_constant():
             raise ParseError("point terms take a constant weight", tok.line, tok.col)
         ts.expect(")")
@@ -265,7 +270,8 @@ def _parse_chain_term(ts: TokenStream, session: Session):
             ambient, [point_term(ambient, mapspec[1], v.constant_value())]
         )
     coords = ambient.main_chart.coords
-    v = parse_expression(ts, ExprContext(coords, ambient.main_chart.id))
+    ctx = ExprContext(coords, ambient.main_chart.id)
+    v = parse_expression(ts, ctx)
     if not isinstance(v, DifferentialForm):
         v = DifferentialForm.function(ambient.main_chart.id, coords, v)
     poles = []
@@ -283,9 +289,14 @@ def _parse_chain_term(ts: TokenStream, session: Session):
     ts.expect(")")
     if mapspec[0] == "id":
         m = VarietyMap.identity(ambient)
+        source = ambient
     else:
-        m = VarietyMap(ambient, ambient, ambient.main_chart.id, mapspec[1])
-    return PolarChain(ambient, [make_triple(ambient, m, v, poles)])
+        source = ambient
+        m = VarietyMap(
+            ambient, ambient, ambient.main_chart.id, mapspec[1]
+        )
+    t = make_triple(source, m, v, poles)
+    return PolarChain(ambient, [t])
 
 
 def parse_chain_expr(ts: TokenStream, session: Session) -> PolarChain:

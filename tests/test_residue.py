@@ -235,7 +235,7 @@ def _contracted_matches_cancel(case):
     for idx, expr in expected.items():
         assert_canonical_cancel(rho.components[idx], expr, PLANE)
     reached_contraction_cases.add(shape)
-    reached_contraction_cases.add("scalar 1/d_j p" if dP.is_constant() else "fraction 1/d_j p")
+    reached_contraction_cases.add("constant d_j p" if dP.is_constant() else "nonconstant d_j p")
 
 
 def test_contracted_matches_cancel(monkeypatch):
@@ -246,5 +246,5 @@ def test_contracted_matches_cancel(monkeypatch):
     _contracted_matches_cancel()
     shapes = {s + t for s in POLES for t in ("", " times a TAU-monomial")}
     assert reached_contraction_cases == shapes | {
-        "exact division", "product", "scalar 1/d_j p", "fraction 1/d_j p",
+        "exact division", "product", "constant d_j p", "nonconstant d_j p",
     }
