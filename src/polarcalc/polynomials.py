@@ -50,6 +50,18 @@ denominator's leading coefficient, so canonical fractions are unchanged.
 The valuation of q along a single term c x^a (`_poly_ord`) is the least
 m_i // a_i over the terms x^m of q and the i with a_i > 0.
 
+Two more paths take operands of degree 1 and 2 by elementary algebra.  A
+line L, of total degree 1 in QQ[variables, TAU] (`x + TAU`, `1 + TAU`),
+is irreducible, so its gcd with any O is an associate of L or 1.  One
+division of O by L decides which: {L} is a Groebner basis of the ideal
+(L), so the remainder is 0 exactly when L divides O.  The gcd is L made
+monic in the ring's order, which is sympy's gcd.  The rational roots of a
+polynomial of degree 1 or 2 (`rational_roots`) come from the closed form:
+-c0/c1, or (-c1 +- r)/(2 c2) when the discriminant is the square of a
+rational r, tested by `math.isqrt` on its reduced numerator and
+denominator; any other quadratic is irreducible over Q and has no rational
+root.  Degree 3 and up still factors.
+
 Arithmetic in one variable over the field of the others (curve rings,
 traces along a fiber) runs in sympy's PolyRing([var], QQ(rest, TAU));
 `to_univariate` and `from_univariate` convert to and from it.  Jacobian
@@ -631,12 +643,27 @@ def rational_roots(p: Polynomial):
     """All rational roots of a univariate polynomial, with multiplicity.
 
     Returns (roots, fully_split) where fully_split is True when the
-    polynomial factors completely into linear factors over Q.
+    polynomial factors completely into linear factors over Q.  Degrees 1
+    and 2 take the closed form, higher degrees sympy's `factor_list`.
     """
     (var,) = p.variables
     if p.shift or p.elem.degree(1) > 0:
         raise PolynomialError("rational_roots needs TAU-free coefficients")
     f = p.elem.drop(1)
+    if 1 <= f.degree() <= 2:
+        c0, c1, c2 = (_frac(f.get((k,), QQ.zero)) for k in range(3))
+        if not c2:
+            return [(-c0 / c1, 1)], True
+        disc = c1 * c1 - 4 * c2 * c0
+        if disc < 0:
+            return [], False
+        n, d = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
+        if n * n != disc.numerator or d * d != disc.denominator:
+            return [], False
+        if not n:
+            return [(-c1 / (2 * c2), 2)], True
+        r = Fraction(n, d)
+        return sorted([((-c1 - r) / (2 * c2), 1), ((-c1 + r) / (2 * c2), 1)]), True
     roots = []
     for factor, mult in f.factor_list()[1]:
         if factor.degree() == 1:
@@ -878,7 +905,9 @@ def _cofactors(a: Polynomial, b: Polynomial):
     """(h, a/h, b/h) for a gcd h of a and b, fixed up to a constant factor.
 
     When a or b is a single term, h is a monomial: the least exponent of
-    each variable (and of TAU) over the terms of both.
+    each variable (and of TAU) over the terms of both.  When a or b is a
+    line L, h is L made monic, as sympy's gcd is, if one division of the
+    other operand by L is exact, and 1 otherwise.
     """
     A, B = a.elem, b.elem
     if A and B and (len(A) == 1 or len(B) == 1):
@@ -886,6 +915,15 @@ def _cofactors(a: Polynomial, b: Polynomial):
         if not any(low):
             return _one(a.variables), a, b
         h, p, q = A.new({low: QQ.one}), _quo_monom(A, low), _quo_monom(B, low)
+    elif A and B and (_is_line(A) or _is_line(B)):
+        L, O = (A, B) if _is_line(A) else (B, A)
+        quo, rem = O.div(L)
+        if rem:
+            return _one(a.variables), a, b
+        c = L.LC
+        h, p, q = L.quo_ground(c), L.ring.ground_new(c), quo.mul_ground(c)
+        if L is B:
+            p, q = q, p
     else:
         h, p, q = A.cofactors(B)
     return (
@@ -893,6 +931,11 @@ def _cofactors(a: Polynomial, b: Polynomial):
         Polynomial._wrap(a.variables, p, a.shift),
         Polynomial._wrap(b.variables, q, b.shift),
     )
+
+
+def _is_line(elem) -> bool:
+    """Total degree at most 1 in QQ[variables, TAU]."""
+    return all(sum(m) <= 1 for m in elem)
 
 
 def _quo_monom(elem, low):

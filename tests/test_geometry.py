@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy.polys.rings import PolyElement
 
 from polarcalc.geometry import (
     INF,
@@ -230,6 +231,27 @@ def test_components_sharing_a_factor_are_not_tested_for_triple_points():
 
 
 TRIPLE = "three components through one point in dimension 2"
+
+
+@pytest.mark.parametrize("specs, message", [
+    (["z", "z + 3*t", "t - 3/2", "t"],
+     "normal crossing: rejected\n  " + TRIPLE
+     + " on chart t|z: {z}, {t + 1/3*z}, {t} (witness (0, 0))"),
+    (["z - 1", "z + 3*t", "t - 3/2", "t"], "normal crossing: accepted"),
+])
+def test_lines_on_the_cylinder_take_no_general_gcd_or_factorization(monkeypatch, specs, message):
+    """Sections, a graph and vertical fibres on P1(t) x P1(z), as a cylinder
+    basepoint probe checks them: every gcd has a line operand and every
+    eliminant has degree at most 2, so sympy's `cofactors` and
+    `factor_list` are never called."""
+    calls = []
+    for name in ("cofactors", "factor_list"):
+        original = getattr(PolyElement, name)
+        monkeypatch.setattr(PolyElement, name, lambda *a, f=original: calls.append(a) or f(*a))
+    cyl = product_of_lines(["t", "z"])
+    report = validate_normal_crossing(components_on(cyl, *[("t|z", p) for p in specs]), cyl)
+    assert report.message() == message
+    assert calls == []
 
 
 @pytest.mark.parametrize("variety, specs, failure", [

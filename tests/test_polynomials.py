@@ -2,8 +2,9 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from sympy.polys.domains import QQ
 from sympy.polys.rings import PolyElement
 
 from polarcalc import polynomials
@@ -402,6 +403,71 @@ def test_rational_roots_refuse_tau():
         rational_roots(u - Polynomial.constant(("x",), Polynomial.scalar(1, -1)))
 
 
+SYMPY_FACTOR_LIST = PolyElement.factor_list
+
+
+def factor_list_roots(p):
+    """rational_roots by sympy's factorization: the linear factors."""
+    f = p.elem.drop(1)
+    roots = sorted(
+        (polynomials._frac(-g.get((0,), QQ.zero) / g[(1,)]), m)
+        for g, m in SYMPY_FACTOR_LIST(f)[1] if g.degree() == 1
+    )
+    return roots, sum(m for _, m in roots) == f.degree()
+
+
+LOW_DEGREE_ROOTS = {
+    "3*x + 1": ([(Fraction(-1, 3), 1)], True),
+    "2*x**2 - 2*x - 4": ([(Fraction(-1), 1), (Fraction(2), 1)], True),
+    "-x**2 + x/2 + 3/2": ([(Fraction(-1), 1), (Fraction(3, 2), 1)], True),
+    "4*x**2 - 4*x + 1": ([(Fraction(1, 2), 2)], True),
+    "x**2 - 9/4": ([(Fraction(-3, 2), 1), (Fraction(3, 2), 1)], True),
+    "x**2 + x + 1/8": ([], False),  # the discriminant 1/2: a square numerator only
+    "x**2 - 2": ([], False),
+    "x**2 + 1": ([], False),
+}
+
+
+@st.composite
+def low_degree_polys(draw):
+    """c0 + c1 x, c0 + c1 x + c2 x^2 with c2 != 0, or c (x - r1)(x - r2)."""
+    kind = draw(st.sampled_from(["line", "quadratic", "roots"]))
+    if kind != "roots":
+        c0, c1 = draw(fractions), draw(nonzero_fractions if kind == "line" else fractions)
+        c2 = draw(nonzero_fractions) if kind == "quadratic" else 0
+        terms = {(0,): c0, (1,): c1, (2,): c2}
+    else:
+        r1, r2, c = draw(fractions), draw(fractions), draw(nonzero_fractions)
+        terms = {(0,): c * r1 * r2, (1,): -c * (r1 + r2), (2,): c}
+    return Polynomial(("x",), terms)
+
+
+def test_low_degree_roots_take_no_factorization(monkeypatch):
+    """Degrees 1 and 2 by the closed form, equal to the roots of sympy's
+    `factor_list`, which is not called; degree 3 still factors."""
+    calls = []
+    monkeypatch.setattr(PolyElement, "factor_list", _spy(calls, PolyElement.factor_list))
+    for text, expected in LOW_DEGREE_ROOTS.items():
+        p = Polynomial.from_sympy(sp.sympify(text), ("x",))
+        assert rational_roots(p) == factor_list_roots(p) == expected
+    reached = set()
+
+    @differential
+    @given(low_degree_polys())
+    def closed_form_matches_factorization(p):
+        roots, split = rational_roots(p)
+        assert (roots, split) == factor_list_roots(p)
+        reached.add((p.total_degree(), len(roots), split))
+
+    closed_form_matches_factorization()
+    assert reached == {(1, 1, True), (2, 2, True), (2, 1, True), (2, 0, False)}
+    assert calls == []
+    u = Polynomial.variable(("x",), "x")
+    assert rational_roots(u * u * u - u) == (
+        [(Fraction(-1), 1), (Fraction(0), 1), (Fraction(1), 1)], True)
+    assert len(calls) == 1
+
+
 def test_resultant_of_laurent_coefficients():
     # res_x(x - 1/TAU, x + y - 1) = y - 1 + 1/TAU
     a = x() - const(1).scale(Polynomial.scalar(1, -1))
@@ -661,7 +727,8 @@ def test_fraction_kernel_matches_cancel():
 
 
 # ---------------------------------------------------------------------------
-# one-term paths: substitution by exponent arithmetic, gcds with a monomial
+# one-term and line paths: substitution by exponent arithmetic, gcds with a
+# monomial or a line
 # ---------------------------------------------------------------------------
 
 TRANSITIONS = {
@@ -784,11 +851,57 @@ def one_term_pairs(draw):
     return (term, other) if draw(st.booleans()) else (other, term)
 
 
+def is_line(elem):
+    """Total degree 1 in QQ[variables, TAU], TAU counted as a variable."""
+    return max(sum(m) for m in elem) == 1
+
+
+nonzero_fractions = st.builds(Fraction, st.sampled_from([-3, -2, -1, 1, 2, 3]), st.integers(1, 3))
+
+
+@st.composite
+def lines(draw, variables):
+    """Rational multiples of two or three of the variables, 1 and TAU, all
+    times a TAU-monomial: a line of the ring with at least two terms."""
+    slots = [Polynomial.variable(variables, v) for v in variables] + [
+        Polynomial.constant(variables, 1),
+        Polynomial.constant(variables, Polynomial.scalar(1, 1)),
+    ]
+    chosen = draw(st.lists(st.sampled_from(slots), min_size=2, max_size=3, unique=True))
+    line = sum(
+        (s.scale(Polynomial.scalar(draw(nonzero_fractions))) for s in chosen),
+        Polynomial.zero(variables),
+    )
+    return line.scale(draw(tau_monomials))
+
+
+@st.composite
+def line_pairs(draw):
+    """(a, b), neither a single term, one a line L; the other is a multiple
+    of L by a TAU-monomial, another line, an arbitrary polynomial, or a
+    multiple of L of higher degree."""
+    variables = draw(st.sampled_from(VARIABLE_SETS))
+    line = draw(lines(variables))
+    other = draw(st.one_of(
+        tau_monomials.map(line.scale),
+        lines(variables),
+        polys(variables, min_terms=2),
+        polys(variables, min_terms=1).map(lambda p: p * line),
+    ).filter(lambda p: len(p.elem) > 1))
+    return (line, other) if draw(st.booleans()) else (other, line)
+
+
 reached_cofactor_cases = set()
+SYMPY_COFACTORS = PolyElement.cofactors
+LINE_X_TAU = Polynomial.variable(COORDS, "x") + const(Polynomial.scalar(1, 1))
+LINE_1_TAU = const(laurent({0: 1, 1: 1}))
 
 
-@differential
-@given(one_term_pairs())
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(st.one_of(one_term_pairs(), line_pairs()))
+@example((LINE_X_TAU, LINE_X_TAU * (y() - const(1))))
+@example((x() * y() * LINE_1_TAU + LINE_1_TAU, LINE_1_TAU.scale(Polynomial.scalar(2, -1))))
+@example((x() * LINE_1_TAU, LINE_1_TAU))  # x + TAU*x is no line: TAU counts in the degree
 def _one_term_cofactors_match_sympy(case):
     a, b = case
     calls = len(sympy_cofactors_calls)
@@ -798,28 +911,52 @@ def _one_term_cofactors_match_sympy(case):
     G, _, _ = sp.cofactors(cleared(a), cleared(b))
     ratio = sp.cancel(h.to_sympy() / G)
     assert ratio.is_Rational and ratio != 0
-    reached_cofactor_cases.add(
-        "both" if len(a.elem) == len(b.elem) == 1 else "first" if len(a.elem) == 1 else "second"
-    )
-    reached_cofactor_cases.add("coprime" if h.is_constant() else "monomial gcd")
-    if h.is_constant():
-        assert poly_gcd(a, b).is_one()
+    if len(a.elem) == 1 or len(b.elem) == 1:
+        reached_cofactor_cases.add(
+            "both" if len(a.elem) == len(b.elem) == 1 else "first" if len(a.elem) == 1 else "second"
+        )
+        reached_cofactor_cases.add("coprime" if h.is_constant() else "monomial gcd")
+        if h.is_constant():
+            assert poly_gcd(a, b).is_one()
+        else:
+            assert poly_gcd(a, b) == h
+        return
+    line = a if is_line(a.elem) else b
+    reached_cofactor_cases.add("line first" if line is a else "line second")
+    reached_cofactor_cases.add("line coprime" if h.is_constant() else "line divides")
+    if not h.is_constant() and is_line(a.elem) and is_line(b.elem):
+        reached_cofactor_cases.add("proportional lines")
+    if any(m[-1] for m in line.elem):
+        reached_cofactor_cases.add("TAU line")
+    assert h.elem == SYMPY_COFACTORS(a.elem, b.elem)[0]  # the monic gcd, as sympy's
+    try:
+        g = poly_gcd(a, b)
+    except PolynomialError:  # a TAU-sum lead, as of 1 + TAU
+        assert len(h.leading()[1].elem) > 1
+        reached_cofactor_cases.add("TAU-sum gcd refused")
     else:
-        assert poly_gcd(a, b) == h
+        assert g.leading()[1].is_one() and poly_divides(g, h) and poly_divides(h, g)
 
 
 def test_one_term_cofactors_match_sympy(monkeypatch):
+    """The one-term and the line paths of `_cofactors` against sympy's gcd,
+    with no call of sympy's `cofactors`."""
     reached_cofactor_cases.clear()
     monkeypatch.setattr(PolyElement, "cofactors", _spy(sympy_cofactors_calls, PolyElement.cofactors))
     _one_term_cofactors_match_sympy()
-    assert reached_cofactor_cases == {"both", "first", "second", "coprime", "monomial gcd"}
+    assert reached_cofactor_cases == {
+        "both", "first", "second", "coprime", "monomial gcd",
+        "line first", "line second", "line coprime", "line divides",
+        "proportional lines", "TAU line", "TAU-sum gcd refused",
+    }
 
 
 def test_dsq_takes_no_sympy_gcd_of_a_single_term(monkeypatch):
-    """Every gcd with a one-term operand on a P1 x P1 `dsq` is a monomial
-    gcd of `_cofactors`, not a call of sympy's `cofactors`.  With poles at
-    z1 = 0 and z2 = -6 the residues divide exactly and no general gcd is
-    left; with z1 = 1 the spy still sees general gcds."""
+    """Every gcd with a one-term or a degree-1 operand on a P1 x P1 `dsq` is
+    taken by `_cofactors` itself, not by sympy's `cofactors`.  With poles
+    on lines only the residues divide exactly and every other gcd has a
+    line operand, so no general gcd is left; with the quadratic pole
+    (z2 + 6)(z2 - 1) the spy still sees general gcds."""
     calls = []
     monkeypatch.setattr(PolyElement, "cofactors", _spy(calls, PolyElement.cofactors))
 
@@ -834,9 +971,13 @@ def test_dsq_takes_no_sympy_gcd_of_a_single_term(monkeypatch):
         return list(calls)
 
     assert dsq("dlog(z1) wedge dlog(z2 + 6)", "z1, inf(z1), z2 + 6, inf(z2)") == []
-    calls = dsq("dlog(z1 - 1) wedge dlog(z2 + 6)", "z1 - 1, inf(z1), z2 + 6, inf(z2)")
+    assert dsq("dlog(z1 - 1) wedge dlog(z2 + 6)", "z1 - 1, inf(z1), z2 + 6, inf(z2)") == []
+    calls = dsq(
+        "dlog(z1 - 1) wedge dlog((z2 + 6)*(z2 - 1))",
+        "z1 - 1, inf(z1), z2 + 6, z2 - 1, inf(z2)",
+    )
     assert calls  # the spy sees the general gcds
-    assert not [(f, g) for f, g in calls if len(f) == 1 or len(g) == 1]
+    assert not [fg for fg in calls if any(len(e) == 1 or is_line(e) for e in fg)]
 
 
 def test_quotient_by_a_cancelling_tau_sum():
