@@ -82,6 +82,8 @@ class CatalogVariety:
         self.factors = tuple(factors)  # main coordinate per P1 factor
         self.curve_polys = dict(curve_polys or {})
         self._new_loci = _new_loci(self.charts, self.coord_maps)
+        extra = tuple(sorted((cid, p) for cid, p in self.curve_polys.items()))
+        self._signature = (kind, tuple(c.coords for c in self.charts), extra)
 
     @property
     def main_chart(self) -> Chart:
@@ -129,8 +131,7 @@ class CatalogVariety:
         return hash(self.signature())
 
     def signature(self):
-        extra = tuple(sorted((cid, p) for cid, p in self.curve_polys.items()))
-        return (self.kind, tuple(c.coords for c in self.charts), extra)
+        return self._signature
 
     def __repr__(self):
         return "CatalogVariety(%s)" % self.name

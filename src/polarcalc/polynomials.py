@@ -34,6 +34,15 @@ or of a function in parentheses (`(1 + TAU)*x`).
 `to_sympy`/`from_sympy` convert to and from sympy expressions and are
 not used by the engine.
 
+The normal form (lowest TAU power 0) is rescanned (`Polynomial._wrap`)
+only where it can move: sums, derivatives, specializations, substitution
+numerators, resultants and conversions; (x + TAU) - x and
+d/dy (x + TAU*y) are divisible by TAU.  Q[variables][TAU] is an integral
+domain, so the lowest TAU-degree parts of a product multiply and cannot
+vanish.  Products, powers, negation, division by a TAU-monomial, exact
+quotients and gcds of normal elements, the constructors, renamings and
+lifts keep it as it stands (`Polynomial._same`).
+
 Three one-term paths skip sympy's general machinery; all are exact by
 exponent arithmetic.  When every n_v has at most one term and every d_v
 one term (chart transitions, renamings, rational constants and 0), the
@@ -96,14 +105,14 @@ def _field(variables) -> FracField:
     return F
 
 
+@functools.cache
 def _ring(variables) -> PolyRing:
     """QQ[variables, TAU], the ring of _field(variables)."""
     return _field(variables).ring
 
 
 def _qq(q):
-    q = Fraction(q)
-    return QQ(q.numerator, q.denominator)
+    return QQ(q if type(q) in (int, Fraction) else Fraction(q))
 
 
 def _frac(c) -> Fraction:
@@ -142,6 +151,9 @@ def _tau_text(tau_coeffs: dict, shift: int) -> str:
 
 def _lead(elem):
     """Graded-lex leading exponent of a ring element and its {TAU power: c}."""
+    if len(elem) == 1:
+        ((m, c),) = elem.items()
+        return m[:-1], {m[-1]: c}
     top = max(elem, key=lambda m: grlex_key(m[:-1]))[:-1]
     return top, {m[-1]: c for m, c in elem.items() if m[:-1] == top}
 
@@ -183,8 +195,14 @@ class Polynomial:
         low = min((m[-1] for m in elem), default=0)
         if low:
             elem = elem.new({m[:-1] + (m[-1] - low,): c for m, c in elem.items()})
+        return Polynomial._same(variables, elem, shift + low)
+
+    @staticmethod
+    def _same(variables, elem, shift=0) -> "Polynomial":
+        """TAU^shift * elem for an elem already in normal form (see the
+        module docstring): its lowest TAU power is 0, or it is 0."""
         p = Polynomial.__new__(Polynomial)
-        p.variables, p.elem, p.shift = variables, elem, shift + low if elem else 0
+        p.variables, p.elem, p.shift = variables, elem, shift if elem else 0
         return p
 
     # -- constructors -------------------------------------------------
@@ -193,7 +211,7 @@ class Polynomial:
     def scalar(value, tau_exp: int = 0) -> "Polynomial":
         """value * TAU^tau_exp for a rational value: a polynomial in zero variables."""
         q = _qq(value)
-        return Polynomial._wrap((), _ring(()).dtype({(0,): q} if q else {}), tau_exp)
+        return Polynomial._same((), _ring(()).dtype({(0,): q} if q else {}), tau_exp)
 
     @staticmethod
     def constant(variables, scalar) -> "Polynomial":
@@ -202,10 +220,10 @@ class Polynomial:
         variables, zeros = tuple(variables), (0,) * len(variables)
         if isinstance(scalar, Polynomial):
             elem = {zeros + (k,): c for (k,), c in scalar.elem.items()}
-            return Polynomial._wrap(variables, _ring(variables).dtype(elem), scalar.shift)
+            return Polynomial._same(variables, _ring(variables).dtype(elem), scalar.shift)
         q = _qq(scalar)
         elem = _ring(variables).dtype({zeros + (0,): q} if q else {})
-        return Polynomial._wrap(variables, elem)
+        return Polynomial._same(variables, elem)
 
     @staticmethod
     def zero(variables) -> "Polynomial":
@@ -214,7 +232,7 @@ class Polynomial:
     @staticmethod
     def variable(variables, name) -> "Polynomial":
         variables = tuple(variables)
-        return Polynomial._wrap(variables, _ring(variables).gens[variables.index(name)])
+        return Polynomial._same(variables, _ring(variables).gens[variables.index(name)])
 
     @property
     def terms(self) -> dict:
@@ -227,10 +245,11 @@ class Polynomial:
         return not self.elem
 
     def is_one(self) -> bool:
-        return self.shift == 0 and self.elem == self.elem.ring.one
+        e = self.elem
+        return not self.shift and len(e) == 1 and e.get(e.ring.zero_monom) == 1
 
     def is_constant(self) -> bool:
-        return all(d <= 0 for d in self.elem.degrees()[:-1])
+        return not any(any(m[:-1]) for m in self.elem)
 
     def is_unit(self) -> bool:
         return self.is_constant() and not self.is_zero()
@@ -284,14 +303,14 @@ class Polynomial:
         return Polynomial._wrap(self.variables, a + b, low)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._wrap(self.variables, -self.elem, self.shift)
+        return Polynomial._same(self.variables, -self.elem, self.shift)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        return Polynomial._wrap(
+        return Polynomial._same(
             self.variables, self.elem * other.elem, self.shift + other.shift
         )
 
@@ -305,7 +324,7 @@ class Polynomial:
                 "division only defined by a single TAU-monomial, got %s" % other
             )
         ((_, c),) = other.elem.items()
-        return Polynomial._wrap(
+        return Polynomial._same(
             self.variables, self.elem.quo_ground(c), self.shift - other.shift
         )
 
@@ -314,7 +333,7 @@ class Polynomial:
             raise PolynomialError("negative polynomial power")
         if n == 0:
             return _one(self.variables)
-        return Polynomial._wrap(self.variables, self.elem**n, self.shift * n)
+        return Polynomial._same(self.variables, self.elem**n, self.shift * n)
 
     def scale(self, scalar: "Polynomial") -> "Polynomial":
         return self * Polynomial.constant(self.variables, scalar)
@@ -361,7 +380,7 @@ class Polynomial:
         variables = tuple(variables)
         if len(variables) != len(self.variables):
             raise PolynomialError("rename arity mismatch")
-        return Polynomial._wrap(variables, _ring(variables).dtype(self.elem), self.shift)
+        return Polynomial._same(variables, _ring(variables).dtype(self.elem), self.shift)
 
     def lift(self, variables) -> "Polynomial":
         """Reinterpret in a larger/reordered variable tuple."""
@@ -373,7 +392,7 @@ class Polynomial:
             for p, k in zip(pos, m):
                 ne[p] = k  # positional: a repeated name lands on its first slot
             out[tuple(ne)] = c
-        return Polynomial._wrap(variables, _ring(variables).dtype(out), self.shift)
+        return Polynomial._same(variables, _ring(variables).dtype(out), self.shift)
 
     def substitute(self, mapping: dict, target_vars=None) -> "RationalFunction":
         """Substitute RationalFunctions for variables; others must be absent.
@@ -452,8 +471,10 @@ def _poly_text(p: Polynomial) -> str:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _one(variables) -> Polynomial:
-    return Polynomial._wrap(variables, _ring(variables).one)
+    """The shared 1 of a variable tuple; a Polynomial is immutable."""
+    return Polynomial._same(variables, _ring(variables).one)
 
 
 def _substituted(polys, mapping: dict, target_vars=None):
@@ -501,7 +522,7 @@ def _substituted(polys, mapping: dict, target_vars=None):
             (a * b, s - low_v) for a, b, s in zip(num_pows, reversed(den_pows), shifts)
         ]
         low += low_v
-        den_powers.append(Polynomial._wrap(target, den_pows[top], top * d.shift))
+        den_powers.append(Polynomial._same(target, den_pows[top], top * d.shift))
     nums = []
     for p in polys:
         acc = ring.zero
@@ -533,7 +554,7 @@ def _monomial_substituted(polys, mapping: dict, degrees: dict, target):
     for v, top in degrees.items():
         n, (B,) = mapping[v].num, mapping[v].den.elem
         d_top = ring.dtype({tuple(top * k for k in B): QQ.one})
-        den_powers.append(Polynomial._wrap(target, d_top))
+        den_powers.append(Polynomial._same(target, d_top))
         for j, k in enumerate(B):
             start[j] += top * k
         if n.elem:
@@ -598,7 +619,7 @@ def _canonical_assoc(p: Polynomial) -> Polynomial:
             "leading coefficient is not a TAU-monomial: %s" % _poly_text(p)
         )
     ((k, c),) = lead.items()
-    return Polynomial._wrap(p.variables, p.elem.quo_ground(c), -k)
+    return Polynomial._same(p.variables, p.elem.quo_ground(c), -k)
 
 
 def poly_divides(p: Polynomial, q: Polynomial) -> bool:
@@ -614,7 +635,7 @@ def poly_div_exact(q: Polynomial, p: Polynomial) -> Polynomial:
     quo, rem = q.elem.div(p.elem)
     if rem:
         raise PolynomialError("inexact division")
-    return Polynomial._wrap(q.variables, quo, q.shift - p.shift)
+    return Polynomial._same(q.variables, quo, q.shift - p.shift)
 
 
 def poly_resultant(a: Polynomial, b: Polynomial, var: str) -> Polynomial:
@@ -780,7 +801,7 @@ class RationalFunction:
         quo, rem = self.den.elem.div(p.elem)
         if rem:
             return self * RationalFunction.from_poly(p)
-        quo = Polynomial._wrap(self.variables, quo, self.den.shift - p.shift)
+        quo = Polynomial._same(self.variables, quo, self.den.shift - p.shift)
         return _coprime(self.num, quo)
 
     # -- calculus / evaluation ------------------------------------------
@@ -927,9 +948,9 @@ def _cofactors(a: Polynomial, b: Polynomial):
     else:
         h, p, q = A.cofactors(B)
     return (
-        Polynomial._wrap(a.variables, h),
-        Polynomial._wrap(a.variables, p, a.shift),
-        Polynomial._wrap(b.variables, q, b.shift),
+        Polynomial._same(a.variables, h),
+        Polynomial._same(a.variables, p, a.shift),
+        Polynomial._same(b.variables, q, b.shift),
     )
 
 
@@ -950,8 +971,8 @@ def _lead_one(num: Polynomial, den: Polynomial):
     if k == 0 and c == 1:
         return num, den
     return (
-        Polynomial._wrap(num.variables, num.elem.quo_ground(c), num.shift - k),
-        Polynomial._wrap(den.variables, den.elem.quo_ground(c), den.shift - k),
+        Polynomial._same(num.variables, num.elem.quo_ground(c), num.shift - k),
+        Polynomial._same(den.variables, den.elem.quo_ground(c), den.shift - k),
     )
 
 
