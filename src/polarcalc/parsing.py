@@ -144,8 +144,8 @@ def parse_expression(ts: TokenStream, ctx: ExprContext, min_prec=0):
 def _parse_prefix(ts: TokenStream, ctx: ExprContext):
     t = ts.peek()
     if t.text == "-":
-        ts.next()
-        return _negate(_parse_prefix(ts, ctx))
+        ts.next()  # -z^2 is -(z^2): the power binds first
+        return _negate(parse_expression(ts, ctx, _BIN_PRECEDENCE["^"]))
     if t.text == "+":
         ts.next()
         return _parse_prefix(ts, ctx)

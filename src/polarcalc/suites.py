@@ -4,10 +4,15 @@ Each suite is a callable `suite(seed=0) -> SuiteResult` shared by
 `polarcalc verify --suite <name>` and the acceptance tests.  The seed
 drives only the suite's own sampling; the engine draws no random numbers.
 Every check is exact: rational arithmetic throughout, zero tolerance.
+
+A suite is written as `body(rng) -> (summary, details)` and registered
+with `@_suite(name, *provenance)`; it passes when `details["failures"]`
+is empty.
 """
 
 import random
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 from .chains import (
     ChainError,
@@ -18,6 +23,7 @@ from .chains import (
     make_triple,
     normalize_chain,
     point_term,
+    term_weight,
 )
 from .forms import DifferentialForm
 from .geometry import (
@@ -45,6 +51,24 @@ class SuiteResult:
         self.provenance = list(provenance)
 
 
+_SUITES = {}
+
+
+def _suite(name, *provenance):
+    """Register `body(rng) -> (summary, details)` as the suite `name`."""
+
+    def register(body):
+        def suite(seed=0):
+            summary, details = body(random.Random(seed))
+            return SuiteResult(name, not details["failures"], summary,
+                               details, provenance)
+
+        _SUITES[name] = suite
+        return suite
+
+    return register
+
+
 # ---------------------------------------------------------------------------
 # randomized building blocks
 # ---------------------------------------------------------------------------
@@ -67,11 +91,8 @@ def _distinct_fractions(rng, count, lo=-6, hi=6, den=4):
 
 def _dlog_split_poly(coords, var, roots):
     """d log of a split polynomial prod (var - root): exact rational data."""
-    p = Polynomial.constant(coords, 1)
     v = Polynomial.variable(coords, var)
-    for r in roots:
-        p = p * (v - Polynomial.constant(coords, r))
-    return p
+    return _product([v - Polynomial.constant(coords, r) for r in roots], coords)
 
 
 def _dlog_form(chart, coords, p):
@@ -82,15 +103,30 @@ def _dlog_form(chart, coords, p):
     )
 
 
-def _random_p1_chain(rng):
-    line = proj_line("z")
+def _coordinate_line(amb, var, value):
+    """The component {var = value} on the main chart of `amb`."""
+    coords = amb.main_chart.coords
+    return DivisorComponent.from_chart_poly(
+        amb, amb.main_chart.id,
+        Polynomial.variable(coords, var) - Polynomial.constant(coords, value),
+    )
+
+
+def _p1_dlog(rng, line, *bounds):
+    """(form, declared poles) of d log prod (z - r) over 1-2 random roots."""
     coords = line.main_chart.coords
-    roots = _distinct_fractions(rng, rng.randint(1, 2))
+    roots = _distinct_fractions(rng, rng.randint(1, 2), *bounds)
     p = _dlog_split_poly(coords, "z", roots)
     form = _dlog_form(line.main_chart.id, coords, p)
     decl = [
         point_component(line, VarietyPoint.product_point([r])) for r in roots
     ] + [infinity_component(line)]
+    return form, decl
+
+
+def _random_p1_chain(rng):
+    line = proj_line("z")
+    form, decl = _p1_dlog(rng, line)
     t = make_triple(line, VarietyMap.identity(line), form, decl)
     return PolarChain(line, [t])
 
@@ -106,9 +142,7 @@ def _random_product_chain(rng):
         p = _dlog_split_poly(coords, var, roots)
         f = _dlog_form(chart, coords, p)
         form = f if form is None else form.wedge(f)
-        for r in roots:
-            q = Polynomial.variable(coords, var) - Polynomial.constant(coords, r)
-            decl.append(DivisorComponent.from_chart_poly(amb, chart, q))
+        decl.extend(_coordinate_line(amb, var, r) for r in roots)
         decl.append(infinity_component(amb, var))
     t = make_triple(amb, VarietyMap.identity(amb), form, decl)
     return PolarChain(amb, [t])
@@ -162,34 +196,43 @@ def _proportional(p, q, coords):
     return (p * lq - q * lp).is_zero()
 
 
+def _random_poly(rng, coords, max_deg):
+    """A random constant plus each monomial of total degree 1..max_deg,
+    drawn with probability 0.7 and a random coefficient."""
+    p = Polynomial.constant(coords, _rand_fraction(rng))
+    for deg in range(1, max_deg + 1):
+        for mono in combinations_with_replacement(coords, deg):
+            if rng.random() < 0.7:
+                term = [Polynomial.variable(coords, v) for v in mono]
+                p = p + _product(term, coords) * Polynomial.constant(
+                    coords, _rand_fraction(rng))
+    if p.is_zero():
+        p = Polynomial.constant(coords, 1)
+    return p
+
+
 # ---------------------------------------------------------------------------
 # suite 1: boundary squared vanishes
 # ---------------------------------------------------------------------------
 
 
-def suite_dsq_random(seed=0):
-    rng = random.Random(seed)
+@_suite("dsq-random", "boundary squared vanishes",
+        "pairwise residue cancellation")
+def suite_dsq_random(rng):
     kinds = ["P1"] * 80 + ["P1xP1"] * 70 + ["P2"] * 50
+    sample = {"P1": _random_p1_chain, "P1xP1": _random_product_chain,
+              "P2": _random_p2_chain}
     failures = []
     for i, kind in enumerate(kinds):
-        if kind == "P1":
-            chain = _random_p1_chain(rng)
-        elif kind == "P1xP1":
-            chain = _random_product_chain(rng)
-        else:
-            chain = _random_p2_chain(rng)
+        chain = sample[kind](rng)
         rep = check_d_squared(chain)
         if not rep["zero"]:
             failures.append({"case": i, "kind": kind,
                              "chain": chain.render(),
                              "second": rep["second"].render()})
-    return SuiteResult(
-        "dsq-random", not failures,
-        "boundary applied twice is exactly zero on %d/%d random chains"
-        % (len(kinds) - len(failures), len(kinds)),
-        {"failures": failures},
-        ["boundary squared vanishes", "pairwise residue cancellation"],
-    )
+    return ("boundary applied twice is exactly zero on %d/%d random chains"
+            % (len(kinds) - len(failures), len(kinds)),
+            {"failures": failures})
 
 
 # ---------------------------------------------------------------------------
@@ -197,69 +240,33 @@ def suite_dsq_random(seed=0):
 # ---------------------------------------------------------------------------
 
 
-def suite_residue_anticommute(seed=0):
-    rng = random.Random(seed)
+@_suite("residue-anticommute", "pairwise residue cancellation")
+def suite_residue_anticommute(rng):
     failures = []
     for i in range(50):
         if rng.random() < 0.5:
             amb = product_of_lines(["z1", "z2"])
-            coords = amb.main_chart.coords
-            chart = amb.main_chart.id
-            a, b = _rand_fraction(rng), _rand_fraction(rng)
-            c1 = DivisorComponent.from_chart_poly(
-                amb, chart,
-                Polynomial.variable(coords, "z1")
-                - Polynomial.constant(coords, a),
-            )
-            c2 = DivisorComponent.from_chart_poly(
-                amb, chart,
-                Polynomial.variable(coords, "z2")
-                - Polynomial.constant(coords, b),
-            )
+            c1 = _coordinate_line(amb, "z1", _rand_fraction(rng))
+            c2 = _coordinate_line(amb, "z2", _rand_fraction(rng))
         else:
             amb = proj_plane("x", "y")
-            coords = amb.main_chart.coords
-            chart = amb.main_chart.id
-            a = _rand_fraction(rng)
-            c1 = DivisorComponent.from_chart_poly(
-                amb, chart,
-                Polynomial.variable(coords, "x")
-                - Polynomial.constant(coords, a),
-            )
-            c2 = DivisorComponent.from_chart_poly(
-                amb, chart, Polynomial.variable(coords, "y")
-            )
+            c1 = _coordinate_line(amb, "x", _rand_fraction(rng))
+            c2 = _coordinate_line(amb, "y", 0)
+        coords = amb.main_chart.coords
+        chart = amb.main_chart.id
         num = _random_poly(rng, coords, 2)
         den = c1.poly_on(chart) * c2.poly_on(chart)
-        rf = RationalFunction(num, den)
         omega = DifferentialForm(
-            chart, coords, 2, {(0, 1): rf}
+            chart, coords, 2, {(0, 1): RationalFunction(num, den)}
         )
         fwd = iterated_residue(omega, c1, c2, amb)
         bwd = iterated_residue(omega, c2, c1, amb)
         if not (fwd.value + bwd.value).is_zero():
             failures.append({"case": i, "forward": str(fwd.value),
                              "backward": str(bwd.value)})
-    return SuiteResult(
-        "residue-anticommute", not failures,
-        "iterated residues anticommute on %d/50 randomized pairs"
-        % (50 - len(failures)),
-        {"failures": failures},
-        ["pairwise residue cancellation"],
-    )
-
-
-def _random_poly(rng, coords, max_deg):
-    p = Polynomial.constant(coords, _rand_fraction(rng))
-    for v in coords:
-        if rng.random() < 0.7:
-            term = Polynomial.variable(coords, v) * Polynomial.constant(
-                coords, _rand_fraction(rng)
-            )
-            p = p + term
-    if p.is_zero():
-        p = Polynomial.constant(coords, 1)
-    return p
+    return ("iterated residues anticommute on %d/50 randomized pairs"
+            % (50 - len(failures)),
+            {"failures": failures})
 
 
 # ---------------------------------------------------------------------------
@@ -337,28 +344,22 @@ def homotopy_corpus():
     return cases
 
 
-def _aggregate_residue(cyl_chain, matcher):
-    """Sum of per-term residues along components selected by `matcher`.
-
-    Returns (total_form_by_key, sample) where forms are compared through
-    (target signature, embedded description, form) tuples accumulated by sum.
-    """
-    acc = {}
-    for lam, t in cyl_chain.terms:
+def _residue_sums(chain, tag_of, part):
+    """{tag: sum of the residues' `part` ("value" or "form")} over the
+    declared poles of each term that `tag_of(component)` tags (not None)."""
+    sums = {}
+    for lam, t in chain.terms:
         for comp in t.declared_poles:
-            tag = matcher(comp, t)
+            tag = tag_of(comp)
             if tag is None:
                 continue
-            res = poincare_residue(t.form.scale(lam), comp, t.source)
-            key = (tag, res.target.signature())
-            if key in acc:
-                acc[key] = acc[key] + res.form
-            else:
-                acc[key] = res.form
-    return acc
+            res = getattr(poincare_residue(t.form.scale(lam), comp, t.source), part)
+            sums[tag] = sums[tag] + res if tag in sums else res
+    return sums
 
 
-def suite_homotopy_table(seed=0):
+@_suite("homotopy-table", "cylinder residue table", "basepoint repair")
+def suite_homotopy_table(rng):
     failures = []
     details = []
     for label, chain, basepoint in homotopy_corpus():
@@ -371,13 +372,9 @@ def suite_homotopy_table(seed=0):
     repaired_seen = any(d["repaired"] for d in details)
     if not repaired_seen:
         failures.append({"case": "corpus", "errors": ["no repair case present"]})
-    return SuiteResult(
-        "homotopy-table", not failures,
-        "cylinder residue table holds on all %d corpus cases "
-        "(repair exercised: %s)" % (len(details), repaired_seen),
-        {"cases": details, "failures": failures},
-        ["cylinder residue table", "basepoint repair"],
-    )
+    return ("cylinder residue table holds on all %d corpus cases "
+            "(repair exercised: %s)" % (len(details), repaired_seen),
+            {"cases": details, "failures": failures})
 
 
 def _check_residue_table(chain, cyl, basepoint):
@@ -386,18 +383,23 @@ def _check_residue_table(chain, cyl, basepoint):
     lam0, t0 = chain.terms[0]
     tau = Polynomial.scalar(1, 1)
     if t0.degree == 0:
-        w = lam0 * _point_weight(t0)
+        w = lam0 * term_weight(t0)
         v = t0.map.image_point().data[0]
         if v == Fraction(basepoint):
             if not cyl.chain.is_zero():
                 errs.append("basepoint term should have zero image")
             return errs
         line = cyl.chain.ambient
-        got_graph = _scalar_residue_at(cyl.chain, line, v)
-        got_sect = _scalar_residue_at(cyl.chain, line, Fraction(basepoint))
-        if got_graph is None or tau * got_graph != w:
+        rows = {
+            point_component(line, VarietyPoint.product_point([v])): "graph",
+            point_component(
+                line, VarietyPoint.product_point([Fraction(basepoint)])
+            ): "section",
+        }
+        got = _residue_sums(cyl.chain, rows.get, "value")
+        if "graph" not in got or tau * got["graph"] != w:
             errs.append("graph row: TAU.res != weight")
-        if got_sect is None or tau * got_sect != -w:
+        if "section" not in got or tau * got["section"] != -w:
             errs.append("section row: TAU.res != -weight")
         return errs
 
@@ -406,25 +408,25 @@ def _check_residue_table(chain, cyl, basepoint):
     amb = cyl.chain.ambient
     zc = amb.factors[-1]
 
-    def classify(comp, term):
+    def classify(comp):
         ch = comp.first_visible_chart()
         p = comp.poly_on(ch.id)
         if p.degree_in(zc if zc in ch.coords else zc + "_") == 0:
-            return "vertical:%s" % comp.label
+            return None  # vertical: checked row by row below
         if _is_section_at(p, ch, zc, Fraction(basepoint)):
             return "section"
         if _is_section_at(p, ch, zc, None):
             return "shift"  # repaired basepoint section
         return "graph"
 
-    acc = _aggregate_residue(cyl.chain, classify)
-    graph = _sum_tagged(acc, "graph")
-    sect = _sum_tagged(acc, "section")
-    if graph is None or not _forms_match(graph.scale(tau), alpha, t0):
+    acc = _residue_sums(cyl.chain, classify, "form")
+    graph = acc.get("graph")
+    sect = acc.get("section")
+    if graph is None or not _forms_match(graph.scale(tau), alpha):
         errs.append("graph row: TAU.res_graph != alpha")
-    if sect is None or not _forms_match(sect.scale(tau), alpha.scale(Polynomial.scalar(-1)), t0):
+    if sect is None or not _forms_match(sect.scale(tau), alpha.scale(Polynomial.scalar(-1))):
         errs.append("section row: TAU.res_section != -alpha")
-    shift = _sum_tagged(acc, "shift")
+    shift = acc.get("shift")
     if shift is not None and not shift.is_zero():
         errs.append("repaired-section residues do not cancel")
     # vertical row: residue along a lifted pole equals the transported kernel
@@ -432,25 +434,10 @@ def _check_residue_table(chain, cyl, basepoint):
     return errs
 
 
-def _point_weight(t):
-    from .chains import term_weight
-
-    return term_weight(t)
-
-
-def _scalar_residue_at(cyl_chain, line, value):
-    comp = point_component(line, VarietyPoint.product_point([value]))
-    total = None
-    for lam, t in cyl_chain.terms:
-        if comp not in t.declared_poles:
-            continue
-        res = poincare_residue(t.form.scale(lam), comp, t.source)
-        total = res.value if total is None else total + res.value
-    return total
-
-
 def _is_section_at(p, ch, zc, value):
-    """Does p cut a horizontal section {z = const}, optionally at `value`?"""
+    """Does p cut a coordinate line {zc = const}, optionally at `value`?
+
+    Horizontal sections take the cylinder coordinate z, vertical lines t."""
     name = zc if zc in ch.coords else zc + "_"
     if name not in ch.coords or p.degree_in(name) != 1:
         return False
@@ -467,18 +454,9 @@ def _is_section_at(p, ch, zc, value):
     return p.evaluate(point).is_zero()
 
 
-def _sum_tagged(acc, tag):
-    total = None
-    for (t, _sig), form in acc.items():
-        if t != tag:
-            continue
-        total = form if total is None else total + form
-    return total
-
-
-def _forms_match(got, alpha, t0):
+def _forms_match(got, alpha):
     """Compare a residue form on P1(t) with alpha on the source line."""
-    if got is None or got.degree != alpha.degree:
+    if got.degree != alpha.degree:
         return False
     g = got.sorted_components()
     a = alpha.sorted_components()
@@ -513,7 +491,7 @@ def _check_vertical_rows(chain, cyl, basepoint):
         g_at_a = _section_value(t0, amb, zc, a)
         if g_at_a is None:
             continue
-        got = _vertical_residue(cyl.chain, zc, a)
+        got = _vertical_residue(cyl.chain, amb.factors[0], a)
         if got is None:
             errs.append("vertical row: no residue found at t = %s" % a)
             continue
@@ -543,29 +521,14 @@ def _section_value(t0, amb, zc, a):
         return None
 
 
-def _vertical_residue(cyl_chain, zc, a):
-    total = None
-    for lam, t in cyl_chain.terms:
-        for comp in t.declared_poles:
-            ch = comp.first_visible_chart()
-            p = comp.poly_on(ch.id)
-            names = [c for c in ch.coords if not c.startswith(zc)]
-            if not names:
-                continue
-            name = names[0]
-            if p.degree_in(name) != 1:
-                continue
-            if any(p.degree_in(c) != 0 for c in ch.coords if c != name):
-                continue
-            if name.endswith("_"):
-                continue
-            point = {c: Fraction(0) for c in ch.coords}
-            point[name] = Fraction(a)
-            if not p.evaluate(point).is_zero():
-                continue
-            res = poincare_residue(t.form.scale(lam), comp, t.source)
-            total = res.form if total is None else total + res.form
-    return total
+def _vertical_residue(cyl_chain, tc, a):
+    """Summed residue form along the vertical lines {t = a}."""
+
+    def at_a(comp):
+        ch = comp.first_visible_chart()
+        return "vertical" if _is_section_at(comp.poly_on(ch.id), ch, tc, a) else None
+
+    return _residue_sums(cyl_chain, at_a, "form").get("vertical")
 
 
 def _kernel_form(coords, chart, zc, g_value, c):
@@ -578,7 +541,8 @@ def _kernel_form(coords, chart, zc, g_value, c):
     return DifferentialForm(chart, coords, 1, {idx: k1 - k2})
 
 
-def suite_homotopy_identity(seed=0):
+@_suite("homotopy-identity", "cylinder homotopy identity")
+def suite_homotopy_identity(rng):
     failures = []
     cases = []
     for label, chain, basepoint in homotopy_corpus():
@@ -587,13 +551,9 @@ def suite_homotopy_identity(seed=0):
         if not rep["zero"]:
             failures.append({"case": label,
                              "residual": rep["residual"].render()})
-    return SuiteResult(
-        "homotopy-identity", not failures,
-        "dh + hd = id - s*pi* holds exactly on all %d corpus cases"
-        % len(cases),
-        {"cases": cases, "failures": failures},
-        ["cylinder homotopy identity"],
-    )
+    return ("dh + hd = id - s*pi* holds exactly on all %d corpus cases"
+            % len(cases),
+            {"cases": cases, "failures": failures})
 
 
 # ---------------------------------------------------------------------------
@@ -601,8 +561,8 @@ def suite_homotopy_identity(seed=0):
 # ---------------------------------------------------------------------------
 
 
-def suite_witness_p1(seed=0):
-    rng = random.Random(seed)
+@_suite("witness-p1", "degree-zero witness on the line")
+def suite_witness_p1(rng):
     line = proj_line("z")
     failures = []
     for i in range(100):
@@ -611,32 +571,23 @@ def suite_witness_p1(seed=0):
         weights = [_rand_fraction(rng, -5, 5, 3) for _ in range(k - 1)]
         weights.append(-sum(weights))
         cycle = [(v, Polynomial.scalar(w)) for v, w in zip(points, weights)]
-        b = boundary_witness_p1(cycle, line)
-        got = boundary(b).chain
-        expected = normalize_chain(PolarChain(line, [
-            point_term(line, VarietyPoint.product_point([v]), Polynomial.scalar(w))
-            for v, w in zip(points, weights) if w != 0
-        ]))
-        if got.key() != expected.key():
-            failures.append({"case": i, "got": got.render(),
-                             "expected": expected.render()})
-    refused = False
+        try:  # the witness certifies its own boundary
+            boundary_witness_p1(cycle, line)
+        except ChainError as exc:
+            failures.append({"case": i, "error": str(exc)})
+    reproduced = 100 - len(failures)
     try:
         boundary_witness_p1(
             [(Fraction(0), Polynomial.scalar(1)), (Fraction(1), Polynomial.scalar(1))], line
         )
     except ChainError:
-        refused = True
-    if not refused:
+        pass
+    else:
         failures.append({"case": "refusal",
                          "error": "nonzero total weight was not refused"})
-    return SuiteResult(
-        "witness-p1", not failures,
-        "boundary witnesses reproduce 100/100 zero-sum cycles; "
-        "nonzero totals refused",
-        {"failures": failures},
-        ["degree-zero witness on the line"],
-    )
+    return ("boundary witnesses reproduce %d/100 zero-sum cycles; "
+            "nonzero totals refused" % reproduced,
+            {"failures": failures})
 
 
 # ---------------------------------------------------------------------------
@@ -644,8 +595,8 @@ def suite_witness_p1(seed=0):
 # ---------------------------------------------------------------------------
 
 
-def suite_global_residue(seed=0):
-    rng = random.Random(seed)
+@_suite("global-residue-p1", "global residue theorem on the line")
+def suite_global_residue(rng):
     line = proj_line("z")
     coords = line.main_chart.coords
     chart = line.main_chart.id
@@ -654,7 +605,7 @@ def suite_global_residue(seed=0):
         k = rng.randint(1, 5)
         roots = _distinct_fractions(rng, k, -8, 8, 5)
         den = _dlog_split_poly(coords, "z", roots)
-        num = _random_univar(rng, coords, max(0, k - 1))
+        num = _random_poly(rng, coords, k - 1)
         form = DifferentialForm(
             chart, coords, 1, {(0,): RationalFunction(num, den)}
         )
@@ -665,28 +616,9 @@ def suite_global_residue(seed=0):
                 "total": str(total),
                 "breakdown": [(str(p), str(v)) for p, v in breakdown],
             })
-    return SuiteResult(
-        "global-residue-p1", not failures,
-        "total residue vanished on %d/100 random admissible forms"
-        % (100 - len(failures)),
-        {"failures": failures},
-        ["global residue theorem on the line"],
-    )
-
-
-def _random_univar(rng, coords, max_deg):
-    z = Polynomial.variable(coords, "z")
-    p = Polynomial.constant(coords, _rand_fraction(rng, -5, 5, 3))
-    power = Polynomial.constant(coords, 1)
-    for _ in range(max_deg):
-        power = power * z
-        if rng.random() < 0.6:
-            p = p + power * Polynomial.constant(
-                coords, _rand_fraction(rng, -5, 5, 3)
-            )
-    if p.is_zero():
-        p = Polynomial.constant(coords, 1)
-    return p
+    return ("total residue vanished on %d/100 random admissible forms"
+            % (100 - len(failures)),
+            {"failures": failures})
 
 
 # ---------------------------------------------------------------------------
@@ -694,8 +626,8 @@ def _random_univar(rng, coords, max_deg):
 # ---------------------------------------------------------------------------
 
 
-def suite_adjunction(seed=0):
-    rng = random.Random(seed)
+@_suite("adjunction", "adjunction residue", "independent decomposition oracle")
+def suite_adjunction(rng):
     plane = proj_plane("x", "y")
     coords = plane.main_chart.coords
     chart = plane.main_chart.id
@@ -724,13 +656,9 @@ def suite_adjunction(seed=0):
                 "got": str(got), "expected": str(expected),
             })
         count += 1
-    return SuiteResult(
-        "adjunction", not failures,
-        "curve residue matched the linear-algebra oracle on %d/10 "
-        "elliptic curves" % (10 - len(failures)),
-        {"failures": failures},
-        ["adjunction residue", "independent decomposition oracle"],
-    )
+    return ("curve residue matched the linear-algebra oracle on %d/10 "
+            "elliptic curves" % (10 - len(failures)),
+            {"failures": failures})
 
 
 def _adjunction_oracle(coords, g):
@@ -752,27 +680,20 @@ def _adjunction_oracle(coords, g):
 # ---------------------------------------------------------------------------
 
 
-def suite_relations(seed=0):
-    rng = random.Random(seed)
+@_suite("relations", "R1/R2/R3", "residue-boundary")
+def suite_relations(rng):
     line = proj_line("z")
     coords = line.main_chart.coords
     chart = line.main_chart.id
     failures = []
 
     # (P1, z -> z^2, dz/z) - (P1, id, dz/z) normalizes to zero (R2)
-    z = Polynomial.variable(coords, "z")
-    dz_over_z = DifferentialForm(
-        chart, coords, 1,
-        {(0,): RationalFunction(Polynomial.constant(coords, 1), z)},
-    )
+    dz_over_z = _dlog_form(chart, coords, Polynomial.variable(coords, "z"))
     decl = [
         point_component(line, VarietyPoint.product_point([0])),
         infinity_component(line),
     ]
-    sq = VarietyMap(line, line, chart, {
-        "z": RationalFunction.variable(coords, "z") ** 2
-    })
-    t_sq = make_triple(line, sq, dz_over_z, decl)
+    t_sq = make_triple(line, _squaring(line), dz_over_z, decl)
     t_id = make_triple(line, VarietyMap.identity(line), dz_over_z, decl)
     pair = PolarChain(line, [(Polynomial.scalar(1), t_sq), (Polynomial.scalar(-1), t_id)])
     if not normalize_chain(pair).is_zero():
@@ -788,42 +709,34 @@ def suite_relations(seed=0):
         failures.append({"check": "R3 constant prune", "error": "kept"})
 
     # boundary commutes with normalization: 20 randomized two-term chains
+    commuted = 20
     for i in range(20):
         chain = _random_relation_chain(rng, line)
         direct = boundary(chain).chain
         after = boundary(normalize_chain(chain)).chain
         if direct.key() != after.key():
+            commuted -= 1
             failures.append({
                 "case": i, "check": "boundary/normalize",
                 "direct": direct.render(), "normalized-first": after.render(),
             })
-    return SuiteResult(
-        "relations", not failures,
-        "R2 pair collapses, R3 prunes constants, boundary commutes with "
-        "normalization on 20/20 random chains",
-        {"failures": failures},
-        ["R1/R2/R3", "residue-boundary"],
-    )
+    return ("R2 pair collapses, R3 prunes constants, boundary commutes with "
+            "normalization on %d/20 random chains" % commuted,
+            {"failures": failures})
+
+
+def _squaring(line):
+    coords = line.main_chart.coords
+    return VarietyMap(line, line, line.main_chart.id, {
+        "z": RationalFunction.variable(coords, "z") ** 2
+    })
 
 
 def _random_relation_chain(rng, line):
-    coords = line.main_chart.coords
-    chart = line.main_chart.id
     terms = []
     for _ in range(rng.randint(1, 2)):
-        roots = _distinct_fractions(rng, rng.randint(1, 2), -4, 4, 2)
-        p = _dlog_split_poly(coords, "z", roots)
-        form = _dlog_form(chart, coords, p)
-        decl = [
-            point_component(line, VarietyPoint.product_point([r]))
-            for r in roots
-        ] + [infinity_component(line)]
-        if rng.random() < 0.4:
-            m = VarietyMap(line, line, chart, {
-                "z": RationalFunction.variable(coords, "z") ** 2
-            })
-        else:
-            m = VarietyMap.identity(line)
+        form, decl = _p1_dlog(rng, line, -4, 4, 2)
+        m = _squaring(line) if rng.random() < 0.4 else VarietyMap.identity(line)
         lam = Polynomial.scalar(_rand_fraction(rng, -3, 3, 2))
         if lam.is_zero():
             lam = Polynomial.scalar(1)
@@ -847,8 +760,19 @@ let b = chain(B, id, dlog(z1) wedge dlog(z2), poles[z1, z2, inf(z1), inf(z2)]);
 dsq b;
 """
 
+# label: (session text, documented exit code of `polarcalc run`)
+_EXIT_SESSIONS = {
+    "ok": ("let A = P1(z);\n"
+           "let a = chain(A, id, dlog(z), poles[z, inf]);\n"
+           "dsq a;\n", 0),
+    "parse-error": ("let A = P1(z);\nboundary ;\n", 2),
+    "compute-error": ("let A = P1(z);\n"
+                      "let a = chain(A, id, d(z)/z^2, poles[z]);\n", 1),
+}
 
-def suite_cli(seed=0):
+
+@_suite("cli", "session grammar", "deterministic reports")
+def suite_cli(rng):
     import json as _json
 
     from .session import (
@@ -859,7 +783,6 @@ def suite_cli(seed=0):
         run_text,
     )
 
-    rng = random.Random(seed)
     failures = []
 
     # 100 random form/chain round-trips through the renderer and parser
@@ -894,19 +817,15 @@ def suite_cli(seed=0):
         failures.append({"kind": "replay", "error": "reports differ"})
 
     # documented exit codes
-    codes = _observe_exit_codes(seed)
+    codes = _observe_exit_codes()
     for label, (got, want) in codes.items():
         if got != want:
             failures.append({"kind": "exit-code", "scenario": label,
                              "got": got, "expected": want})
-    return SuiteResult(
-        "cli", not failures,
-        "renderer round-trips, byte-identical replay, exit codes %s"
-        % sorted(set(w for _, w in codes.values())),
-        {"failures": failures,
-         "exit_codes": {k: v[0] for k, v in codes.items()}},
-        ["session grammar", "deterministic reports"],
-    )
+    return ("renderer round-trips, byte-identical replay, exit codes %s"
+            % sorted(set(w for _, w in codes.values())),
+            {"failures": failures,
+             "exit_codes": {k: v[0] for k, v in codes.items()}})
 
 
 def _random_roundtrip_form(rng, coords):
@@ -922,87 +841,49 @@ def _random_roundtrip_form(rng, coords):
             continue
         num = _random_poly(rng, coords, 2)
         den = _random_poly(rng, coords, 1)
-        if den.is_zero():
-            den = Polynomial.constant(coords, 1)
         components[idx] = RationalFunction(num, den)
     if not components:
         components[indices[0]] = RationalFunction.constant(coords, 1)
     return DifferentialForm("", coords, deg, components)
 
 
-def _observe_exit_codes(seed):
+def _observe_exit_codes():
+    """{label: (observed, documented exit code)} per scenario."""
+    import contextlib
+    import io
     import os
     import tempfile
 
     from .cli import main as cli_main
 
+    def run(argv):
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            return cli_main(argv)
+
     scenarios = {}
     with tempfile.TemporaryDirectory() as tmp:
-        ok = os.path.join(tmp, "ok.pc")
-        with open(ok, "w", encoding="utf-8") as fh:
-            fh.write("let A = P1(z);\n"
-                     "let a = chain(A, id, dlog(z), poles[z, inf]);\n"
-                     "dsq a;\n")
-        bad_parse = os.path.join(tmp, "parse.pc")
-        with open(bad_parse, "w", encoding="utf-8") as fh:
-            fh.write("let A = P1(z);\nboundary ;\n")
-        bad_compute = os.path.join(tmp, "compute.pc")
-        with open(bad_compute, "w", encoding="utf-8") as fh:
-            fh.write("let A = P1(z);\n"
-                     "let a = chain(A, id, d(z)/z^2, poles[z]);\n")
-        import contextlib
-        import io
-
-        def run(argv):
-            buf_out, buf_err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(buf_out), \
-                    contextlib.redirect_stderr(buf_err):
-                return cli_main(argv)
-
-        scenarios["ok"] = (run(["--seed", str(seed), "run", ok]), 0)
-        scenarios["parse-error"] = (run(["run", bad_parse]), 2)
-        scenarios["compute-error"] = (run(["run", bad_compute]), 1)
-        scenarios["verify-fail"] = (
-            run(["verify", "--suite", "fixture-fail"]), 3)
-        scenarios["verify-pass"] = (
-            run(["verify", "--suite", "fixture-pass"]), 0)
+        for label, (text, want) in _EXIT_SESSIONS.items():
+            path = os.path.join(tmp, label + ".pc")
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+            scenarios[label] = (run(["run", path]), want)
+    for verdict, want in (("fail", 3), ("pass", 0)):
+        scenarios["verify-" + verdict] = (
+            run(["verify", "--suite", "fixture-" + verdict]), want)
     return scenarios
 
 
-def suite_fixture_fail(seed=0):
-    """Deliberately failing fixture used to observe exit code 3."""
-    return SuiteResult(
-        "fixture-fail", False,
-        "fixture suite that always fails (exit-code plumbing check)",
-        {}, ["fixture"],
-    )
-
-
-def suite_fixture_pass(seed=0):
-    return SuiteResult(
-        "fixture-pass", True,
-        "fixture suite that always passes (exit-code plumbing check)",
-        {}, ["fixture"],
-    )
-
-
 # ---------------------------------------------------------------------------
-# registry
+# fixtures: exit-code plumbing checks, hidden from `suite_names`
 # ---------------------------------------------------------------------------
 
-_SUITES = {
-    "dsq-random": suite_dsq_random,
-    "residue-anticommute": suite_residue_anticommute,
-    "homotopy-table": suite_homotopy_table,
-    "homotopy-identity": suite_homotopy_identity,
-    "witness-p1": suite_witness_p1,
-    "global-residue-p1": suite_global_residue,
-    "adjunction": suite_adjunction,
-    "relations": suite_relations,
-    "cli": suite_cli,
-    "fixture-fail": suite_fixture_fail,
-    "fixture-pass": suite_fixture_pass,
-}
+_SUITES["fixture-fail"] = lambda seed=0: SuiteResult(
+    "fixture-fail", False,
+    "fixture suite that always fails (exit-code plumbing check)", {}, ["fixture"])
+_SUITES["fixture-pass"] = lambda seed=0: SuiteResult(
+    "fixture-pass", True,
+    "fixture suite that always passes (exit-code plumbing check)", {}, ["fixture"])
 
 
 def suite_names():

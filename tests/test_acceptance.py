@@ -1,33 +1,61 @@
 """Acceptance criteria, one test (and one pass/fail line) per criterion.
 
-Every criterion delegates to the shared verification suites in
-polarcalc.suites, so `pytest tests/test_acceptance.py -v` and
-`polarcalc verify --suite <name>` exercise identical code paths.
+Every criterion runs its verification suite once through the command line,
+`polarcalc --json <path> verify --suite <name>`, so
+`pytest tests/test_acceptance.py -v` and `polarcalc verify --suite <name>`
+exercise identical code paths.  Each report must also be byte-identical to
+the one recorded in `tests/suite_reports.sha256` (seed 0, sympy 1.14.0).
 All checks are exact: rational arithmetic, zero tolerance.
 """
 
+import hashlib
+import json
+import os
+import tempfile
 import time
+from pathlib import Path
 
 import pytest
 
 from polarcalc import suites
+from polarcalc.cli import main as cli_main
 
-SEED = 0
+REPORT_HASHES = Path(__file__).with_name("suite_reports.sha256")
+
+
+def _recorded_hashes():
+    """{suite name: SHA-256 of its seed-0 `verify --json` report}."""
+    out = {}
+    for line in REPORT_HASHES.read_text(encoding="utf-8").splitlines():
+        digest, filename = line.split()
+        out[filename[:-len(".json")]] = digest
+    return out
 
 
 def _run(name, label, max_seconds=None):
-    start = time.time()
-    result = suites.get_suite(name)(seed=SEED)
-    elapsed = time.time() - start
-    verdict = "PASS" if result.passed else "FAIL"
-    print("criterion %s: %s (%.1fs) -- %s" % (label, verdict, elapsed,
-                                              result.summary))
-    if not result.passed:
-        pytest.fail("criterion %s failed: %s" % (label, result.details))
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, name + ".json")
+        start = time.time()
+        cli_main(["--json", path, "verify", "--suite", name])
+        elapsed = time.time() - start
+        with open(path, "rb") as fh:
+            blob = fh.read()
+    report = json.loads(blob)[0]
+    passed = report["status"] == "ok"
+    print("criterion %s: %s (%.1fs) -- %s" % (
+        label, "PASS" if passed else "FAIL", elapsed, report["result"]))
+    if not passed:
+        pytest.fail("criterion %s failed: %s" % (label, report["details"]))
     if max_seconds is not None and elapsed > max_seconds:
         pytest.fail("criterion %s exceeded its %ss budget (%.1fs)"
                     % (label, max_seconds, elapsed))
-    return result
+    assert hashlib.sha256(blob).hexdigest() == _recorded_hashes()[name], (
+        "the %s report differs from its hash in %s" % (name, REPORT_HASHES.name))
+    return report
+
+
+def test_every_suite_has_a_recorded_report_hash():
+    assert list(_recorded_hashes()) == suites.suite_names()
 
 
 def test_criterion_1_boundary_squared_vanishes():
@@ -43,8 +71,8 @@ def test_criterion_2_residue_anticommutativity():
 def test_criterion_3_cylinder_residue_table():
     """Graph, section, and vertical residue rows on the 5-example corpus,
     including one case that needs the shifted-basepoint repair."""
-    result = _run("homotopy-table", "3 (cylinder residue table)")
-    assert any(c["repaired"] for c in result.details["cases"])
+    report = _run("homotopy-table", "3 (cylinder residue table)")
+    assert any(c["repaired"] for c in report["details"]["cases"])
 
 
 def test_criterion_4_homotopy_identity():

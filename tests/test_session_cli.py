@@ -6,7 +6,9 @@ import os
 import pytest
 
 from polarcalc.cli import main as cli_main
+from polarcalc.forms import DifferentialForm
 from polarcalc.parsing import ParseError, TokenStream, tokenize
+from polarcalc.polynomials import Polynomial, RationalFunction
 from polarcalc.session import (
     Session,
     SessionError,
@@ -224,3 +226,33 @@ def test_r3_keeps_maps_with_tau_coefficients():
     rep = run_statement(s, "normalize c")
     assert rep["result"] == "(P1(z), z = TAU*z^2, 1/z dz)"
     assert rep["details"]["warnings"] == []
+
+
+def test_unary_minus_binds_looser_than_power():
+    # -z^2 is -(z^2), as the renderer writes a coefficient -1
+    s = Session()
+    run_statement(s, "let A = P1(z)")
+    run_statement(s, "let c = chain(A, map(z = -z^2), d(z)/z, poles[z, inf])")
+    assert run_statement(s, "normalize c")["result"] == "(P1(z), z = -z^2, 1/z dz)"
+
+
+def test_unary_minus_of_a_power():
+    from polarcalc.parsing import parse_polynomial
+
+    assert parse_polynomial("-2^2") == Polynomial.scalar(-4)
+    assert str(parse_polynomial("-z^2", ("z",))) == "-z^2"
+    assert str(parse_polynomial("2*-z^2", ("z",))) == "-2*z^2"
+
+
+def test_render_form_round_trip_negative_square():
+    from polarcalc.parsing import parse_form
+
+    coords = ("x", "y")
+    x = Polynomial.variable(coords, "x")
+    y = Polynomial.variable(coords, "y")
+    num = y - x * x
+    den = x + Polynomial.constant(coords, 1)
+    form = DifferentialForm("", coords, 1, {(0,): RationalFunction(num, den)})
+    text = render_form(form)
+    assert text.startswith("((-x^2")
+    assert parse_form(text, coords, form.chart) == form
