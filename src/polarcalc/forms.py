@@ -14,8 +14,8 @@ from .polynomials import (
     Polynomial,
     RationalFunction,
     poly_div_exact,
-    poly_divides,
     poly_gcd,
+    poly_valuation,
 )
 
 
@@ -346,8 +346,7 @@ def polar_profile(form: DifferentialForm, declared) -> PolarProfile:
         for p in declared:
             if p.is_constant():
                 continue
-            while poly_divides(p, den):
-                den = poly_div_exact(den, p)
+            den = poly_valuation(den, p)[1]
         # fold remaining factors into the residual (up to multiplicity)
         g = poly_gcd(den, residual)
         extra = poly_div_exact(den, g) if not g.is_unit() else den

@@ -153,9 +153,9 @@ def _new_loci(charts, coord_maps):
         for earlier in charts[:j]:
             cuts = set()
             for rf in coord_maps[(earlier.id, chart.id)].values():
-                if len(rf.den.elem) != 1:
+                if len(rf.den.prim) != 1:
                     raise GeometryError("transition denominator %s is not a monomial" % rf.den)
-                ((exp, _),) = rf.den.elem.items()
+                ((exp, _),) = rf.den.prim.items()
                 cuts.update(v for v, k in zip(rf.den.variables, exp) if k)
             pieces = {piece | {z} for piece in pieces for z in cuts}
             pieces = {p for p in pieces if not any(q < p for q in pieces)}

@@ -51,11 +51,10 @@ class HomotopyError(ValueError):
 class CylinderChain:
     """The lifted chain h(a) together with its bookkeeping."""
 
-    __slots__ = ("chain", "base", "basepoint", "records")
+    __slots__ = ("chain", "basepoint", "records")
 
-    def __init__(self, chain, base, basepoint, records):
+    def __init__(self, chain, basepoint, records):
         self.chain = chain
-        self.base = base
         self.basepoint = basepoint
         self.records = list(records)
 
@@ -327,8 +326,7 @@ def cylinder_homotopy(a: PolarChain, basepoint=0) -> CylinderChain:
         terms.extend(new)
         records.append(rec)
     chain = PolarChain(a.ambient, terms, a.relative_to, a.warnings)
-    base = section_pushforwards(a, basepoint)
-    return CylinderChain(chain, base, Fraction(basepoint), records)
+    return CylinderChain(chain, Fraction(basepoint), records)
 
 
 def verify_homotopy_identity(a: PolarChain, basepoint=0, rng=None):

@@ -1,18 +1,38 @@
 """Exact polynomials and rational functions over Q[TAU, TAU^-1].
 
-A Polynomial is TAU^shift times one element of the sympy sparse ring
-QQ[<variables>, TAU], one ring per variable tuple.  The shift is chosen
-so that the element's lowest TAU power is 0, which keeps negative TAU
-powers exact and makes equality and hashing structural.  Arithmetic,
-gcd, exact division, resultants and rational roots are the ring's own
-operations.  A scalar of the theory, an element of Q[TAU, TAU^-1], is the
-polynomial in zero variables (`Polynomial.scalar`); coefficients
-(`terms`, `leading`), values (`evaluate`, `constant_value`), chain
-coefficients and point weights are such polynomials, and one divides
-them only by a TAU-monomial.  Substituting
-fractions n_v/d_v into a Polynomial builds one numerator over the common
-denominator prod_v d_v^(degree in v) and normalizes that fraction once.
-A RationalFunction substitutes num and den over the same denominator
+A Polynomial is TAU^shift * c * P: c is a nonzero Fraction (0 for the zero
+polynomial) and P an element of the sympy sparse ring ZZ[<variables>, TAU],
+one ring per variable tuple.  P is primitive (the gcd of its coefficients
+is 1), its coefficient at the lex-greatest monomial is positive, and its
+lowest TAU power is 0.  The triple is unique, so equality and hashing are
+structural, and negative TAU powers are exact.  A scalar of the theory, an
+element of Q[TAU, TAU^-1], is the polynomial in zero variables
+(`Polynomial.scalar`); coefficients (`terms`, `leading`), values
+(`evaluate`, `constant_value`), chain coefficients and point weights are
+such polynomials, and one divides them only by a TAU-monomial, which is
+c * TAU^k with P = 1.  `terms`, `leading`, values and printing give the
+rationals c * a for the integer coefficients a of P.
+
+By Gauss's lemma a product of primitive polynomials is primitive, and
+leading coefficients multiply (lex is a monomial order), so `*`, `**`,
+negation and division by a TAU-monomial multiply contents and primitive
+parts and take no gcd; an exact quotient P/Q of primitive polynomials is
+primitive with a positive leading coefficient, and so are the cofactors
+of a gcd of primitive polynomials, which sympy takes in ZZ (`_cofactors`).
+Whether p divides q is decided by one division of the primitive parts in
+ZZ: if p | q over Q, the quotient's content is 1 and every step of the
+division algorithm divides exactly.  Sums, derivatives, specializations,
+substitution numerators and resultants have integer coefficients times a
+rational; they pay one integer content gcd, a sign check of the
+lex-leading coefficient and a rescan of the lowest TAU power
+(`_normal`).  A TAU-monomial factor is content and shift only, so the
+arithmetic of scalars and scaling by them make no ring operation.
+
+Substituting fractions n_v/d_v into a Polynomial builds one numerator over
+the common denominator prod_v d_v^(degree in v) and normalizes that
+fraction once; the rational weights c_n^k c_d^(D - k) of the products
+n_v^k d_v^(D_v - k) go over one integer denominator per variable.  A
+RationalFunction substitutes num and den over the same denominator
 prod_v d_v^D_v, D_v the larger of their degrees in v; it cancels, so the
 result is the one fraction N_num/N_den, normalized once.  The canonical
 fraction is unique, so either equals any term-by-term evaluation (only
@@ -25,23 +45,15 @@ g = gcd(d1, d2) and then gcd(t, g) for the numerator t over
 (d1/g)(d2/g), and a derivative (n/d)' = (n'd - nd')/d^2 is already
 reduced when gcd(d, d') is 1.  A gcd whose denominator is 1 is skipped,
 and the result only has its denominator's leading TAU-monomial divided
-out.  Scaling by a nonzero scalar keeps a fraction canonical, and a
-product with a p that divides den is num / (den / p) (`times_poly`).
+out, which changes only contents and shifts.  Scaling by a nonzero scalar
+keeps a fraction canonical, and a product with a p that divides den is
+num / (den / p) (`times_poly`).
 Canonical printing sorts by graded lexicographic order of
 the exponent vectors over the chart's declared coordinate order; a
 scalar prints bare (`1 + TAU`), a TAU-sum coefficient of a polynomial
 or of a function in parentheses (`(1 + TAU)*x`).
 `to_sympy`/`from_sympy` convert to and from sympy expressions and are
 not used by the engine.
-
-The normal form (lowest TAU power 0) is rescanned (`Polynomial._wrap`)
-only where it can move: sums, derivatives, specializations, substitution
-numerators, resultants and conversions; (x + TAU) - x and
-d/dy (x + TAU*y) are divisible by TAU.  Q[variables][TAU] is an integral
-domain, so the lowest TAU-degree parts of a product multiply and cannot
-vanish.  Products, powers, negation, division by a TAU-monomial, exact
-quotients and gcds of normal elements, the constructors, renamings and
-lifts keep it as it stands (`Polynomial._same`).
 
 Three one-term paths skip sympy's general machinery; all are exact by
 exponent arithmetic.  When every n_v has at most one term and every d_v
@@ -53,24 +65,28 @@ terms that land on one exponent are summed and zero sums dropped
 (`_map_terms`, which `specialize` and `evaluate` use too).  When one
 operand of a gcd is a single term, every common divisor is a monomial,
 and the largest is the monomial of least exponents over the terms of both
-operands; the cofactors subtract exponents.  This differs from sympy's
-gcd only by a constant factor, which normalization divides out with the
-denominator's leading coefficient, so canonical fractions are unchanged.
-The valuation of q along a single term c x^a (`_poly_ord`) is the least
-m_i // a_i over the terms x^m of q and the i with a_i > 0.
+operands; the cofactors subtract exponents.  The valuation of q along a
+single term c x^a (`poly_valuation`) is the least m_i // a_i over the
+terms x^m of q and the i with a_i > 0.  Along any other p it divides
+once per step; it returns the quotient q / p^k with k and keeps the
+last results, so the pole-order check, the residue's product with p
+(`times_poly`) and the stripping of declared poles (`forms.polar_profile`)
+share each division.
 
 Two more paths take operands of degree 1 and 2 by elementary algebra.  A
-line L, of total degree 1 in QQ[variables, TAU] (`x + TAU`, `1 + TAU`),
+line L, of total degree 1 in ZZ[variables, TAU] (`x + TAU`, `1 + TAU`),
 is irreducible, so its gcd with any O is an associate of L or 1.  One
 division of O by L decides which: {L} is a Groebner basis of the ideal
 (L), so the remainder is 0 exactly when L divides O.  The gcd is L made
-monic in the ring's order, which is sympy's gcd.  The rational roots of a
-polynomial of degree 1 or 2 (`rational_roots`) come from the closed form:
--c0/c1, or (-c1 +- r)/(2 c2) when the discriminant is the square of a
-rational r, tested by `math.isqrt` on its reduced numerator and
-denominator; any other quadratic is irreducible over Q and has no rational
-root.  Degree 3 and up still factors.
+monic in the ring's order, as sympy's gcd over Q is.  The rational roots
+of a polynomial of degree 1 or 2 (`rational_roots`) come from the closed
+form on the integer coefficients: -c0/c1, or (-c1 +- r)/(2 c2) when the
+discriminant is the square of an integer r, tested by `math.isqrt`; any
+other quadratic is irreducible over Q and has no rational root.  Degree 3
+and up still factors, in ZZ.
 
+Only the operations that need a field convert to sympy's QQ rings, by
+multiplying the content into the primitive part (`_qq_elem`).
 Arithmetic in one variable over the field of the others (curve rings,
 traces along a fiber) runs in sympy's PolyRing([var], QQ(rest, TAU));
 `to_univariate` and `from_univariate` convert to and from it.  Jacobian
@@ -85,12 +101,14 @@ import math
 from fractions import Fraction
 
 import sympy as sp
-from sympy.polys.domains import QQ
+from sympy.polys.domains import QQ, ZZ
 from sympy.polys.fields import FracField
 from sympy.polys.orderings import grevlex, lex
-from sympy.polys.rings import PolyRing
+from sympy.polys.rings import PolyElement, PolyRing
 
 TAU_SYM = sp.Symbol("TAU")
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 _fields: dict = {}
 
@@ -111,12 +129,68 @@ def _ring(variables) -> PolyRing:
     return _field(variables).ring
 
 
+@functools.cache
+def _zring(variables) -> PolyRing:
+    """ZZ[variables, TAU], the ring of the primitive parts."""
+    return PolyRing([sp.Symbol(v) for v in variables] + [TAU_SYM], ZZ, lex)
+
+
 def _qq(q):
     return QQ(q if type(q) in (int, Fraction) else Fraction(q))
 
 
+def _fraction(q) -> Fraction:
+    return q if type(q) is Fraction else Fraction(q)
+
+
 def _frac(c) -> Fraction:
     return Fraction(int(c.numerator), int(c.denominator))
+
+
+def _qq_elem(p: "Polynomial"):
+    """c * P as an element of QQ[variables, TAU] (TAU^shift left out)."""
+    c = _qq(p.content)
+    return _ring(p.variables).dtype({m: c * a for m, a in p.prim.items()})
+
+
+def _from_qq(variables, elem, shift=0) -> "Polynomial":
+    """TAU^shift * elem for an element of QQ[variables, TAU]."""
+    return _from_fractions(variables, {m: _frac(c) for m, c in elem.items()}, shift)
+
+
+def _from_fractions(variables, terms: dict, shift=0) -> "Polynomial":
+    """TAU^shift * sum of q x^m over {m: q}, m[-1] the TAU power (any sign),
+    over the least common denominator of the q."""
+    terms = {m: q for m, q in terms.items() if q}
+    if not terms:
+        return _zero(variables)
+    den = math.lcm(*(q.denominator for q in terms.values()))
+    ints = {m: q.numerator * (den // q.denominator) for m, q in terms.items()}
+    return _normal(variables, ints, Fraction(1, den), shift)
+
+
+def _normal(variables, terms, content: Fraction, shift=0) -> "Polynomial":
+    """TAU^shift * content * terms, for integer terms (a ring element or a
+    dict whose TAU powers may be negative), in normal form: the gcd of the
+    coefficients and the sign of the lex-leading one move into the
+    content, the lowest TAU power into the shift."""
+    if not terms:
+        return _zero(variables)
+    if len(terms) == 1:  # a monomial with coefficient 1, the rest moves out
+        ((m, c),) = terms.items()
+        R = _zring(variables)
+        prim = R.dtype({m[:-1] + (0,): 1}) if any(m[:-1]) else R.one
+        return Polynomial._same(variables, prim, content * c if c != 1 else content, shift + m[-1])
+    g = math.gcd(*terms.values())
+    if terms[max(terms)] < 0:
+        g = -g
+    low = min(m[-1] for m in terms)
+    if low or g != 1:
+        terms = {m[:-1] + (m[-1] - low,): c // g for m, c in terms.items()}
+        content *= g
+    if not isinstance(terms, PolyElement):
+        terms = _zring(variables).dtype(terms)
+    return Polynomial._same(variables, terms, content, shift + low)
 
 
 def _tau_groups(elem) -> dict:
@@ -127,25 +201,35 @@ def _tau_groups(elem) -> dict:
     return grouped
 
 
-def _from_tau(tau_coeffs: dict, shift: int) -> "Polynomial":
-    """The scalar sum of c * TAU^(k + shift) over {k: c}."""
-    elem = _ring(()).dtype({(k,): c for k, c in tau_coeffs.items()})
-    return Polynomial._wrap((), elem, shift)
+def _tau_scalar(tau_coeffs: dict, content: Fraction, shift: int) -> "Polynomial":
+    """The scalar sum of content * a * TAU^(k + shift) over {k: a}."""
+    return _normal((), {(k,): a for k, a in tau_coeffs.items()}, content, shift)
 
 
-def _tau_text(tau_coeffs: dict, shift: int) -> str:
-    """The sum of c * TAU^(k + shift) over {k: c}, rising powers first."""
+def _rational_text(n: int, d: int) -> str:
+    """str(Fraction(n, d)) for d > 0."""
+    if d != 1:
+        g = math.gcd(n, d)
+        if g != d:
+            return "%d/%d" % (n // g, d // g)
+        n //= g
+    return str(n)
+
+
+def _tau_text(tau_coeffs: dict, shift: int, content: Fraction) -> str:
+    """The sum of content * a * TAU^(k + shift) over {k: a}, rising powers first."""
     if not tau_coeffs:
         return "0"
+    n, d = content.numerator, content.denominator
     parts = []
     for k in sorted(tau_coeffs):
-        c, k = tau_coeffs[k], k + shift
+        c, k = _rational_text(n * tau_coeffs[k], d), k + shift
         if k == 0:
-            parts.append(str(c))
+            parts.append(c)
         elif k == 1:
-            parts.append("%s*TAU" % c if c != 1 else "TAU")
+            parts.append("%s*TAU" % c if c != "1" else "TAU")
         else:
-            parts.append("%s*TAU^%d" % (c, k) if c != 1 else "TAU^%d" % k)
+            parts.append("%s*TAU^%d" % (c, k) if c != "1" else "TAU^%d" % k)
     return " + ".join(parts).replace("+ -", "- ")
 
 
@@ -156,6 +240,11 @@ def _lead(elem):
         return m[:-1], {m[-1]: c}
     top = max(elem, key=lambda m: grlex_key(m[:-1]))[:-1]
     return top, {m[-1]: c for m, c in elem.items() if m[:-1] == top}
+
+
+def _is_one(elem) -> bool:
+    """Is a primitive part 1?  Its only term then has coefficient 1."""
+    return len(elem) == 1 and elem.ring.zero_monom in elem
 
 
 class PolynomialError(ArithmeticError):
@@ -174,35 +263,30 @@ def grlex_key(exp):
 class Polynomial:
     """Polynomial in an ordered tuple of variables over Q[TAU, TAU^-1]."""
 
-    __slots__ = ("variables", "elem", "shift")
+    __slots__ = ("variables", "shift", "content", "prim")
 
     def __init__(self, variables, terms=None):
         """terms: {exponent: coefficient}, each an int, a Fraction or a scalar."""
-        self.variables = tuple(variables)
-        scalars = [
-            (tuple(e), c if isinstance(c, Polynomial) else Polynomial.scalar(c))
-            for e, c in (terms or {}).items()
-        ]
-        low = min((c.shift for _, c in scalars if c.elem), default=0)
-        self.elem = _ring(self.variables).dtype(
-            {e + (k + c.shift - low,): q for e, c in scalars for (k,), q in c.elem.items()}
-        )
-        self.shift = low
+        rationals = {}
+        for e, c in (terms or {}).items():
+            e = tuple(e)
+            if isinstance(c, Polynomial):
+                for (k,), a in c.prim.items():
+                    rationals[e + (k + c.shift,)] = c.content * a
+            else:
+                rationals[e + (0,)] = _fraction(c)
+        p = _from_fractions(tuple(variables), rationals)
+        self.variables, self.shift, self.content, self.prim = (
+            p.variables, p.shift, p.content, p.prim)
 
     @staticmethod
-    def _wrap(variables, elem, shift=0) -> "Polynomial":
-        """TAU^shift * elem, moving elem's lowest TAU power into the shift."""
-        low = min((m[-1] for m in elem), default=0)
-        if low:
-            elem = elem.new({m[:-1] + (m[-1] - low,): c for m, c in elem.items()})
-        return Polynomial._same(variables, elem, shift + low)
-
-    @staticmethod
-    def _same(variables, elem, shift=0) -> "Polynomial":
-        """TAU^shift * elem for an elem already in normal form (see the
-        module docstring): its lowest TAU power is 0, or it is 0."""
+    def _same(variables, prim, content=_ONE, shift=0) -> "Polynomial":
+        """TAU^shift * content * prim for a prim already in normal form (see
+        the module docstring): primitive, with a positive lex-leading
+        coefficient and lowest TAU power 0, or 0."""
         p = Polynomial.__new__(Polynomial)
-        p.variables, p.elem, p.shift = variables, elem, shift if elem else 0
+        p.variables, p.prim = variables, prim
+        p.content, p.shift = (content, shift) if prim else (_ZERO, 0)
         return p
 
     # -- constructors -------------------------------------------------
@@ -210,72 +294,80 @@ class Polynomial:
     @staticmethod
     def scalar(value, tau_exp: int = 0) -> "Polynomial":
         """value * TAU^tau_exp for a rational value: a polynomial in zero variables."""
-        q = _qq(value)
-        return Polynomial._same((), _ring(()).dtype({(0,): q} if q else {}), tau_exp)
+        q = _fraction(value)
+        R = _zring(())
+        return Polynomial._same((), R.one if q else R.zero, q, tau_exp)
 
     @staticmethod
     def constant(variables, scalar) -> "Polynomial":
         """A scalar (an int, a Fraction or a polynomial in zero variables),
-        its ring element moved to `variables` by prefixing zero exponents."""
-        variables, zeros = tuple(variables), (0,) * len(variables)
+        its primitive part moved to `variables` by prefixing zero exponents."""
+        variables = tuple(variables)
+        R = _zring(variables)
         if isinstance(scalar, Polynomial):
-            elem = {zeros + (k,): c for (k,), c in scalar.elem.items()}
-            return Polynomial._same(variables, _ring(variables).dtype(elem), scalar.shift)
-        q = _qq(scalar)
-        elem = _ring(variables).dtype({zeros + (0,): q} if q else {})
-        return Polynomial._same(variables, elem)
+            if len(scalar.prim) > 1:
+                zeros = (0,) * len(variables)
+                prim = R.dtype({zeros + m: a for m, a in scalar.prim.items()})
+            else:  # a single term of a primitive part is 1
+                prim = R.one if scalar.prim else R.zero
+            return Polynomial._same(variables, prim, scalar.content, scalar.shift)
+        q = _fraction(scalar)
+        return Polynomial._same(variables, R.one if q else R.zero, q)
 
     @staticmethod
     def zero(variables) -> "Polynomial":
-        return Polynomial(variables)
+        return _zero(tuple(variables))
 
     @staticmethod
     def variable(variables, name) -> "Polynomial":
         variables = tuple(variables)
-        return Polynomial._same(variables, _ring(variables).gens[variables.index(name)])
+        return Polynomial._same(variables, _zring(variables).gens[variables.index(name)])
 
     @property
     def terms(self) -> dict:
         """Read-only view {exponent: scalar coefficient}."""
-        return {e: _from_tau(cs, self.shift) for e, cs in _tau_groups(self.elem).items()}
+        return {
+            e: _tau_scalar(cs, self.content, self.shift)
+            for e, cs in _tau_groups(self.prim).items()
+        }
 
     # -- predicates ----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not self.elem
+        return not self.prim
 
     def is_one(self) -> bool:
-        e = self.elem
-        return not self.shift and len(e) == 1 and e.get(e.ring.zero_monom) == 1
+        return not self.shift and self.content == 1 and _is_one(self.prim)
 
     def is_constant(self) -> bool:
-        return not any(any(m[:-1]) for m in self.elem)
+        return not self.variables or not any(any(m[:-1]) for m in self.prim)
 
     def is_unit(self) -> bool:
         return self.is_constant() and not self.is_zero()
 
     def is_rational(self) -> bool:
         """A constant free of TAU."""
-        return self.shift == 0 and self.elem.is_ground
+        return self.shift == 0 and self.prim.is_ground
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise ScalarError("scalar has nonzero TAU grade: %s" % self)
-        return _frac(self.elem.get(self.elem.ring.zero_monom, QQ.zero))
+        return self.content
 
     def constant_value(self) -> "Polynomial":
         """The scalar value of a constant."""
         if not self.is_constant():
             raise PolynomialError("not a constant: %s" % self)
-        return _from_tau({m[-1]: c for m, c in self.elem.items()}, self.shift)
+        prim = _zring(()).dtype({(m[-1],): a for m, a in self.prim.items()})
+        return Polynomial._same((), prim, self.content, self.shift)
 
     def total_degree(self) -> int:
-        return max((sum(m[:-1]) for m in self.elem), default=-1)
+        return max((sum(m[:-1]) for m in self.prim), default=-1)
 
     def degree_in(self, name: str) -> int:
         if self.is_zero():
             return -1
-        return self.elem.degree(self.variables.index(name))
+        return self.prim.degree(self.variables.index(name))
 
     def depends_on(self, name: str) -> bool:
         return self.degree_in(name) > 0
@@ -289,43 +381,56 @@ class Polynomial:
             )
 
     def __add__(self, other: "Polynomial") -> "Polynomial":
+        """(1/L) (n1 (L/d1) a + n2 (L/d2) b) for c1 = n1/d1, c2 = n2/d2 and
+        L = lcm(d1, d2), over the lower of the two shifts."""
         self._check(other)
-        if not other.elem:
+        if not other.prim:
             return self
-        if not self.elem:
+        if not self.prim:
             return other
-        a, b, low = self.elem, other.elem, min(self.shift, other.shift)
+        a, b, low = self.prim, other.prim, min(self.shift, other.shift)
         tau = (0,) * len(self.variables)
         if self.shift > low:
             a = a.mul_monom(tau + (self.shift - low,))
         if other.shift > low:
             b = b.mul_monom(tau + (other.shift - low,))
-        return Polynomial._wrap(self.variables, a + b, low)
+        c1, c2 = self.content, other.content
+        d1, d2 = c1.denominator, c2.denominator
+        g = math.gcd(d1, d2)
+        k1, k2 = c1.numerator * (d2 // g), c2.numerator * (d1 // g)
+        if k1 != 1:
+            a = a.mul_ground(k1)
+        if k2 != 1:
+            b = b.mul_ground(k2)
+        return _normal(self.variables, a + b, Fraction(g, d1 * d2), low)
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial._same(self.variables, -self.elem, self.shift)
+        return Polynomial._same(self.variables, self.prim, -self.content, self.shift)
 
     def __sub__(self, other: "Polynomial") -> "Polynomial":
         return self + (-other)
 
     def __mul__(self, other: "Polynomial") -> "Polynomial":
         self._check(other)
-        return Polynomial._same(
-            self.variables, self.elem * other.elem, self.shift + other.shift
-        )
+        a, b = self.prim, other.prim
+        prim = a if _is_one(b) else b if _is_one(a) else a * b
+        c, d = self.content, other.content
+        content = d if c == 1 else c if d == 1 else c * d
+        return Polynomial._same(self.variables, prim, content, self.shift + other.shift)
 
     def __truediv__(self, other: "Polynomial") -> "Polynomial":
         """Division by a constant TAU-monomial c*TAU^k."""
         self._check(other)
         if other.is_zero():
             raise ScalarError("division by zero scalar")
-        if len(other.elem) != 1 or not other.is_constant():
+        if len(other.prim) != 1 or not other.is_constant():
             raise ScalarError(
                 "division only defined by a single TAU-monomial, got %s" % other
             )
-        ((_, c),) = other.elem.items()
+        c = other.content
         return Polynomial._same(
-            self.variables, self.elem.quo_ground(c), self.shift - other.shift
+            self.variables, self.prim, self.content / c if c != 1 else self.content,
+            self.shift - other.shift,
         )
 
     def __pow__(self, n: int) -> "Polynomial":
@@ -333,7 +438,8 @@ class Polynomial:
             raise PolynomialError("negative polynomial power")
         if n == 0:
             return _one(self.variables)
-        return Polynomial._same(self.variables, self.elem**n, self.shift * n)
+        prim = self.prim if _is_one(self.prim) else self.prim**n
+        return Polynomial._same(self.variables, prim, self.content**n, self.shift * n)
 
     def scale(self, scalar: "Polynomial") -> "Polynomial":
         return self * Polynomial.constant(self.variables, scalar)
@@ -344,12 +450,12 @@ class Polynomial:
         """(exponent, scalar) of the graded-lex leading term."""
         if self.is_zero():
             raise PolynomialError("zero polynomial has no leading term")
-        e, lead = _lead(self.elem)
-        return e, _from_tau(lead, self.shift)
+        e, lead = _lead(self.prim)
+        return e, _tau_scalar(lead, self.content, self.shift)
 
     def differentiate(self, name: str) -> "Polynomial":
         i = self.variables.index(name)
-        return Polynomial._wrap(self.variables, self.elem.diff(i), self.shift)
+        return _normal(self.variables, self.prim.diff(i), self.content, self.shift)
 
     def evaluate(self, point: dict) -> "Polynomial":
         """Exact scalar value at a rational point {var: Fraction}."""
@@ -358,7 +464,7 @@ class Polynomial:
     def specialize(self, values: dict) -> "Polynomial":
         """Set the variables in `values` to rationals: a polynomial in the rest.
 
-        One pass over the ring element's terms (`_map_terms`): a kept
+        One pass over the primitive part's terms (`_map_terms`): a kept
         variable moves to its place in the rest, a set one scales the
         coefficient.
         """
@@ -370,29 +476,32 @@ class Polynomial:
             if v not in values:
                 moves.append((i, len(moves), 1))
             elif values[v] != 1:
-                scales.append((i, _qq(values[v])))
+                r = values[v]
+                scales.append((i, r if type(r) in (int, Fraction) else Fraction(r)))
         moves.append((len(self.variables), len(rest), 1))  # TAU
-        out = _map_terms(self.elem, moves, scales, (0,) * (len(rest) + 1))
-        return Polynomial._wrap(rest, _ring(rest).dtype(out), self.shift)
+        out, den = _map_terms(self.prim, moves, scales, (0,) * (len(rest) + 1))
+        return _normal(rest, out, self.content / den if den != 1 else self.content, self.shift)
 
     def rename(self, variables) -> "Polynomial":
         """Same terms, new variable names (positional)."""
         variables = tuple(variables)
         if len(variables) != len(self.variables):
             raise PolynomialError("rename arity mismatch")
-        return Polynomial._same(variables, _ring(variables).dtype(self.elem), self.shift)
+        prim = _zring(variables).dtype(self.prim)
+        return Polynomial._same(variables, prim, self.content, self.shift)
 
     def lift(self, variables) -> "Polynomial":
-        """Reinterpret in a larger/reordered variable tuple."""
+        """Reinterpret in a larger/reordered variable tuple; a reordering
+        can change the lex-leading term, so its sign is checked again."""
         variables = tuple(variables)
         pos = [variables.index(v) for v in self.variables] + [len(variables)]
         out = {}
-        for m, c in self.elem.items():
+        for m, c in self.prim.items():
             ne = [0] * (len(variables) + 1)
             for p, k in zip(pos, m):
                 ne[p] = k  # positional: a repeated name lands on its first slot
             out[tuple(ne)] = c
-        return Polynomial._same(variables, _ring(variables).dtype(out), self.shift)
+        return _normal(variables, out, self.content, self.shift)
 
     def substitute(self, mapping: dict, target_vars=None) -> "RationalFunction":
         """Substitute RationalFunctions for variables; others must be absent.
@@ -402,14 +511,16 @@ class Polynomial:
         N = sum_e c_e prod_v n_v^e_v d_v^(D_v - e_v) and D = prod_v d_v^D_v,
         normalized once.
         """
-        (num,), den_powers = _substituted((self,), mapping, target_vars)
-        den = functools.reduce(Polynomial.__mul__, den_powers, _one(num.variables))
+        (num,), degrees = _substituted((self,), mapping, target_vars)
+        den = _one(num.variables)
+        for v, top in degrees.items():
+            den = den * mapping[v].den ** top
         return RationalFunction(num, den)
 
     # -- sympy expressions (reference conversions, not on the engine path) --
 
     def to_sympy(self):
-        return self.elem.as_expr() * TAU_SYM**self.shift
+        return _qq_elem(self).as_expr() * TAU_SYM**self.shift
 
     @staticmethod
     def from_sympy(expr, variables) -> "Polynomial":
@@ -418,7 +529,7 @@ class Polynomial:
         expr = sp.expand(expr)
         low = min(t.as_coeff_exponent(TAU_SYM)[1] for t in sp.Add.make_args(expr))
         elem = _ring(variables).from_expr(sp.expand(expr * TAU_SYM**-low))
-        return Polynomial._wrap(variables, elem, int(low))
+        return _from_qq(variables, elem, int(low))
 
     # -- equality / printing -------------------------------------------
 
@@ -427,24 +538,27 @@ class Polynomial:
             isinstance(other, Polynomial)
             and self.variables == other.variables
             and self.shift == other.shift
-            and self.elem == other.elem
+            and self.content == other.content
+            and self.prim == other.prim
         )
 
     def __hash__(self):
-        return hash((self.variables, self.shift, self.elem))
+        c = self.content
+        return hash((self.variables, self.shift, c.numerator, c.denominator, self.prim))
 
     def __repr__(self):
         return "Polynomial(%s)" % str(self)
 
     def __str__(self):
         if not self.variables:  # a scalar prints bare
-            return _tau_text({m[-1]: c for m, c in self.elem.items()}, self.shift)
+            return _tau_text(
+                {m[-1]: a for m, a in self.prim.items()}, self.shift, self.content)
         return _poly_text(self)
 
 
 def _poly_text(p: Polynomial) -> str:
     """p's terms, graded-lex descending; a TAU-sum coefficient in parentheses."""
-    groups = _tau_groups(p.elem)
+    groups = _tau_groups(p.prim)
     if not groups:
         return "0"
     parts = []
@@ -452,7 +566,7 @@ def _poly_text(p: Polynomial) -> str:
         mono = "*".join(
             ("%s^%d" % (v, k) if k > 1 else v) for v, k in zip(p.variables, e) if k
         )
-        cs = _tau_text(groups[e], p.shift)
+        cs = _tau_text(groups[e], p.shift, p.content)
         if len(groups[e]) > 1:
             cs = "(%s)" % cs
         if not mono:
@@ -474,7 +588,13 @@ def _poly_text(p: Polynomial) -> str:
 @functools.cache
 def _one(variables) -> Polynomial:
     """The shared 1 of a variable tuple; a Polynomial is immutable."""
-    return Polynomial._same(variables, _ring(variables).one)
+    return Polynomial._same(variables, _zring(variables).one)
+
+
+@functools.cache
+def _zero(variables) -> Polynomial:
+    """The shared 0 of a variable tuple."""
+    return Polynomial._same(variables, _zring(variables).zero)
 
 
 def _substituted(polys, mapping: dict, target_vars=None):
@@ -483,14 +603,14 @@ def _substituted(polys, mapping: dict, target_vars=None):
     With mapping[v] = n_v/d_v and D_v the largest degree in v among the
     polys, each p becomes N_p / prod_v d_v^D_v with
     N_p = sum_e c_e prod_v n_v^e_v d_v^(D_v - e_v).  Returns the N_p and
-    the factors d_v^D_v.  Each poly is checked for missing substitutions
+    {v: D_v}.  Each poly is checked for missing substitutions
     and variable mismatches in turn.  One-term maps take
     `_monomial_substituted`, with no powers or ring products.
     """
     target = tuple(target_vars) if target_vars is not None else None
     degrees: dict = {}
     for p in polys:
-        seen = {v: k for v, k in zip(p.variables, p.elem.degrees()) if k > 0}
+        seen = {v: k for v, k in zip(p.variables, p.prim.degrees()) if k > 0}
         for v in seen:
             if v not in mapping:
                 raise PolynomialError("no substitution for variable %s" % v)
@@ -504,30 +624,34 @@ def _substituted(polys, mapping: dict, target_vars=None):
                     "variable mismatch: %s vs %s" % (target, mapping[v].variables)
                 )
             degrees[v] = max(k, degrees.get(v, 0))
-    if all(len(mapping[v].num.elem) <= 1 and len(mapping[v].den.elem) == 1 for v in degrees):
-        return _monomial_substituted(polys, mapping, degrees, target)
-    ring = _ring(target)
+    if all(len(mapping[v].num.prim) <= 1 and len(mapping[v].den.prim) == 1 for v in degrees):
+        return _monomial_substituted(polys, mapping, degrees, target), degrees
+    ring = _zring(target)
     tau = (0,) * len(target)
-    # factors[v][k] = (elem, s) with n_v^k d_v^(D_v - k) = TAU^(low_v + s) elem
-    factors, low, den_powers = {}, 0, []
+    # factors[v][k] = (elem, s) with n_v^k d_v^(D_v - k) = TAU^(low_v + s) elem / M_v
+    factors, low, content = {}, 0, _ONE
     for v, top in degrees.items():
         n, d = mapping[v].num, mapping[v].den
         num_pows, den_pows = [ring.one], [ring.one]
         for _ in range(top):
-            num_pows.append(num_pows[-1] * n.elem)
-            den_pows.append(den_pows[-1] * d.elem)
+            num_pows.append(num_pows[-1] * n.prim)
+            den_pows.append(den_pows[-1] * d.prim)
         shifts = [k * n.shift + (top - k) * d.shift for k in range(top + 1)]
         low_v = min(shifts)
+        # the weights c_n^k c_d^(D_v - k) over their common denominator M_v
+        weights = [n.content**k * d.content ** (top - k) for k in range(top + 1)]
+        M = math.lcm(*(w.denominator for w in weights))
         factors[v] = [
-            (a * b, s - low_v) for a, b, s in zip(num_pows, reversed(den_pows), shifts)
+            (a * b * (w.numerator * (M // w.denominator)), s - low_v)
+            for a, b, w, s in zip(num_pows, reversed(den_pows), weights, shifts)
         ]
+        content /= M
         low += low_v
-        den_powers.append(Polynomial._same(target, den_pows[top], top * d.shift))
     nums = []
     for p in polys:
         acc = ring.zero
-        for e, cs in _tau_groups(p.elem).items():
-            term, shift = ring.dtype({tau + (k,): q for k, q in cs.items()}), 0
+        for e, cs in _tau_groups(p.prim).items():
+            term, shift = ring.dtype({tau + (k,): a for k, a in cs.items()}), 0
             for v, k in zip(p.variables, e):
                 if v in factors:
                     elem, s = factors[v][k]
@@ -535,37 +659,36 @@ def _substituted(polys, mapping: dict, target_vars=None):
             if shift:
                 term = term.mul_monom(tau + (shift,))
             acc += term
-        nums.append(Polynomial._wrap(target, acc, p.shift + low))
-    return nums, den_powers
+        nums.append(_normal(target, acc, p.content * content, p.shift + low))
+    return nums, degrees
 
 
 def _monomial_substituted(polys, mapping: dict, degrees: dict, target):
     """_substituted for maps with n_v = a_v x^A_v or 0 and d_v = x^B_v,
     as a canonical one-term denominator is (coefficient 1, no TAU).
 
-    With TAU^shift counted in A_v's TAU column, n_v^e d_v^(D_v - e) is the
-    one term a_v^e x^(D_v B_v + e (A_v - B_v)), so each term of p maps to
-    one term by exponent arithmetic.  Its TAU exponent is at least
-    D_v min(A_v[TAU], 0), which goes into the shift, so every exponent of
-    the result is >= 0.  For n_v = 0, only the terms with e = 0 are left.
+    A one-term n_v is its content a_v times a monomial.  With TAU^shift
+    counted in A_v's TAU column, n_v^e d_v^(D_v - e) is the one term
+    a_v^e x^(D_v B_v + e (A_v - B_v)), so each term of p maps to one term
+    by exponent arithmetic.  Its TAU exponent is at least D_v min(A_v[TAU], 0),
+    which goes into the shift, so every exponent of the result is >= 0.
+    For n_v = 0, only the terms with e = 0 are left.
     """
-    ring, tau = _ring(target), len(target)
-    start, low, den_powers, images = [0] * (tau + 1), 0, [], {}
+    tau = len(target)
+    start, low, images = [0] * (tau + 1), 0, {}
     for v, top in degrees.items():
-        n, (B,) = mapping[v].num, mapping[v].den.elem
-        d_top = ring.dtype({tuple(top * k for k in B): QQ.one})
-        den_powers.append(Polynomial._same(target, d_top))
+        n, (B,) = mapping[v].num, mapping[v].den.prim
         for j, k in enumerate(B):
             start[j] += top * k
-        if n.elem:
-            ((A, a),) = n.elem.items()
+        if n.prim:
+            ((A, _),) = n.prim.items()
             A = A[:-1] + (A[-1] + n.shift,)
-            images[v] = ([(j, x - y) for j, (x, y) in enumerate(zip(A, B)) if x != y], a)
+            images[v] = ([(j, x - y) for j, (x, y) in enumerate(zip(A, B)) if x != y], n.content)
             floor = top * min(A[-1], 0)
             start[-1] -= floor
             low += floor
         else:
-            images[v] = ([], QQ.zero)
+            images[v] = ([], _ZERO)
     nums = []
     for p in polys:
         moves, scales = [(len(p.variables), tau, 1)], []  # TAU stays TAU
@@ -575,33 +698,46 @@ def _monomial_substituted(polys, mapping: dict, degrees: dict, target):
                 moves.extend((i, j, d) for j, d in delta)
                 if a != 1:
                     scales.append((i, a))
-        out = _map_terms(p.elem, moves, scales, start)
-        nums.append(Polynomial._wrap(target, ring.dtype(out), p.shift + low))
-    return nums, den_powers
+        out, den = _map_terms(p.prim, moves, scales, start)
+        c = p.content / den if den != 1 else p.content
+        nums.append(_normal(target, out, c, p.shift + low))
+    return nums
 
 
-def _map_terms(elem, moves, scales, start) -> dict:
-    """The terms of the image of elem under a map that sends each term to one term.
+def _map_terms(elem, moves, scales, start):
+    """The image of elem under a map that sends each term to one term,
+    as (integer terms, den).
 
-    A term c * x^m (m[-1] the TAU power) goes to c * prod r^m_i over the
+    A term a * x^m (m[-1] the TAU power) goes to a * prod r^m_i over the
     (i, r) in scales, at the exponent start + sum m_i * d e_j over the
-    (i, j, d) in moves; it vanishes when some r is 0 and m_i > 0.  Terms
-    that land on one exponent are summed, and zero sums dropped.
+    (i, j, d) in moves; it vanishes when some r is 0 and m_i > 0.  With
+    r = n/d and D the largest m_i over the terms, the image times
+    den = prod d^D has the integer coefficients a * prod n^m_i d^(D - m_i).
+    Terms that land on one exponent are summed, and zero sums dropped.
     """
+    den, powers = 1, []
+    for i, r in scales:
+        n, d = r.numerator, r.denominator
+        top = max((m[i] for m in elem), default=0) if d != 1 else 0
+        den *= d**top
+        powers.append((i, n, d, top))
     out: dict = {}
     for m, c in elem.items():
-        for i, r in scales:
-            if m[i]:
-                if not r:
+        for i, n, d, top in powers:
+            k = m[i]
+            if k:
+                if not n:
                     break
-                c *= r ** m[i]
+                c *= n**k
+            if k < top:
+                c *= d ** (top - k)
         else:
             e = list(start)
             for i, j, d in moves:
                 e[j] += m[i] * d
             e = tuple(e)
             out[e] = out[e] + c if e in out else c
-    return {e: c for e, c in out.items() if c}
+    return {e: c for e, c in out.items() if c}, den
 
 
 def poly_gcd(a: Polynomial, b: Polynomial) -> Polynomial:
@@ -613,13 +749,13 @@ def _canonical_assoc(p: Polynomial) -> Polynomial:
     """Divide out the leading coefficient (must be a TAU-monomial)."""
     if p.is_zero():
         return p
-    _, lead = _lead(p.elem)
+    _, lead = _lead(p.prim)
     if len(lead) != 1:
         raise PolynomialError(
             "leading coefficient is not a TAU-monomial: %s" % _poly_text(p)
         )
-    ((k, c),) = lead.items()
-    return Polynomial._same(p.variables, p.elem.quo_ground(c), -k)
+    ((k, a),) = lead.items()
+    return Polynomial._same(p.variables, p.prim, Fraction(1, a) if a != 1 else _ONE, -k)
 
 
 def poly_divides(p: Polynomial, q: Polynomial) -> bool:
@@ -628,25 +764,58 @@ def poly_divides(p: Polynomial, q: Polynomial) -> bool:
         return True
     if p.is_zero():
         return False
-    return not q.elem.rem(p.elem)
+    return not q.prim.rem(p.prim)
 
 
 def poly_div_exact(q: Polynomial, p: Polynomial) -> Polynomial:
-    quo, rem = q.elem.div(p.elem)
+    quo, rem = q.prim.div(p.prim)
     if rem:
         raise PolynomialError("inexact division")
-    return Polynomial._same(q.variables, quo, q.shift - p.shift)
+    return Polynomial._same(q.variables, quo, q.content / p.content, q.shift - p.shift)
+
+
+@functools.lru_cache(maxsize=256)
+def poly_valuation(q: Polynomial, p: Polynomial):
+    """(k, q / p^k) for the largest k with p^k dividing a nonzero q, p
+    nonconstant: for a one-term p = c x^a, k is the least m_i // a_i over
+    the terms x^m of q and the i with a_i > 0; otherwise one division of
+    the primitive parts per step, the last one inexact.  The recent
+    results are kept, so a second call on the same operands divides
+    nothing."""
+    P = p.prim
+    if not q.prim:
+        raise PolynomialError("valuation of the zero polynomial")
+    if len(P) == 1:
+        ((a, _),) = P.items()
+        k = min(m[i] // e for m in q.prim for i, e in enumerate(a) if e)
+        Q = _quo_monom(q.prim, tuple(k * e for e in a)) if k else q.prim
+    else:
+        k, Q = 0, q.prim
+        while True:
+            quo, rem = Q.div(P)
+            if rem:
+                break
+            Q, k = quo, k + 1
+    if not k:
+        return 0, q
+    return k, Polynomial._same(
+        q.variables, Q, q.content / p.content**k, q.shift - k * p.shift
+    )
 
 
 def poly_resultant(a: Polynomial, b: Polynomial, var: str) -> Polynomial:
-    """Resultant in `var`: res(TAU^s A, TAU^t B) = TAU^(s deg B + t deg A) res(A, B)."""
+    """Resultant in `var`: with A, B the primitive parts, of degrees dA, dB
+    in var, res(TAU^s c A, TAU^t e B) = TAU^(s dB + t dA) c^dB e^dA res(A, B)."""
     rest = tuple(v for v in a.variables if v != var)
-    R = _ring((var,) + rest)
-    A, B = a.elem.set_ring(R), b.elem.set_ring(R)
-    res = _ring(rest).dtype(A.resultant(B))
+    R = _zring((var,) + rest)
+    A, B = a.prim.set_ring(R), b.prim.set_ring(R)
+    res = A.resultant(B)
     if not res:
         return Polynomial.zero(rest)
-    return Polynomial._wrap(rest, res, a.shift * B.degree(0) + b.shift * A.degree(0))
+    dA, dB = A.degree(0), B.degree(0)
+    return _normal(
+        rest, dict(res), a.content**dB * b.content**dA, a.shift * dB + b.shift * dA
+    )
 
 
 def is_squarefree(p: Polynomial) -> bool:
@@ -664,31 +833,31 @@ def rational_roots(p: Polynomial):
     """All rational roots of a univariate polynomial, with multiplicity.
 
     Returns (roots, fully_split) where fully_split is True when the
-    polynomial factors completely into linear factors over Q.  Degrees 1
-    and 2 take the closed form, higher degrees sympy's `factor_list`.
+    polynomial factors completely into linear factors over Q.  The roots
+    are those of the primitive part.  Degrees 1 and 2 take the closed
+    form, higher degrees sympy's `factor_list` over ZZ.
     """
     (var,) = p.variables
-    if p.shift or p.elem.degree(1) > 0:
+    if p.shift or p.prim.degree(1) > 0:
         raise PolynomialError("rational_roots needs TAU-free coefficients")
-    f = p.elem.drop(1)
+    f = p.prim.drop(1)
     if 1 <= f.degree() <= 2:
-        c0, c1, c2 = (_frac(f.get((k,), QQ.zero)) for k in range(3))
+        c0, c1, c2 = (f.get((k,), 0) for k in range(3))
         if not c2:
-            return [(-c0 / c1, 1)], True
+            return [(Fraction(-c0, c1), 1)], True
         disc = c1 * c1 - 4 * c2 * c0
         if disc < 0:
             return [], False
-        n, d = math.isqrt(disc.numerator), math.isqrt(disc.denominator)
-        if n * n != disc.numerator or d * d != disc.denominator:
+        r = math.isqrt(disc)
+        if r * r != disc:
             return [], False
-        if not n:
-            return [(-c1 / (2 * c2), 2)], True
-        r = Fraction(n, d)
-        return sorted([((-c1 - r) / (2 * c2), 1), ((-c1 + r) / (2 * c2), 1)]), True
+        if not r:
+            return [(Fraction(-c1, 2 * c2), 2)], True
+        return sorted([(Fraction(-c1 - r, 2 * c2), 1), (Fraction(-c1 + r, 2 * c2), 1)]), True
     roots = []
     for factor, mult in f.factor_list()[1]:
         if factor.degree() == 1:
-            roots.append((_frac(-factor.get((0,), QQ.zero) / factor[(1,)]), mult))
+            roots.append((Fraction(-factor.get((0,), 0), factor[(1,)]), mult))
     roots.sort(key=lambda rm: rm[0])
     return roots, sum(m for _, m in roots) == f.degree()
 
@@ -794,15 +963,18 @@ class RationalFunction:
         return _coprime(self.num.scale(scalar), self.den)
 
     def times_poly(self, p: Polynomial) -> "RationalFunction":
-        """self * p.  Where p divides den, num / (den / p) is coprime as it
-        stands, and the lead of den / p is a unit of Q[TAU, TAU^-1] (leads
-        multiply, den's is 1), a TAU-monomial for `_coprime` to divide out;
-        elsewhere the cross-cancelling product."""
-        quo, rem = self.den.elem.div(p.elem)
-        if rem:
+        """self * p for a nonconstant p.  Where p divides den, num / (den / p)
+        is coprime as it stands, and the lead of den / p is a unit of
+        Q[TAU, TAU^-1] (leads multiply, den's is 1), a TAU-monomial for
+        `_coprime` to divide out; elsewhere the cross-cancelling product.
+        The quotient comes from `poly_valuation`, which a pole-order check
+        along p (`ord_along`) has usually just computed."""
+        k, rest = poly_valuation(self.den, p)
+        if not k:
             return self * RationalFunction.from_poly(p)
-        quo = Polynomial._same(self.variables, quo, self.den.shift - p.shift)
-        return _coprime(self.num, quo)
+        if k > 1:
+            rest = rest * p ** (k - 1)
+        return _coprime(self.num, rest)
 
     # -- calculus / evaluation ------------------------------------------
 
@@ -855,7 +1027,7 @@ class RationalFunction:
             raise PolynomialError("ord_along needs a nonconstant polynomial")
         if self.is_zero():
             return POLE_FREE
-        return _poly_ord(self.num, p) - _poly_ord(self.den, p)
+        return poly_valuation(self.num, p)[0] - poly_valuation(self.den, p)[0]
 
     # -- equality / printing -------------------------------------------
 
@@ -888,11 +1060,11 @@ class RationalFunction:
 
 def _atomic(p: Polynomial) -> bool:
     """Single term that prints without an ambiguous * or ^."""
-    groups = _tau_groups(p.elem)
+    groups = _tau_groups(p.prim)
     if len(groups) != 1:
         return False
     ((e, cs),) = groups.items()
-    text = _tau_text(cs, p.shift)
+    text = _tau_text(cs, p.shift, p.content)
     if sum(e) == 0:
         return len(cs) == 1 and "*" not in text
     return sum(e) == 1 and text in ("1", "-1")
@@ -914,10 +1086,10 @@ def _normalize(num: Polynomial, den: Polynomial):
     if den.is_one():
         return num, den
     _, num, reduced = _cofactors(num, den)
-    if len(_lead(reduced.elem)[1]) != 1:
+    if len(_lead(reduced.prim)[1]) != 1:
         raise PolynomialError(
             "cannot normalize: denominator leading coefficient %s is a TAU-sum"
-            % _tau_text(_lead(den.elem)[1], den.shift)
+            % _tau_text(_lead(den.prim)[1], den.shift, den.content)
         )
     return _lead_one(num, reduced)
 
@@ -927,35 +1099,42 @@ def _cofactors(a: Polynomial, b: Polynomial):
 
     When a or b is a single term, h is a monomial: the least exponent of
     each variable (and of TAU) over the terms of both.  When a or b is a
-    line L, h is L made monic, as sympy's gcd is, if one division of the
-    other operand by L is exact, and 1 otherwise.
+    line L, h is L made monic, as sympy's gcd over Q is, if one division
+    of the other operand by L is exact, and 1 otherwise.  Otherwise h is
+    sympy's gcd of the primitive parts in ZZ (the heuristic gcd, which is
+    primitive with a positive leading coefficient).
     """
-    A, B = a.elem, b.elem
+    A, B = a.prim, b.prim
+    V = a.variables
     if A and B and (len(A) == 1 or len(B) == 1):
         low = tuple(map(min, *A, *B))
         if not any(low):
-            return _one(a.variables), a, b
-        h, p, q = A.new({low: QQ.one}), _quo_monom(A, low), _quo_monom(B, low)
+            return _one(V), a, b
+        h, p, q = A.ring.dtype({low: 1}), _quo_monom(A, low), _quo_monom(B, low)
+        hc, pc, qc = _ONE, a.content, b.content
     elif A and B and (_is_line(A) or _is_line(B)):
         L, O = (A, B) if _is_line(A) else (B, A)
         quo, rem = O.div(L)
         if rem:
-            return _one(a.variables), a, b
+            return _one(V), a, b
         c = L.LC
-        h, p, q = L.quo_ground(c), L.ring.ground_new(c), quo.mul_ground(c)
-        if L is B:
-            p, q = q, p
+        h, hc = L, Fraction(1, c)
+        if L is A:
+            p, pc, q, qc = A.ring.one, a.content * c, quo, b.content * c
+        else:
+            p, pc, q, qc = quo, a.content * c, B.ring.one, b.content * c
     else:
         h, p, q = A.cofactors(B)
+        hc, pc, qc = _ONE, a.content, b.content
     return (
-        Polynomial._same(a.variables, h),
-        Polynomial._same(a.variables, p, a.shift),
-        Polynomial._same(b.variables, q, b.shift),
+        Polynomial._same(V, h, hc),
+        Polynomial._same(V, p, pc, a.shift),
+        Polynomial._same(V, q, qc, b.shift),
     )
 
 
 def _is_line(elem) -> bool:
-    """Total degree at most 1 in QQ[variables, TAU]."""
+    """Total degree at most 1 in ZZ[variables, TAU]."""
     return all(sum(m) <= 1 for m in elem)
 
 
@@ -965,14 +1144,21 @@ def _quo_monom(elem, low):
 
 
 def _lead_one(num: Polynomial, den: Polynomial):
-    """num and den divided by den's leading coefficient, a TAU-monomial c*TAU^k."""
-    ((k, c),) = _lead(den.elem)[1].items()
+    """num and den divided by den's leading coefficient, a TAU-monomial
+    content * a * TAU^k: only their contents and shifts change."""
+    ((k, a),) = _lead(den.prim)[1].items()
     k += den.shift
-    if k == 0 and c == 1:
-        return num, den
+    c = den.content if a == 1 else den.content * a
+    if c == 1:
+        if k == 0:
+            return num, den
+        return (
+            Polynomial._same(num.variables, num.prim, num.content, num.shift - k),
+            Polynomial._same(den.variables, den.prim, den.content, den.shift - k),
+        )
     return (
-        Polynomial._same(num.variables, num.elem.quo_ground(c), num.shift - k),
-        Polynomial._same(den.variables, den.elem.quo_ground(c), den.shift - k),
+        Polynomial._same(num.variables, num.prim, num.content / c, num.shift - k),
+        Polynomial._same(den.variables, den.prim, Fraction(1, a) if a != 1 else _ONE, den.shift - k),
     )
 
 
@@ -981,22 +1167,6 @@ def _coprime(num: Polynomial, den: Polynomial) -> RationalFunction:
     if num.is_zero():
         return RationalFunction(num, _one(den.variables), _canonical=True)
     return RationalFunction(*_lead_one(num, den), _canonical=True)
-
-
-def _poly_ord(q: Polynomial, p: Polynomial) -> int:
-    """The largest k with p^k dividing a nonzero q: for a one-term p = c x^a,
-    the least m_i // a_i over the terms x^m of q and the i with a_i > 0."""
-    if len(p.elem) == 1:
-        ((a, _),) = p.elem.items()
-        return min(m[i] // k for m in q.elem for i, k in enumerate(a) if k)
-    k = 0
-    q, p = q.elem, p.elem
-    while True:
-        quo, rem = q.div(p)
-        if rem:
-            return k
-        q = quo
-        k += 1
 
 
 # ---------------------------------------------------------------------------
@@ -1017,10 +1187,10 @@ def to_univariate(rf: RationalFunction, var: str):
     def drop(m):
         return m[:i] + m[i + 1 :]
 
-    den = K.new(K.ring.dtype({drop(m): c for m, c in rf.den.elem.items()}))
+    den = K.new(K.ring.dtype({drop(m): c for m, c in _qq_elem(rf.den).items()}))
     scale = K.gens[-1] ** (rf.num.shift - rf.den.shift) / den
     groups: dict = {}
-    for m, c in rf.num.elem.items():
+    for m, c in _qq_elem(rf.num).items():
         groups.setdefault(m[i], {})[drop(m)] = c
     R = PolyRing([sp.Symbol(var)], K.to_domain(), lex)
     return R.dtype({(k,): K.new(K.ring.dtype(g)) * scale for k, g in groups.items()})
@@ -1030,7 +1200,7 @@ def to_field(rf: RationalFunction):
     """rf as an element of _field(rf.variables), QQ(variables, TAU)."""
     K = _field(rf.variables)
     tau = K.gens[-1] ** (rf.num.shift - rf.den.shift)
-    return K.new(rf.num.elem) * tau / K.new(rf.den.elem)
+    return K.new(_qq_elem(rf.num)) * tau / K.new(_qq_elem(rf.den))
 
 
 _QQ_TAU = QQ.frac_field(TAU_SYM)
@@ -1043,10 +1213,10 @@ def over_tau_field(p: Polynomial):
     this ring (a Groebner basis) holds for TAU transcendental.
     """
     R = PolyRing([sp.Symbol(v) for v in p.variables], _QQ_TAU, grevlex)
-    tau = _QQ_TAU.field.gens[0]
+    tau, c = _QQ_TAU.field.gens[0], _qq(p.content)
     return R.from_dict({
-        e: sum((tau ** (k + p.shift) * c for k, c in cs.items()), _QQ_TAU.zero)
-        for e, cs in _tau_groups(p.elem).items()
+        e: sum((tau ** (k + p.shift) * (c * a) for k, a in cs.items()), _QQ_TAU.zero)
+        for e, cs in _tau_groups(p.prim).items()
     })
 
 
@@ -1063,8 +1233,8 @@ def from_univariate(f, variables) -> RationalFunction:
     )
     num = Polynomial.zero(variables)
     for (k,), c in f.items():
-        term = Polynomial._wrap(rest, c.numer * den.exquo(c.denom)).lift(variables)
+        term = _from_qq(rest, c.numer * den.exquo(c.denom)).lift(variables)
         if k:
             term = term * Polynomial.variable(variables, f.ring.symbols[0].name) ** k
         num = num + term
-    return RationalFunction(num, Polynomial._wrap(rest, den).lift(variables))
+    return RationalFunction(num, _from_qq(rest, den).lift(variables))

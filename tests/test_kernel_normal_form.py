@@ -1,13 +1,17 @@
-"""The TAU normal form kept without rescans, and the kernel's fast paths.
+"""The normal form kept without rescans, and the kernel's fast paths.
 
-A Polynomial's ring element has lowest TAU power 0 (or is 0, with shift 0).
-`Polynomial._same` trusts that an operation keeps this form; `_wrap`
-rescans.  The property below checks every operation that takes `_same`
-against `_wrap` of its result, and three pinned cases show operations
+A Polynomial is TAU^shift * content * prim: prim is primitive in
+ZZ[variables, TAU], with a positive lex-leading coefficient and lowest TAU
+power 0, and content is a nonzero Fraction (0 with shift 0 for the zero
+polynomial).  `Polynomial._same` trusts that an operation keeps this form;
+`_normal` rescans.  The property below checks every operation that takes
+`_same` against `_normal` of its result, and pinned cases show operations
 that need the rescan.  The fast predicates and constructors are checked
-against their former definitions, kept here as oracles.
+against their former definitions, kept here as oracles and read through
+the QQ view `content * prim` where they read a QQ element.
 """
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -29,11 +33,20 @@ VARIABLE_SETS = ((), ("x",), ("x", "y"))
 
 
 def is_normal(p):
-    """p's element is in normal form, and `_wrap` of it changes nothing."""
-    wrapped = Polynomial._wrap(p.variables, p.elem, p.shift)
-    low = min((m[-1] for m in p.elem), default=None)
-    form = low == 0 if p.elem else p.shift == 0
-    return form and wrapped == p and wrapped.shift == p.shift
+    """p's stored form is canonical, and `_normal` of it changes nothing."""
+    prim = p.prim
+    if prim.ring != polynomials._zring(p.variables) or type(p.content) is not Fraction:
+        return False
+    if not prim:
+        return p.shift == 0 and p.content == 0
+    form = (
+        p.content != 0
+        and math.gcd(*prim.values()) == 1
+        and prim[max(prim)] > 0  # the lex-leading coefficient
+        and min(m[-1] for m in prim) == 0
+    )
+    again = polynomials._normal(p.variables, prim, p.content, p.shift)
+    return form and again == p and again.shift == p.shift
 
 
 def laurent(coeffs):
@@ -79,6 +92,11 @@ def same_sites(variables, a, b, m, line):
         a.lift(variables + ("w",)), a.lift(("w",) + variables[::-1]),
     ]
     out += [Polynomial.variable(variables, v) for v in variables]
+    out += [polynomials._zero(variables), Polynomial.zero(variables)]
+    if variables:
+        x = Polynomial.variable(variables, variables[0])
+        if not (a * x + m).is_zero():
+            out.append(polynomials.poly_valuation(a * x * x + x * m, x)[1])  # one-term p
     if not b.is_zero():
         out.append(poly_div_exact(a * b, b))
         out += polynomials._cofactors(a, b)
@@ -88,21 +106,24 @@ def same_sites(variables, a, b, m, line):
             out.append(polynomials._canonical_assoc(p))
         except PolynomialError:  # a TAU-sum lead
             pass
-    if not b.is_zero() and len(polynomials._lead(b.elem)[1]) == 1:
+    if not b.is_zero() and len(polynomials._lead(b.prim)[1]) == 1:
         out += polynomials._lead_one(a, b)
     if line is not None:
         out += polynomials._cofactors(a * line, line)  # line operand
         out += polynomials._cofactors(line, b)
         rf = RationalFunction(a, line * line).times_poly(line)  # exact quotient
         out += [rf.num, rf.den]
-        # the d_v^D_v factors, on the general and on the one-term path
+        if not a.is_zero():
+            out.append(polynomials.poly_valuation(a * line * line, line)[1])
+        # substitution numerators and denominators, on the general and on
+        # the one-term path
         general = RationalFunction(line, line + Polynomial.constant(variables, 1))
         x = Polynomial.variable(variables, variables[0])
         one_term = RationalFunction(m * x, x * x)
         for image in (general, one_term):
-            _, den_powers = polynomials._substituted(
-                (a, b), {v: image for v in variables}, variables)
-            out += den_powers
+            mapping = {v: image for v in variables}
+            nums, _ = polynomials._substituted((a, b), mapping, variables)
+            out += nums + [a.substitute(mapping, variables).den]
     return out
 
 
@@ -125,17 +146,33 @@ def test_sums_derivatives_and_specializations_are_rescanned():
     assert p == Polynomial.scalar(1, 1) and is_normal(p)
 
 
+def test_contents_and_signs_are_rescanned():
+    """Sums, specializations and reorderings move an integer content or
+    flip the lex-leading sign."""
+    xy = ("x", "y")
+    x, y = (Polynomial.variable(xy, v) for v in xy)
+    half = Polynomial.constant(xy, Fraction(1, 2))
+    p = (x + y).scale(Polynomial.scalar(6)) - y.scale(Polynomial.scalar(2))
+    assert is_normal(p) and p.content == 2 and str(p) == "6*x + 4*y"
+    q = (x * half + y * half).specialize({"y": Fraction(1, 3)})
+    assert is_normal(q) and q.content == Fraction(1, 6) and str(q) == "1/2*x + 1/6"
+    r = (x - y).lift(("y", "x"))
+    assert is_normal(r) and r.content == -1 and str(r) == "-y + x"
+    assert is_normal(x - x) and (x - x).content == 0
+
+
 # ---------------------------------------------------------------------------
 # fast paths against their former definitions
 # ---------------------------------------------------------------------------
 
 
 def old_is_constant(p):
-    return all(d <= 0 for d in p.elem.degrees()[:-1])
+    return all(d <= 0 for d in polynomials._qq_elem(p).degrees()[:-1])
 
 
 def old_is_one(p):
-    return p.shift == 0 and p.elem == p.elem.ring.one
+    elem = polynomials._qq_elem(p)
+    return p.shift == 0 and elem == elem.ring.one
 
 
 def old_lead(elem):
@@ -169,7 +206,7 @@ def test_predicates_and_lead_match_their_former_definitions(p):
     assert p.is_constant() == old_is_constant(p)
     assert p.is_one() == old_is_one(p)
     if not p.is_zero():
-        assert polynomials._lead(p.elem) == old_lead(p.elem)
+        assert polynomials._lead(p.prim) == old_lead(p.prim)
 
 
 @pytest.mark.parametrize("q", [0, 7, -3, True, False, Fraction(-5, 6), Fraction(4), "3/4"])

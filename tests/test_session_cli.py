@@ -148,6 +148,42 @@ def test_cli_pole_with_tau_inverse_coefficient_reports(tmp_path):
     assert [r["schema"] for r in reports] == [1, 1]
 
 
+# Points and pole components whose coordinates involve TAU stay explicit
+# refusals: the text of each is pinned, with the exit code of a compute error.
+TAU_REFUSALS = {
+    "tau-sum-lead-component": (
+        "let P = P2(x,y);\n"
+        "let a = chain(P, id, d(x) wedge d(y) / ((x + (1+TAU)*y)*(y^2 - x^3 - x - 1)),"
+        " poles[x + (1+TAU)*y, y^2 - x^3 - x - 1]);\n",
+        "leading coefficient is not a TAU-monomial: (1 + TAU)*y1 + 1",
+    ),
+    "tau-valued-image-point": (
+        "let A = P1(z);\n"
+        "let c = chain(A, map(z = z^2 + TAU*z), dlog(z - 1), poles[z - 1, inf]);\n"
+        "boundary c;\n",
+        "scalar has nonzero TAU grade: 1 + TAU",
+    ),
+    "tau-dependent-eliminant": (
+        "let P = P2(x,y);\n"
+        "let c = chain(P, id, d(x) wedge d(y) / ((x - 1/TAU)*(y - 2)*(x + y - 1)),"
+        " poles[x - 1/TAU, y - 2, x + y - 1]);\n"
+        "boundary c;\n",
+        "rational_roots needs TAU-free coefficients",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TAU_REFUSALS))
+def test_tau_refusals_keep_their_text(tmp_path, name):
+    text, message = TAU_REFUSALS[name]
+    f = tmp_path / "tau.pc"
+    f.write_text(text)
+    code, out, err = run_cli(["run", str(f)])
+    assert code == 1
+    assert err.splitlines() == ["[error] " + message]
+    assert "Traceback" not in out
+
+
 def test_cli_zero_to_the_zero_is_one(tmp_path):
     f = tmp_path / "pow.pc"
     f.write_text("let A = P1(z);\nlet w = chain(A, const(2), 0^0);\nnormalize w;\n")
