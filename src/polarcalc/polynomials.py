@@ -68,10 +68,10 @@ and the largest is the monomial of least exponents over the terms of both
 operands; the cofactors subtract exponents.  The valuation of q along a
 single term c x^a (`poly_valuation`) is the least m_i // a_i over the
 terms x^m of q and the i with a_i > 0.  Along any other p it divides
-once per step; it returns the quotient q / p^k with k and keeps the
-last results, so the pole-order check, the residue's product with p
-(`times_poly`) and the stripping of declared poles (`forms.polar_profile`)
-share each division.
+once per step, and returns the quotient q / p^k with k, so the
+stripping of declared poles (`forms.polar_profile`) makes one division
+per step where `poly_divides` and `poly_div_exact` made two.  The
+residue's product with p (`times_poly`) makes one division of its own.
 
 Two more paths take operands of degree 1 and 2 by elementary algebra.  A
 line L, of total degree 1 in ZZ[variables, TAU] (`x + TAU`, `1 + TAU`),
@@ -774,17 +774,16 @@ def poly_div_exact(q: Polynomial, p: Polynomial) -> Polynomial:
     return Polynomial._same(q.variables, quo, q.content / p.content, q.shift - p.shift)
 
 
-@functools.lru_cache(maxsize=256)
 def poly_valuation(q: Polynomial, p: Polynomial):
     """(k, q / p^k) for the largest k with p^k dividing a nonzero q, p
     nonconstant: for a one-term p = c x^a, k is the least m_i // a_i over
     the terms x^m of q and the i with a_i > 0; otherwise one division of
-    the primitive parts per step, the last one inexact.  The recent
-    results are kept, so a second call on the same operands divides
-    nothing."""
+    the primitive parts per step, the last one inexact."""
     P = p.prim
     if not q.prim:
         raise PolynomialError("valuation of the zero polynomial")
+    if p.is_constant():
+        raise PolynomialError("valuation along a constant")
     if len(P) == 1:
         ((a, _),) = P.items()
         k = min(m[i] // e for m in q.prim for i, e in enumerate(a) if e)
@@ -963,18 +962,17 @@ class RationalFunction:
         return _coprime(self.num.scale(scalar), self.den)
 
     def times_poly(self, p: Polynomial) -> "RationalFunction":
-        """self * p for a nonconstant p.  Where p divides den, num / (den / p)
-        is coprime as it stands, and the lead of den / p is a unit of
-        Q[TAU, TAU^-1] (leads multiply, den's is 1), a TAU-monomial for
-        `_coprime` to divide out; elsewhere the cross-cancelling product.
-        The quotient comes from `poly_valuation`, which a pole-order check
-        along p (`ord_along`) has usually just computed."""
-        k, rest = poly_valuation(self.den, p)
-        if not k:
+        """self * p.  Where p divides den, num / (den / p) is coprime as it
+        stands, and the lead of den / p is a unit of Q[TAU, TAU^-1] (leads
+        multiply, den's is 1), a TAU-monomial for `_coprime` to divide out;
+        elsewhere the cross-cancelling product.  One division of the
+        primitive parts decides which."""
+        d = self.den
+        quo, rem = d.prim.div(p.prim)
+        if rem:
             return self * RationalFunction.from_poly(p)
-        if k > 1:
-            rest = rest * p ** (k - 1)
-        return _coprime(self.num, rest)
+        return _coprime(self.num, Polynomial._same(
+            d.variables, quo, d.content / p.content, d.shift - p.shift))
 
     # -- calculus / evaluation ------------------------------------------
 

@@ -327,8 +327,7 @@ def test_substitute_matches_qq():
 @given(operands(3, VARIABLE_SETS[1:], min_terms=1))
 def test_times_poly_matches_qq(case):
     variables, ((A, s), (B, t), (P, u)) = case
-    p = build(variables, P, u)
-    assume(not p.is_constant())
+    p = build(variables, P, u)  # a constant p too
     b = build(variables, B, t)
     for den in (b, b * p):
         try:
@@ -338,6 +337,16 @@ def test_times_poly_matches_qq(case):
         value = as_field(variables, *view(rf.num)) / as_field(variables, *view(rf.den))
         out = rf.times_poly(p)
         canonical_fraction_matches(out, value * as_field(variables, P, u), variables)
+
+
+@pytest.mark.parametrize("scalar", [
+    Polynomial.scalar(2), Polynomial.scalar(Fraction(-3, 5), 2),
+    Polynomial.scalar(1) + Polynomial.scalar(1, 1),
+])
+def test_valuation_along_a_constant_is_refused(scalar):
+    x = Polynomial.variable(("x",), "x")
+    with pytest.raises(PolynomialError, match="valuation along a constant"):
+        poly_valuation(x * x + x, Polynomial.constant(("x",), scalar))
 
 
 @kernel
