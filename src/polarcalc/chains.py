@@ -161,7 +161,7 @@ def _undeclared_poles(local, chart, locus, declared):
         return None
     polys = [c.poly_on(chart.id) for c in declared if c.visible_on(chart.id)]
     if not locus:
-        residual = polar_profile(local, polys).residual_denominator
+        residual = polar_profile(local, polys)
         return None if residual.is_unit() else residual
     u = Polynomial.variable(chart.coords, locus[0])
     order = local.pole_order(u)
@@ -215,9 +215,9 @@ class PolarChain:
     to 1 and applies the relations.
     """
 
-    __slots__ = ("ambient", "terms", "relative_to", "warnings")
+    __slots__ = ("ambient", "terms", "warnings")
 
-    def __init__(self, ambient, terms=(), relative_to=(), warnings=()):
+    def __init__(self, ambient, terms=(), warnings=()):
         self.ambient = ambient
         fixed = []
         for item in terms:
@@ -228,14 +228,10 @@ class PolarChain:
                 raise ChainError("term maps into a different ambient variety")
             fixed.append((lam, t))
         self.terms = tuple(fixed)
-        self.relative_to = tuple(relative_to)
         self.warnings = tuple(warnings)
 
     def is_zero(self) -> bool:
         return not self.terms
-
-    def degree(self):
-        return max((t.degree for _, t in self.terms), default=None)
 
     def __add__(self, other: "PolarChain") -> "PolarChain":
         if other.ambient.signature() != self.ambient.signature():
@@ -243,7 +239,6 @@ class PolarChain:
         return PolarChain(
             self.ambient,
             self.terms + other.terms,
-            self.relative_to,
             self.warnings + other.warnings,
         )
 
@@ -252,20 +247,11 @@ class PolarChain:
         return PolarChain(
             self.ambient,
             [(lam * minus, t) for lam, t in self.terms],
-            self.relative_to,
             self.warnings,
         )
 
     def __sub__(self, other):
         return self + (-other)
-
-    def scale(self, lam: Polynomial) -> "PolarChain":
-        return PolarChain(
-            self.ambient,
-            [(lam * s, t) for s, t in self.terms],
-            self.relative_to,
-            self.warnings,
-        )
 
     def key(self):
         return (
@@ -481,7 +467,7 @@ def normalize_chain(c: PolarChain) -> PolarChain:
         warnings.extend(warn)
 
     out.sort(key=lambda t: t.key())
-    return PolarChain(c.ambient, out, c.relative_to, tuple(warnings))
+    return PolarChain(c.ambient, out, tuple(warnings))
 
 
 def _image_dimension_ok(t: Triple) -> bool:
@@ -662,7 +648,7 @@ def boundary(c: PolarChain) -> BoundaryResult:
             res, term = _residue_term(t, comp)
             raw.append((Polynomial.scalar(1, 1), term))
             sources.append((t, comp, res))
-    chain = normalize_chain(PolarChain(c.ambient, raw, c.relative_to))
+    chain = normalize_chain(PolarChain(c.ambient, raw))
     return BoundaryResult(chain, sources, raw)
 
 
@@ -695,7 +681,7 @@ def check_d_squared(c: PolarChain):
 
 
 # ---------------------------------------------------------------------------
-# support, cycles, relative reduction
+# support and cycles
 # ---------------------------------------------------------------------------
 
 
@@ -716,48 +702,10 @@ def support(c: PolarChain):
     return out
 
 
-def _term_inside(t: Triple, ambient, zone) -> bool:
-    desc = image_description(t, ambient)
-    if desc[0] == "point":
-        for z in zone:
-            if isinstance(z, VarietyPoint) and z == desc[1]:
-                return True
-            if isinstance(z, DivisorComponent) and z.contains_point(desc[1]):
-                return True
-        return False
-    if desc[0] == "component":
-        return any(
-            isinstance(z, DivisorComponent) and z == desc[1] for z in zone
-        )
-    return False
-
-
-def reduce_relative(c: PolarChain, zone) -> PolarChain:
-    """Drop the terms supported inside Z and mark the chain relative."""
-    zone = tuple(zone)
-    for z in zone:
-        if isinstance(z, DivisorComponent):
-            if z.variety.signature() != c.ambient.signature():
-                raise ChainError("relative subvariety lives outside the ambient")
-        elif not isinstance(z, VarietyPoint):
-            raise ChainError("unsupported relative subvariety element")
-    n = normalize_chain(c)
-    kept = [(lam, t) for lam, t in n.terms if not _term_inside(t, c.ambient, zone)]
-    return PolarChain(c.ambient, kept, zone, n.warnings)
-
-
 def is_cycle(c: PolarChain):
-    """(flag, residual boundary); relative chains discount terms in Z."""
-    b = boundary(c)
-    residual = b.chain
-    if c.relative_to:
-        kept = [
-            (lam, t)
-            for lam, t in residual.terms
-            if not _term_inside(t, c.ambient, c.relative_to)
-        ]
-        residual = PolarChain(c.ambient, kept, c.relative_to, residual.warnings)
-    return residual.is_zero(), b.chain
+    """(flag, boundary): whether the chain's normalized boundary is zero."""
+    b = boundary(c).chain
+    return b.is_zero(), b
 
 
 # ---------------------------------------------------------------------------

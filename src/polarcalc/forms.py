@@ -298,49 +298,18 @@ class DifferentialForm:
 # ---------------------------------------------------------------------------
 
 
-class PolarProfile:
-    """Pole orders of a form against a declared component list."""
+def polar_profile(form: DifferentialForm, declared) -> Polynomial:
+    """The residual denominator: the poles of `form` off the declared ones.
 
-    __slots__ = ("components", "residual_denominator")
-
-    def __init__(self, components, residual_denominator):
-        self.components = list(components)  # [(Polynomial, order)]
-        self.residual_denominator = residual_denominator
-
-    def order_of(self, poly: Polynomial):
-        for p, o in self.components:
-            if p == poly:
-                return o
-        return POLE_FREE
-
-    def is_admissible(self) -> bool:
-        return self.residual_denominator.is_unit() and all(
-            o >= -1 for _, o in self.components
-        )
-
-    def __repr__(self):
-        return "PolarProfile(%s, residual=%s)" % (
-            [(str(p), o) for p, o in self.components],
-            self.residual_denominator,
-        )
-
-
-def polar_profile(form: DifferentialForm, declared) -> PolarProfile:
-    """Per-component valuation of the worst coefficient, plus leftovers.
+    The lcm of the coefficients' denominators once every power of each
+    declared component is divided out; a unit when every pole is declared.
 
     declared: list of pairwise-coprime squarefree Polynomials on the
     form's chart (the caller checks this; `make_triple` does it with
     `validate_normal_crossing`).
     """
     declared = list(declared)
-    components = []
-    for p in declared:
-        if p.is_constant():
-            components.append((p, POLE_FREE))
-            continue
-        components.append((p, form.pole_order(p)))
     residual = Polynomial.constant(form.coords, 1)
-    seen = set()
     for rf in form.components.values():
         den = rf.den
         for p in declared:
@@ -352,4 +321,4 @@ def polar_profile(form: DifferentialForm, declared) -> PolarProfile:
         extra = poly_div_exact(den, g) if not g.is_unit() else den
         if not extra.is_unit():
             residual = residual * extra
-    return PolarProfile(components, residual)
+    return residual

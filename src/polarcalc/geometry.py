@@ -490,13 +490,6 @@ class DivisorComponent:
                 return c
         raise GeometryError("component %s visible on no chart" % self.label)
 
-    def contains_point(self, pt: VarietyPoint) -> bool:
-        chart, values = pt.finite_chart(self.variety)
-        p = self.polys[chart.id]
-        if p.is_constant():
-            return False
-        return p.evaluate(values).is_zero()
-
     def key(self):
         return tuple(sorted((cid, p) for cid, p in self.polys.items()))
 

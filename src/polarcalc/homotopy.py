@@ -133,7 +133,7 @@ def section_pushforwards(a: PolarChain, basepoint=0) -> PolarChain:
         nf = _section_formulas(fs, zc, basepoint, src)
         out.append((lam, Triple(t.source, VarietyMap(t.source, a.ambient, ch.id, nf),
                                 t.form, t.declared_poles)))
-    return PolarChain(a.ambient, out, a.relative_to, a.warnings)
+    return PolarChain(a.ambient, out, a.warnings)
 
 
 def _section_rf(coords, zc, value):
@@ -195,7 +195,6 @@ def _h_point_term(lam, t, ambient, zc, c):
 def _lift_components(t: Triple, cyl, tname):
     """Vertical components of the cylinder over the poles of alpha."""
     out = []
-    src = t.source
     for comp in t.declared_poles:
         chart = comp.first_visible_chart()
         p = comp.poly_on(chart.id)
@@ -264,7 +263,6 @@ def _h_line_term(lam, t, ambient, zc, c):
 
     one = RationalFunction.constant(coords, 1)
     tau_inv = Polynomial.scalar(1, -1)
-    is_const_g = g.num.is_constant() and g.den.is_constant()
     for probe in _probe_sequence(c):
         section = DivisorComponent.from_chart_poly(
             cyl, cyl.main_chart.id, _section_rf(coords, zc, probe).num
@@ -325,7 +323,7 @@ def cylinder_homotopy(a: PolarChain, basepoint=0) -> CylinderChain:
             )
         terms.extend(new)
         records.append(rec)
-    chain = PolarChain(a.ambient, terms, a.relative_to, a.warnings)
+    chain = PolarChain(a.ambient, terms, a.warnings)
     return CylinderChain(chain, Fraction(basepoint), records)
 
 

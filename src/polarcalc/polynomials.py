@@ -836,7 +836,7 @@ def rational_roots(p: Polynomial):
     are those of the primitive part.  Degrees 1 and 2 take the closed
     form, higher degrees sympy's `factor_list` over ZZ.
     """
-    (var,) = p.variables
+    (_,) = p.variables
     if p.shift or p.prim.degree(1) > 0:
         raise PolynomialError("rational_roots needs TAU-free coefficients")
     f = p.prim.drop(1)

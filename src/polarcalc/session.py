@@ -400,7 +400,7 @@ def _report(command, status, result, details, tags):
     }
 
 
-def run_statement(session: Session, stmt: str, line=1):
+def run_statement(session: Session, stmt: str):
     """Execute one statement and return its report (or None for `let`)."""
     ts = TokenStream(tokenize(stmt))
     head = ts.peek()
@@ -559,6 +559,6 @@ def _parse_witness_pairs(ts: TokenStream):
 def run_text(session: Session, text: str):
     """All statements of a session file; returns the report list."""
     reports = []
-    for stmt, line in split_statements(text):
-        reports.append(run_statement(session, stmt, line))
+    for stmt, _ in split_statements(text):
+        reports.append(run_statement(session, stmt))
     return reports

@@ -12,7 +12,6 @@ from polarcalc.chains import (
     make_triple,
     normalize_chain,
     point_term,
-    reduce_relative,
     support,
     term_weight,
 )
@@ -237,22 +236,6 @@ def test_support_reports_images():
     c = dlog_chain(line, 0)
     items = support(c)
     assert items == ["P1(z)"]
-
-
-def test_relative_cycle():
-    line = proj_line("z")
-    coords = line.main_chart.coords
-    form = parse_form("dlog(z/(z-1))", coords, line.main_chart.id)
-    t = make_triple(line, VarietyMap.identity(line), form,
-                    [p1_comp(line, 0), p1_comp(line, 1)])
-    c = PolarChain(line, [t])
-    flag, residual = is_cycle(c)
-    assert not flag
-    zone = [VarietyPoint.product_point([0]), VarietyPoint.product_point([1])]
-    rel = reduce_relative(c, zone)
-    flag, residual = is_cycle(rel)
-    # the raw boundary is still reported, but it sits entirely inside Z
-    assert flag and not residual.is_zero()
 
 
 def test_witness_refuses_nonzero_total():

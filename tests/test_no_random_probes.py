@@ -1,7 +1,9 @@
 """The engine draws no random numbers: only the verification suites sample.
 
 An AST scan of `src/polarcalc`, so that a random probe cannot come back
-into the engine unnoticed.  The same scan finds imports that nothing uses.
+into the engine unnoticed.  The same scan finds dead code: imports that
+nothing uses, definitions that nothing references, and locals that are
+bound but never read.
 """
 
 import ast
@@ -13,12 +15,19 @@ SRC = Path(polarcalc.__file__).parent
 SAMPLER = "suites.py"
 # accepted and ignored, kept for callers that still pass an rng
 IGNORED_RNG = {"make_triple", "verify_homotopy_identity"}
+# nothing in the package calls these, but perfbench/tracer.py's LAYERS wraps
+# them by name, so they stay until the benchmark drops them
+TRACER_PINNED = {"poly_divides", "to_sympy", "from_sympy"}
+
+
+def all_modules():
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
+    return [(p.name, ast.parse(p.read_text(encoding="utf-8"))) for p in paths]
 
 
 def engine_modules():
-    paths = sorted(p for p in SRC.glob("*.py") if p.name != SAMPLER)
-    assert paths
-    return [(p.name, ast.parse(p.read_text(encoding="utf-8"))) for p in paths]
+    return [(name, tree) for name, tree in all_modules() if name != SAMPLER]
 
 
 def parameters(tree):
@@ -69,8 +78,7 @@ def exported(tree):
 
 
 def test_no_module_imports_an_unused_name():
-    for path in sorted(SRC.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
+    for name, tree in all_modules():
         imported = set()
         for node in ast.walk(tree):
             if isinstance(node, ast.Import):
@@ -79,4 +87,43 @@ def test_no_module_imports_an_unused_name():
                 imported.update(a.asname or a.name for a in node.names)
         used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         unused = imported - used - exported(tree)
-        assert not unused, "%s: %s" % (path.name, sorted(unused))
+        assert not unused, "%s: %s" % (name, sorted(unused))
+
+
+def test_every_definition_is_referenced():
+    """A def or class whose name nothing in the package reads is dead.
+
+    Dunder methods are called by Python itself, and a def under a
+    decorator call (a registered suite) is reached through the registry.
+    """
+    modules = all_modules()
+    read = {
+        node.id if isinstance(node, ast.Name) else node.attr
+        for _, tree in modules
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    }
+    unreferenced = set()
+    for _, tree in modules:
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            dunder = node.name.startswith("__") and node.name.endswith("__")
+            registered = any(isinstance(d, ast.Call) for d in node.decorator_list)
+            if not (dunder or registered or node.name in read):
+                unreferenced.add(node.name)
+    assert unreferenced == TRACER_PINNED, sorted(unreferenced ^ TRACER_PINNED)
+
+
+def test_no_function_binds_a_local_it_never_reads():
+    """Underscore names (`_`, `_line`) are the deliberate exception."""
+    for name, tree in all_modules():
+        for func in ast.walk(tree):
+            if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            stored, loaded = set(), set()
+            for node in ast.walk(func):
+                if isinstance(node, ast.Name):
+                    (stored if isinstance(node.ctx, ast.Store) else loaded).add(node.id)
+            dead = {v for v in stored - loaded if not v.startswith("_")}
+            assert not dead, "%s: %s binds %s" % (name, func.name, sorted(dead))
