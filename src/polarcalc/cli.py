@@ -59,17 +59,7 @@ def _run_statements(session, statements, json_sink, stop_on_error=True):
     for stmt, _line in statements:
         try:
             report = run_statement(session, stmt)
-        except (ParseError, SessionError) as exc:
-            report, code = _error_report(stmt, exc)
-            if isinstance(exc, SessionError):
-                code = EXIT_COMPUTE
-                report["status"] = "error"
-            _emit(report, json_sink)
-            worst = max(worst, code)
-            if stop_on_error:
-                return worst
-            continue
-        except COMPUTE_ERRORS as exc:
+        except (ParseError, SessionError, *COMPUTE_ERRORS) as exc:
             report, code = _error_report(stmt, exc)
             _emit(report, json_sink)
             worst = max(worst, code)
@@ -88,9 +78,8 @@ def cmd_run(args, json_sink):
             text = fh.read()
     except OSError as exc:
         report, code = _error_report("run %s" % args.file, exc)
-        report["status"] = "error"
         _emit(report, json_sink)
-        return EXIT_COMPUTE
+        return code
     session = Session()
     try:
         statements = split_statements(text)
@@ -137,19 +126,15 @@ def cmd_verify(args, json_sink):
         suite = suites.get_suite(args.suite)
     except KeyError:
         names = ", ".join(suites.suite_names())
-        report, _ = _error_report(
+        report, code = _error_report(
             "verify --suite %s" % args.suite,
             ValueError("unknown suite %r; available: %s" % (args.suite, names)),
         )
         _emit(report, json_sink)
-        return EXIT_COMPUTE
+        return code
     try:
         result = suite(seed=args.seed)
-    except ParseError as exc:
-        report, code = _error_report("verify --suite %s" % args.suite, exc)
-        _emit(report, json_sink)
-        return code
-    except COMPUTE_ERRORS as exc:
+    except (ParseError, *COMPUTE_ERRORS) as exc:
         report, code = _error_report("verify --suite %s" % args.suite, exc)
         _emit(report, json_sink)
         return code

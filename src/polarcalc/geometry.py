@@ -5,12 +5,13 @@ projective lines, the projective plane, and smooth plane curves (taken
 with their projective closure).  Each variety carries explicit affine
 charts with exact rational transition maps; a divisor component is a
 chart-wise family of defining polynomials compatible under transitions.
-Transversality and smoothness are decided by exact resultant
-elimination on two-dimensional charts, where a rejection names a
-rational witness point.  On product charts of higher dimension, normal
-crossing is decided by unit-ideal certificates (Hilbert's
-Nullstellensatz): components meet transversally when their polynomials
-and the maximal minors of their Jacobian generate the unit ideal.
+On two-dimensional charts, tangency, triple points and singularities are
+common rational zeros, found by a resultant and then the rational roots
+of gcds (`_gcd_roots`); a rejection names one as its witness.  On
+product charts of higher dimension, normal crossing is decided by
+unit-ideal certificates (Hilbert's Nullstellensatz): components meet
+transversally when their polynomials and the maximal minors of their
+Jacobian generate the unit ideal.
 
 Every check is local, so each object is certified once, on the first
 chart that contains it: a pair of components on the first chart where
@@ -363,26 +364,12 @@ class VarietyPoint:
         if variety.kind == "point":
             return variety.main_chart, {}
         if variety.kind in ("P1", "product"):
-            for mask_chart in variety.charts:
-                values = {}
-                ok = True
-                for coord, v in zip(mask_chart.coords, self.data):
-                    if coord.endswith("_"):
-                        if v == INF:
-                            values[coord] = Fraction(0)
-                        elif v == 0:
-                            ok = False
-                            break
-                        else:
-                            values[coord] = 1 / Fraction(v)
-                    else:
-                        if v == INF:
-                            ok = False
-                            break
-                        values[coord] = Fraction(v)
-                if ok:
-                    return mask_chart, values
-            raise GeometryError("point %s has no finite chart" % (self,))
+            # the first chart inverts exactly the factors at infinity
+            names, values = [], {}
+            for c, v in zip(variety.factors, self.data):
+                names.append(_inv_name(c) if v == INF else c)
+                values[names[-1]] = Fraction(0) if v == INF else Fraction(v)
+            return variety.chart("|".join(names)), values
         # plane kinds
         X0, X1, X2 = self.data
         if X0 != 0:
@@ -507,10 +494,10 @@ def point_component(variety: CatalogVariety, pt: VarietyPoint, label=None) -> Di
     """Divisor component cutting one rational point on a 1-dim variety."""
     if variety.dimension != 1:
         raise GeometryError("point components only on 1-dimensional varieties")
-    chart, values = pt.finite_chart(variety)
-    (coord,) = chart.coords[:1] if variety.kind == "P1" else (chart.coords[0],)
     if variety.kind != "P1":
         raise GeometryError("point components only supported on P1 sources")
+    chart, values = pt.finite_chart(variety)
+    (coord,) = chart.coords
     v = Polynomial.variable(chart.coords, coord)
     c = Polynomial.constant(chart.coords, values[coord])
     return DivisorComponent.from_chart_poly(variety, chart.id, v - c, label)
@@ -548,27 +535,29 @@ def _resultant_eliminate(polys, var):
         else:
             others.append(p)
     if pivot is None:
-        return [_drop_var(p, var) for p in polys]
+        return [p.specialize({var: 0}) for p in polys]
     out = []
     for p in others:
         if p.depends_on(var):
             out.append(poly_resultant(pivot, p, var))
         else:
-            out.append(_drop_var(p, var))
+            out.append(p.specialize({var: 0}))
     if not out:
-        out.append(_drop_var_keep(pivot, var))
+        out.append(Polynomial.constant(tuple(v for v in pivot.variables if v != var), 1))
     return out
 
 
-def _drop_var(p: Polynomial, var):
-    if p.depends_on(var):
-        raise GeometryError("cannot drop live variable %s" % var)
-    return p.specialize({var: 0})
-
-
-def _drop_var_keep(p, var):
-    rest = tuple(v for v in p.variables if v != var)
-    return Polynomial.constant(rest, 1)
+def _gcd_roots(polys):
+    """(roots, complete) of the gcd of nonzero univariate polynomials:
+    ([], True) when it is a unit, else its `rational_roots`."""
+    g = polys[0]
+    for q in polys[1:]:
+        if g.is_unit():
+            break
+        g = poly_gcd(g, q)
+    if g.is_unit():
+        return [], True
+    return rational_roots(g)
 
 
 def common_zeros_2d(polys, coords):
@@ -576,7 +565,8 @@ def common_zeros_2d(polys, coords):
 
     Returns (points, complete): `points` is a list of (Fraction, Fraction);
     `complete` is False when elimination left an irrational factor whose
-    zeros could not be enumerated.
+    zeros could not be enumerated.  The second coordinate is eliminated
+    first.
     """
     x, y = coords
     polys = [p for p in polys if not p.is_zero()]
@@ -585,30 +575,15 @@ def common_zeros_2d(polys, coords):
     elim = [p for p in _resultant_eliminate(polys, y) if not p.is_zero()]
     if not elim:
         return [], False
-    g = elim[0]
-    for p in elim[1:]:
-        g = poly_gcd(g, p)
-    if g.is_unit():
-        return [], True
-    roots, split = rational_roots(g)
+    roots, complete = _gcd_roots(elim)
     pts = []
-    complete = split
     for x0, _ in roots:
-        specialized = [p.specialize({x: x0}) for p in polys]
-        if any(q.is_zero() for q in specialized):
-            nonzero = [q for q in specialized if not q.is_zero()]
-            if not nonzero:
-                return [], False
-            specialized = nonzero
-        gy = specialized[0]
-        for q in specialized[1:]:
-            gy = poly_gcd(gy, q)
-        if gy.is_unit():
-            continue
-        yroots, ysplit = rational_roots(gy)
+        fiber = [q for q in (p.specialize({x: x0}) for p in polys) if not q.is_zero()]
+        if not fiber:
+            return [], False
+        yroots, ysplit = _gcd_roots(fiber)
         complete = complete and ysplit
-        for y0, _ in yroots:
-            pts.append((x0, y0))
+        pts.extend((x0, y0) for y0, _ in yroots)
     return pts, complete
 
 
@@ -628,14 +603,7 @@ def _new_zeros_2d(polys, coords, locus):
         return ([] if nonzero else [tuple(zero[v] for v in coords)]), True
     if not nonzero:
         return [], False
-    g = nonzero[0]
-    for q in nonzero[1:]:
-        if g.is_unit():
-            break
-        g = poly_gcd(g, q)
-    if g.is_unit():
-        return [], True
-    roots, split = rational_roots(g)
+    roots, split = _gcd_roots(nonzero)
     return [tuple(zero.get(v, r) for v in coords) for r, _ in roots], split
 
 
@@ -656,13 +624,11 @@ def _singular_points_2d(p: Polynomial, locus):
     if complete:
         return None
     if not locus:
-        # retry with the roles of the variables swapped
-        swapped = [q.rename((y, x)).lift((x, y)) for q in (p, px, py)]
-        pts2, complete2 = common_zeros_2d(swapped, (x, y))
-        if pts2:
-            x0, y0 = pts2[0]
-            return (y0, x0)
-        if complete2:
+        # retry with x eliminated first
+        pts, complete = common_zeros_2d([p, px, py], (y, x))
+        if pts:
+            return pts[0][::-1]
+        if complete:
             return None
     raise GeometryError(
         "cannot certify smoothness of %s: irrational candidate locus" % p
@@ -744,16 +710,25 @@ def validate_normal_crossing(components, variety: CatalogVariety) -> NCReport:
                     shared.add(pair)
             tested.add(pair)
         if chart.dimension == 2:
-            _check_pairs_2d(
-                [[(components[i], polys[i]) for i in pair]
-                 for pair in pairs if pair not in shared],
-                chart, locus, report,
+            transversal = []
+            for i, j in pairs:
+                if (i, j) not in shared:
+                    J = _jacobian_minor(polys[i], polys[j], chart.coords)
+                    transversal.append(
+                        ([components[i], components[j]], [polys[i], polys[j], J])
+                    )
+            _check_zeros_2d(
+                transversal, chart, locus, report,
+                "tangential intersection",
+                "cannot certify transversality (irrational locus)",
             )
-            _check_triples_2d(
-                [[(components[i], polys[i]) for i in trio]
+            _check_zeros_2d(
+                [([components[i] for i in trio], [polys[i] for i in trio])
                  for trio in itertools.combinations(vis, 3)
                  if not any(pair in shared for pair in itertools.combinations(trio, 2))],
                 chart, locus, report,
+                "three components through one point in dimension 2",
+                "cannot certify triple-point freeness (irrational locus)",
             )
         elif chart.dimension > 2:
             _check_unit_ideals(
@@ -768,43 +743,16 @@ def _jacobian_minor(p, q, coords):
     return p.differentiate(x) * q.differentiate(y) - p.differentiate(y) * q.differentiate(x)
 
 
-def _check_pairs_2d(coprime, chart, locus, report):
-    """Transversality of each coprime pair ((c1, p1), (c2, p2)) on the new locus."""
-    for (c1, p1), (c2, p2) in coprime:
-        J = _jacobian_minor(p1, p2, chart.coords)
-        pts, complete = _new_zeros_2d([p1, p2, J], chart.coords, locus)
-        if pts:
-            report.fail("tangential intersection", chart.id, [c1, c2], _point_text(pts[0]))
-        elif not complete:
-            report.fail(
-                "cannot certify transversality (irrational locus)",
-                chart.id,
-                [c1, c2],
-                "resultant does not split over Q",
-            )
-
-
-def _check_triples_2d(trios, chart, locus, report):
-    """No common point of three components, for each triple [(c, p)] * 3
-    whose pairs are coprime, on the new locus."""
-    for trio in trios:
-        comps = [t[0] for t in trio]
-        ps = [t[1] for t in trio]
+def _check_zeros_2d(groups, chart, locus, report, met, unsure):
+    """Fail each group (components, polys) whose polys have a common zero
+    on the new locus with reason `met` and that zero as witness, or with
+    reason `unsure` when the zeros could not be enumerated."""
+    for comps, ps in groups:
         pts, complete = _new_zeros_2d(ps, chart.coords, locus)
         if pts:
-            report.fail(
-                "three components through one point in dimension 2",
-                chart.id,
-                comps,
-                _point_text(pts[0]),
-            )
+            report.fail(met, chart.id, comps, _point_text(pts[0]))
         elif not complete:
-            report.fail(
-                "cannot certify triple-point freeness (irrational locus)",
-                chart.id,
-                comps,
-                "resultant does not split over Q",
-            )
+            report.fail(unsure, chart.id, comps, "resultant does not split over Q")
 
 
 def _check_unit_ideals(visible, polys, chart, locus, report):

@@ -81,17 +81,10 @@ def _probe_sequence(basepoint):
         k += 1
 
 
-def _rename_rf(rf: RationalFunction, new_vars):
-    return RationalFunction(
-        rf.num.rename(new_vars), rf.den.rename(new_vars), _canonical=True
-    )
-
-
 def _map_with_section(t: Triple, ambient, zc):
     """Chart and formulas of the term's map with a finite line factor."""
     for ch in ambient.charts:
-        parts = ch.id.split("|")
-        if parts[-1] != zc:
+        if ch.coords[-1] != zc:
             continue
         try:
             fs = t.map.formulas_on(ch.id)
@@ -101,16 +94,6 @@ def _map_with_section(t: Triple, ambient, zc):
     raise HomotopyError(
         "term %s cannot be expressed with a finite line factor" % t.render()
     )
-
-
-def _section_formulas(fs, zc, value, src_coords):
-    out = {}
-    for coord, rf in fs.items():
-        if coord == zc:
-            out[coord] = RationalFunction.constant(src_coords, value)
-        else:
-            out[coord] = rf if rf.variables == src_coords else rf.lift(src_coords)
-    return out
 
 
 def section_pushforwards(a: PolarChain, basepoint=0) -> PolarChain:
@@ -129,8 +112,7 @@ def section_pushforwards(a: PolarChain, basepoint=0) -> PolarChain:
             out.append((lam, Triple(t.source, m, t.form, t.declared_poles)))
             continue
         ch, fs = _map_with_section(t, a.ambient, zc)
-        src = t.source.main_chart.coords
-        nf = _section_formulas(fs, zc, basepoint, src)
+        nf = {**fs, zc: RationalFunction.constant(t.source.main_chart.coords, basepoint)}
         out.append((lam, Triple(t.source, VarietyMap(t.source, a.ambient, ch.id, nf),
                                 t.form, t.declared_poles)))
     return PolarChain(a.ambient, out, a.warnings)
@@ -200,11 +182,7 @@ def _lift_components(t: Triple, cyl, tname):
         p = comp.poly_on(chart.id)
         new_var = tname if not chart.coords[0].endswith("_") else tname + "_"
         p = p.rename((new_var,))
-        cyl_chart = None
-        for ch in cyl.charts:
-            if ch.id.split("|")[0] == new_var:
-                cyl_chart = ch
-                break
+        cyl_chart = next(ch for ch in cyl.charts if ch.coords[0] == new_var)
         out.append(
             DivisorComponent.from_chart_poly(
                 cyl, cyl_chart.id, p.lift(cyl_chart.coords), comp.label
@@ -220,9 +198,7 @@ def _h_line_term(lam, t, ambient, zc, c):
     coords = cyl.main_chart.coords
     chart, fs = _map_with_section(t, ambient, zc)
     g = fs[zc]
-    if g.variables != (told,):
-        g = g.lift((told,))
-    g_lift = _rename_rf(g, (tname,)).lift(coords)
+    g_lift = g.rename((tname,)).lift(coords)
     c = Fraction(c)
     if g.num.is_constant() and g.den.is_constant():
         if g.constant_value().rational_value() == c:
@@ -234,7 +210,7 @@ def _h_line_term(lam, t, ambient, zc, c):
     )
     alpha_lift = DifferentialForm(
         cyl.main_chart.id, coords, 1,
-        {(0,): _rename_rf(a_coeff, (tname,)).lift(coords)},
+        {(0,): a_coeff.rename((tname,)).lift(coords)},
     ).scale(lam)
     dz = DifferentialForm.d_coordinate(cyl.main_chart.id, coords, zc)
 
@@ -244,9 +220,7 @@ def _h_line_term(lam, t, ambient, zc, c):
         if coord == zc:
             formulas[coord] = RationalFunction.variable(coords, zc)
         else:
-            if rf.variables != (told,):
-                rf = rf.lift((told,))
-            formulas[coord] = _rename_rf(rf, (tname,)).lift(coords)
+            formulas[coord] = rf.rename((tname,)).lift(coords)
     lifted_map = VarietyMap(cyl, ambient, chart.id, formulas)
 
     verticals = _lift_components(t, cyl, tname)

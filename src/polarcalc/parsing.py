@@ -109,18 +109,11 @@ class ExprContext:
 
     coords: ordered coordinate names of the active chart (or inferred).
     chart: chart id carried on produced forms.
-    lookup: optional fallback for non-coordinate names (session bindings).
     """
 
-    def __init__(self, coords, chart="", lookup=None):
+    def __init__(self, coords, chart=""):
         self.coords = tuple(coords)
         self.chart = chart
-        self.lookup = lookup
-
-    def coordinate(self, name):
-        if name in self.coords:
-            return RationalFunction.variable(self.coords, name)
-        return None
 
 
 def parse_expression(ts: TokenStream, ctx: ExprContext, min_prec=0):
@@ -184,13 +177,8 @@ def _parse_atom(ts: TokenStream, ctx: ExprContext):
                     RationalFunction.constant(ctx.coords, 1) / inner
                 )
             return df
-        rf = ctx.coordinate(name)
-        if rf is not None:
-            return rf
-        if ctx.lookup is not None:
-            bound = ctx.lookup(name)
-            if bound is not None:
-                return bound
+        if name in ctx.coords:
+            return RationalFunction.variable(ctx.coords, name)
         raise ParseError("unknown identifier %r" % name, t.line, t.col)
     raise ParseError(
         "expected a number, name or '(' , found %r" % (t.text or "<end>"), t.line, t.col

@@ -83,14 +83,13 @@ class SessionError(ValueError):
 
 
 class Session:
-    """Named bindings plus a deterministic command log."""
+    """Named bindings of varieties and chains."""
 
     def __init__(self, seed=0):
         """`seed` is accepted and ignored: statements draw no random
         numbers, and the parameter stays only for callers that still pass
         one."""
         self.bindings = {}
-        self.log = []
 
     def bind(self, name, value):
         if name in self.bindings:
@@ -339,11 +338,9 @@ def _render_value(v) -> str:
 def render_pole(comp: DivisorComponent, ambient: CatalogVariety) -> str:
     if comp.visible_on(ambient.main_chart.id):
         return str(comp.poly_on(ambient.main_chart.id))
-    if ambient.kind == "P1":
+    if ambient.kind in ("P1", "P2"):
         return "inf"
-    if ambient.kind == "P2":
-        return "inf"
-    for factor in getattr(ambient, "factors", ()):
+    for factor in ambient.factors:
         if infinity_component(ambient, factor) == comp:
             return "inf(%s)" % factor
     raise SessionError("component %s has no grammar rendering" % comp.label)
@@ -408,11 +405,8 @@ def run_statement(session: Session, stmt: str):
         raise ParseError("expected a statement", head.line, head.col)
     if head.text == "let":
         _run_let(session, ts, stmt)
-        session.log.append(stmt)
         return _report(stmt, "ok", "bound", {}, _PROVENANCE["let"])
-    report = _run_command(session, ts, stmt)
-    session.log.append(stmt)
-    return report
+    return _run_command(session, ts, stmt)
 
 
 def _run_let(session: Session, ts: TokenStream, stmt: str):

@@ -457,3 +457,75 @@ def test_infinity_components():
     for variety, factor in ((prod, "c"), (prod, None), (point_variety(), None)):
         with pytest.raises(GeometryError, match="no component at infinity"):
             infinity_component(variety, factor)
+
+
+@pytest.mark.parametrize("polys, expected", [
+    (["x + y - 1", "x - y"], ([(Fraction(1, 2), Fraction(1, 2))], True)),
+    (["y - x^2", "y"], ([(0, 0)], True)),
+    (["x^2 - 2", "y"], ([], False)),  # an irrational x-root
+    (["x", "x*y"], ([], False)),  # every polynomial vanishes on the fiber x = 0
+    (["x - 1", "y^2 + 1"], ([], False)),  # an irrational y-root
+    (["x - 1", "x - 2"], ([], True)),
+    (["y^2 - x^2", "y - 2*x + 1"], ([(Fraction(1, 3), Fraction(-1, 3)), (1, 1)], True)),
+])
+def test_common_zeros_2d_table(polys, expected):
+    ps = [parse_polynomial(p, ("x", "y")) for p in polys]
+    assert common_zeros_2d(ps, ("x", "y")) == expected
+
+
+@pytest.mark.parametrize("locus, polys, expected", [
+    (("x",), ["y^2 - 2", "x*y"], ([], False)),
+    (("x",), ["y^2 - 1", "x + y - 1"], ([(0, 1)], True)),
+    (("x", "y"), ["x + y", "x - y"], ([(0, 0)], True)),
+    (("x", "y"), ["x + y - 1", "x - y"], ([], True)),
+])
+def test_new_zeros_2d_table(locus, polys, expected):
+    from polarcalc.geometry import _new_zeros_2d
+
+    ps = [parse_polynomial(p, ("x", "y")) for p in polys]
+    assert _new_zeros_2d(ps, ("x", "y"), locus) == expected
+
+
+def test_curve_certified_smooth_only_by_eliminating_x_first():
+    p = parse_polynomial("2 - x^3 + y^3 + 3*x*y^2", ("x", "y"))
+    system = [p, p.differentiate("x"), p.differentiate("y")]
+    assert common_zeros_2d(system, ("x", "y")) == ([], False)
+    assert plane_curve(p).kind == "curve"
+
+
+def test_curve_with_an_irrational_candidate_locus_is_refused():
+    with pytest.raises(GeometryError) as err:
+        plane_curve(parse_polynomial("x + y - x^3 - y^3", ("x", "y")))
+    assert str(err.value) == (
+        "cannot certify smoothness of -x^3 - y^3 + x + y: irrational candidate locus"
+    )
+
+
+def _first_containing_chart(pt, variety):
+    """Scan the charts in order for the first whose coordinates are all
+    finite at the point."""
+    for chart in variety.charts:
+        values = {}
+        for coord, v in zip(chart.coords, pt.data):
+            if coord.endswith("_"):
+                if v == 0:
+                    break
+                values[coord] = Fraction(0) if v == INF else 1 / v
+            elif v == INF:
+                break
+            else:
+                values[coord] = v
+        else:
+            return chart, values
+    raise AssertionError("no chart contains %s" % pt)
+
+
+@pytest.mark.parametrize("k", [1, 2, 3])
+def test_finite_chart_is_the_first_chart_containing_the_point(k):
+    variety = product_of_lines(["a", "b", "c"][:k])
+    for data in itertools.product([Fraction(0), Fraction(1), Fraction(-1, 2), INF], repeat=k):
+        pt = VarietyPoint.product_point(data)
+        chart, values = pt.finite_chart(variety)
+        expected_chart, expected_values = _first_containing_chart(pt, variety)
+        assert chart is expected_chart and values == expected_values
+        assert point_from_chart(variety, chart.id, values) == pt

@@ -292,3 +292,34 @@ def test_render_form_round_trip_negative_square():
     text = render_form(form)
     assert text.startswith("((-x^2")
     assert parse_form(text, coords, form.chart) == form
+
+
+def test_cli_repl_keeps_going_after_each_error(tmp_path, monkeypatch):
+    monkeypatch.setattr("sys.stdin", io.StringIO(
+        "let A = P1(z); boundary ; dsq b; "
+        "let a = chain(A, id, dlog(z), poles[z, inf]); dsq a;\n"
+    ))
+    j = tmp_path / "repl.json"
+    code, out, err = run_cli(["--json", str(j), "repl"])
+    assert code == 2
+    assert [(r["status"], r["details"].get("error")) for r in json.loads(j.read_text())] == [
+        ("ok", None), ("parse-error", "ParseError"), ("error", "SessionError"),
+        ("ok", None), ("ok", None),
+    ]
+    assert err.splitlines() == [
+        "[parse-error] line 1, col 9: expected a chain binding",
+        "[error] unknown binding 'b'",
+    ]
+
+
+def test_cli_run_missing_file(tmp_path):
+    missing = tmp_path / "missing.pc"
+    code, out, err = run_cli(["run", str(missing)])
+    assert code == 1
+    assert err == "[error] [Errno 2] No such file or directory: %r\n" % str(missing)
+
+
+def test_cli_verify_unknown_suite_names_the_suites():
+    code, out, err = run_cli(["verify", "--suite", "nope"])
+    assert code == 1
+    assert err.startswith("[error] unknown suite 'nope'; available: dsq-random, ")
