@@ -176,8 +176,7 @@ def _curve_holomorphic(form: DifferentialForm, curve: CatalogVariety) -> bool:
         return True
     coords = curve.main_chart.coords
     x, y = coords
-    a = form.components.get((0,), RationalFunction.constant(coords, 0))
-    b = form.components.get((1,), RationalFunction.constant(coords, 0))
+    a, b = form.coefficient((0,)), form.coefficient((1,))
     p = curve.curve_polys["A0"]
     px = RationalFunction.from_poly(p.differentiate(x))
     py = RationalFunction.from_poly(p.differentiate(y))
@@ -292,9 +291,7 @@ def term_weight(t: Triple) -> Polynomial:
     """The scalar carried by a 0-dimensional term."""
     if t.degree != 0:
         raise ChainError("weights only defined for point terms")
-    if t.form.is_zero():
-        return Polynomial.scalar(0)
-    return t.form.components[()].constant_value()
+    return t.form.coefficient(()).constant_value()
 
 
 # ---------------------------------------------------------------------------
@@ -302,11 +299,11 @@ def term_weight(t: Triple) -> Polynomial:
 # ---------------------------------------------------------------------------
 
 
-def _trace_p1(r: RationalFunction, form: DifferentialForm, target_coord):
-    """Trace of a 1-form along a non-constant rational map of lines.
+def _trace_p1(r: RationalFunction, a: RationalFunction, target_coord) -> RationalFunction:
+    """Trace of a 1-form a dt along a non-constant rational map of lines.
 
-    r is the map formula in the source coordinate; the result is the
-    1-form sum_i a(t_i)/r'(t_i) dw over the roots t_i of the fiber
+    r is the map formula in the source coordinate t; the result is the
+    coefficient of sum_i a(t_i)/r'(t_i) dw over the roots t_i of the fiber
     polynomial f(t) = num r(t) - w den r(t).  With c = a/r' reduced
     modulo f over Q(w), that sum is [t^(d-1)] (c f' mod f) / lc(f),
     d = deg f (the residue of c f'/f at infinity).
@@ -324,9 +321,8 @@ def _trace_p1(r: RationalFunction, form: DifferentialForm, target_coord):
     d = fiber.degree()
     if d <= 0:
         raise MapError("trace along a constant map is undefined")
-    a = form.components.get((0,), RationalFunction.constant((t,), 0))
     if a.is_zero():
-        return DifferentialForm.zero("z", w, 1)
+        return RationalFunction.constant(w, 0)
     dr = r.differentiate(t)
     num = (lift(a.num) * lift(dr.den)).rem(fiber)
     den = (lift(a.den) * lift(dr.num)).rem(fiber)
@@ -337,26 +333,28 @@ def _trace_p1(r: RationalFunction, form: DifferentialForm, target_coord):
         raise ZeroDivisionError("element is a zero-divisor modulo the modulus")
     g = (num * inverse * fiber.diff(0)).rem(fiber)
     total = g.get((d - 1,), fiber.ring.domain.zero) / fiber.LC
-    return DifferentialForm("z", w, 1, {(0,): from_univariate(fiber.ring(total), w)})
+    return from_univariate(fiber.ring(total), w)
 
 
 def pushforward_form(map_: VarietyMap, form: DifferentialForm,
-                     source: CatalogVariety, image: CatalogVariety) -> DifferentialForm:
-    """Trace pushforward within the supported map family."""
-    if (
-        source.signature() == image.signature()
-        and map_ == VarietyMap.identity(source)
-    ):
+                     embed: VarietyMap, param) -> DifferentialForm:
+    """Trace pushforward of one term's form onto the line embed.source.
+
+    embed carries the line onto the term's image, and the line's
+    coordinate stands for the coordinate param of embed's target chart.
+    """
+    if map_ == embed:
         return form
-    if source.kind == "P1" and image.kind == "P1":
-        coord = image.main_chart.coords[0]
-        try:
-            r = map_.formulas_on(image.main_chart.id)[coord]
-        except ZeroDivisionError:
-            raise MapError("map image avoids the target's affine chart")
-        out = _trace_p1(r, source.transition_form(form, source.main_chart.id), coord)
-        return DifferentialForm(image.main_chart.id, (coord,), 1, dict(out.components))
-    raise MapError("pushforward outside the supported map family")
+    source = map_.source
+    if source.kind != "P1":
+        raise MapError("pushforward outside the supported map family")
+    try:
+        r = map_.formulas_on(embed.target_chart)[param]
+    except ZeroDivisionError:
+        raise MapError("map image avoids the target's affine chart")
+    a = source.transition_form(form, source.main_chart.id).coefficient((0,))
+    line = embed.source.main_chart
+    return DifferentialForm(line.id, line.coords, 1, {(0,): _trace_p1(r, a, line.coords[0])})
 
 
 # ---------------------------------------------------------------------------
@@ -379,7 +377,8 @@ def image_description(t: Triple, ambient: CatalogVariety):
     """Classify the image of a term's map.
 
     Returns ("point", VarietyPoint), ("dominant",), ("component",
-    DivisorComponent) or ("opaque", key-string).
+    DivisorComponent) or ("opaque", key-string); equal images give equal
+    descriptions.
     """
     if t.degree == 0:
         return ("point", t.map.image_point())
@@ -396,29 +395,16 @@ def image_description(t: Triple, ambient: CatalogVariety):
             xc = Polynomial.variable(ext, coord)
             polys.append(rf.num.lift(ext) - xc * rf.den.lift(ext))
         res = poly_resultant(polys[0], polys[1], tvar)
-        if res.is_zero() or res.is_constant():
-            return ("opaque", str(t.map.key()))
-        res = _squarefree_part(res)
-        comp = DivisorComponent.from_chart_poly(ambient, m.target_chart, res)
-        return ("component", comp)
-    if t.degree == 1 and t.source.kind == "curve":
+        if not res.is_constant():
+            res = _squarefree_part(res)
+            return ("component", DivisorComponent.from_chart_poly(ambient, m.target_chart, res))
+    elif t.degree == 1 and t.source.kind == "curve":
         poly = t.source.curve_polys["A0"]
         try:
-            comp = DivisorComponent.from_chart_poly(ambient, "A0", poly)
-            return ("component", comp)
+            return ("component", DivisorComponent.from_chart_poly(ambient, "A0", poly))
         except GeometryError:
-            return ("opaque", str(t.map.key()))
+            pass
     return ("opaque", str(t.map.key()))
-
-
-def _image_group_key(desc):
-    if desc[0] == "point":
-        return ("point", desc[1].kind, desc[1].data)
-    if desc[0] == "dominant":
-        return ("dominant",)
-    if desc[0] == "component":
-        return ("component", desc[1].key())
-    return ("opaque", desc[1])
 
 
 # ---------------------------------------------------------------------------
@@ -454,15 +440,13 @@ def normalize_chain(c: PolarChain) -> PolarChain:
     order = []
     for t in terms:
         desc = image_description(t, c.ambient)
-        k = _image_group_key(desc)
-        if k not in groups:
-            groups[k] = (desc, [])
-            order.append(k)
-        groups[k][1].append(t)
+        if desc not in groups:
+            groups[desc] = []
+            order.append(desc)
+        groups[desc].append(t)
     out = []
-    for k in order:
-        desc, members = groups[k]
-        merged, warn = _merge_group(desc, members, c.ambient)
+    for desc in order:
+        merged, warn = _merge_group(desc, groups[desc], c.ambient)
         out.extend(merged)
         warnings.extend(warn)
 
@@ -514,73 +498,38 @@ def _merge_group(desc, members, ambient):
             return [], []
         return [point_term(ambient, desc[1], total)], []
     if desc[0] == "dominant" and ambient.kind == "P1":
-        coord = ambient.main_chart.coords[0]
+        embed = VarietyMap.identity(ambient)
         try:
-            forms = [
-                pushforward_form(t.map, t.form, t.source, ambient) for t in members
-            ]
-        except MapError as e:
+            return _merge_on_line(members, embed, ambient.main_chart.coords[0]), []
+        except (MapError, ChainError, ResidueError) as e:
             return members, ["unmergeable coincident-image terms (%s)" % e]
-        total = forms[0]
-        for f in forms[1:]:
-            total = total + f
-        if total.is_zero():
-            return [], []
-        line = proj_line(coord)
-        try:
-            t = make_triple(
-                line, VarietyMap.identity(line), total,
-                _infer_p1_poles(total, line),
-            )
-        except (ChainError, ResidueError) as e:
-            return members, ["unmergeable coincident-image terms (%s)" % e]
-        return [t], []
     if desc[0] == "component":
-        merged = _merge_onto_component(desc[1], members, ambient)
-        if merged is not None:
-            return merged
+        try:
+            shape = classify_component(desc[1], ambient)
+            if shape[0] == "graph":
+                return _merge_on_line(members, shape[3], shape[2]), []
+        except (MapError, ChainError, ResidueError):
+            pass
         return members, [
             "unmergeable coincident-image terms on %s" % desc[1].label
         ]
     return members, ["unmergeable coincident-image terms (opaque image)"]
 
 
-def _merge_onto_component(comp, members, ambient):
-    try:
-        shape = classify_component(comp, ambient)
-    except ResidueError:
-        return None
-    if shape[0] != "graph":
-        return None
-    _, chart, solve, param, value = shape
-    base = param.rstrip("_") or param
-    line = proj_line(base)
-    bvar = RationalFunction.variable((base,), base)
-    embed = VarietyMap(
-        line, ambient, chart.id,
-        {param: bvar, solve: value.substitute({param: bvar}, (base,))},
-    )
-    total = DifferentialForm.zero(line.main_chart.id, (base,), 1)
+def _merge_on_line(members, embed, param):
+    """R2 onto a line: the members' traces onto embed.source, summed.
+
+    Returns the merged term, or no term when the traces cancel; raises
+    MapError, ChainError or ResidueError when a member cannot be traced
+    or the sum is no valid triple.
+    """
+    line = embed.source
+    total = DifferentialForm.zero(line.main_chart.id, line.main_chart.coords, 1)
     for t in members:
-        try:
-            r = t.map.formulas_on(chart.id)[param]
-        except ZeroDivisionError:
-            return None
-        f = t.source.transition_form(t.form, t.source.main_chart.id)
-        try:
-            traced = _trace_p1(r, f, base)
-        except MapError:
-            return None
-        total = total + DifferentialForm(
-            line.main_chart.id, (base,), 1, dict(traced.components)
-        )
+        total = total + pushforward_form(t.map, t.form, embed, param)
     if total.is_zero():
-        return [], []
-    try:
-        t = make_triple(line, embed, total, _infer_p1_poles(total, line))
-    except (ChainError, ResidueError):
-        return None
-    return [t], []
+        return []
+    return [make_triple(line, embed, total, _infer_p1_poles(total, line))]
 
 
 def _infer_p1_poles(form: DifferentialForm, line: CatalogVariety):
@@ -626,12 +575,9 @@ def _residue_term(parent: Triple, comp: DivisorComponent):
     res = poincare_residue(parent.form, comp, parent.source)
     embed = parent.map.compose(res.embed)
     if res.kind == "scalar":
-        t = point_term(parent.map.target, embed.image_point(), res.value)
-        return res, t
-    if res.kind == "line":
-        decl = _infer_p1_poles(res.form, res.target)
-        return res, make_triple(res.target, embed, res.form, decl)
-    return res, make_triple(res.target, embed, res.form, ())
+        return res, point_term(parent.map.target, embed.image_point(), res.value)
+    decl = _infer_p1_poles(res.form, res.target) if res.kind == "line" else ()
+    return res, make_triple(res.target, embed, res.form, decl)
 
 
 def boundary(c: PolarChain) -> BoundaryResult:

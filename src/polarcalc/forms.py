@@ -102,6 +102,11 @@ class DifferentialForm:
     def is_zero(self) -> bool:
         return not self.components
 
+    def coefficient(self, idx) -> RationalFunction:
+        """The coefficient at an index tuple; 0 where the form has none."""
+        rf = self.components.get(idx)
+        return RationalFunction.constant(self.coords, 0) if rf is None else rf
+
     def _check(self, other: "DifferentialForm"):
         if self.chart != other.chart or self.coords != other.coords:
             raise FormError("chart mismatch: %s vs %s" % (self.chart, other.chart))

@@ -205,12 +205,9 @@ def _h_line_term(lam, t, ambient, zc, c):
             return [], {"term": t.render(), "basepoint": str(c), "zero": True}
 
     alpha = t.source.transition_form(t.form, t.source.main_chart.id)
-    a_coeff = alpha.components.get(
-        (0,), RationalFunction.constant((told,), 0)
-    )
     alpha_lift = DifferentialForm(
         cyl.main_chart.id, coords, 1,
-        {(0,): a_coeff.rename((tname,)).lift(coords)},
+        {(0,): alpha.coefficient((0,)).rename((tname,)).lift(coords)},
     ).scale(lam)
     dz = DifferentialForm.d_coordinate(cyl.main_chart.id, coords, zc)
 

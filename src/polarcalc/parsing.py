@@ -87,6 +87,12 @@ class TokenStream:
             raise ParseError("expected %r, found %r" % (text, t.text or "<end>"), t.line, t.col)
         return self.next()
 
+    def expect_name(self, what: str) -> Token:
+        t = self.peek()
+        if t.kind != "name":
+            raise ParseError("expected %s" % what, t.line, t.col)
+        return self.next()
+
     def accept(self, text: str):
         if self.peek().text == text:
             return self.next()

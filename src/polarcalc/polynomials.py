@@ -544,7 +544,10 @@ class Polynomial:
 
     def __hash__(self):
         c = self.content
-        return hash((self.variables, self.shift, c.numerator, c.denominator, self.prim))
+        # the terms, not self.prim: sympy caches a PolyElement's hash, and
+        # `div` builds its quotients in place after that cache is filled
+        prim = frozenset(self.prim.items())
+        return hash((self.variables, self.shift, c.numerator, c.denominator, prim))
 
     def __repr__(self):
         return "Polynomial(%s)" % str(self)

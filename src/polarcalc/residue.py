@@ -10,6 +10,11 @@ canonical; elsewhere c has no pole along p and the product cross-cancels
 (`RationalFunction.times_poly`).  Restriction is realized by
 parametrization substitution for rational loci, by curve-ring reduction
 for smooth plane curves, and by evaluation for points.
+
+`classify_component` is the one place that says what a residue target
+looks like: a point, a projective line embedded as the graph of one
+chart coordinate over the other, or a plane curve.  R2 in `chains`
+traces coincident terms onto that same line embedding.
 """
 
 from fractions import Fraction
@@ -62,9 +67,7 @@ class ResidueResult:
         """The scalar carried by a point residue."""
         if self.kind != "scalar":
             raise ResidueError("residue is not a point residue")
-        if self.form.is_zero():
-            return Polynomial.scalar(0)
-        return self.form.components[()].constant_value()
+        return self.form.coefficient(()).constant_value()
 
     def __repr__(self):
         return "ResidueResult(%s, %s)" % (self.kind, self.form)
@@ -86,9 +89,11 @@ def _linear_root(p: Polynomial, coord) -> Fraction:
 def classify_component(comp: DivisorComponent, variety: CatalogVariety):
     """How a component can be restricted to.
 
-    Returns ("point", chart, root) on 1-dimensional varieties,
-    ("graph", chart, solve, param, value_rf) for loci linear in one
-    chart coordinate, or ("curve", poly_on_A0) for plane curves.
+    Returns ("point", chart, root) on 1-dimensional varieties;
+    ("graph", chart, param, embed) for loci linear in one chart
+    coordinate, where `embed` carries proj_line(base) onto the locus, its
+    coordinate base standing for param (base is param without a trailing
+    "_"); or ("curve", chart A0) for plane curves.
     """
     if variety.dimension == 1:
         if variety.kind != "P1":
@@ -121,15 +126,17 @@ def classify_component(comp: DivisorComponent, variety: CatalogVariety):
             # p = a*solve + b with a, b free of solve
             a = p.differentiate(solve)
             b = p.specialize({solve: 0}).lift(ch.coords)
-            value = RationalFunction(-b, a)
-            return ("graph", ch, solve, param, value)
+            base = param.rstrip("_") or param
+            t = RationalFunction.variable((base,), base)
+            value = RationalFunction(-b, a).substitute({param: t}, (base,))
+            embed = VarietyMap(proj_line(base), variety, ch.id, {param: t, solve: value})
+            return ("graph", ch, param, embed)
         if variety.kind == "P2":
-            p = comp.poly_on("A0")
-            if p.is_constant():
+            if not comp.visible_on("A0"):
                 raise ResidueError(
                     "component %s invisible on the affine chart" % comp.label
                 )
-            return ("curve", p)
+            return ("curve", variety.chart("A0"))
         raise ResidueError(
             "unsupported divisor component %s on %s" % (comp.label, variety.name)
         )
@@ -174,16 +181,22 @@ def poincare_residue(
 ) -> ResidueResult:
     """Residue of a simple-pole form along one divisor component."""
     shape = classify_component(comp, variety)
+    chart = shape[1]
+    form = variety.transition_form(omega, chart.id)
+    p = comp.poly_on(chart.id)
+    _require_simple(form, p, comp)
+    if shape[0] == "curve":
+        try:
+            curve = plane_curve(p)
+        except GeometryError as e:
+            raise ResidueError("residue onto a singular component: %s" % e)
+    rho = _contracted(form, p, chart.coords, direction)
 
     if shape[0] == "point":
-        _, chart, root = shape
-        form = variety.transition_form(omega, chart.id)
-        p = comp.poly_on(chart.id)
-        _require_simple(form, p, comp)
-        rho = _contracted(form, p, chart.coords, direction)
+        root = shape[2]
         coord = chart.coords[0]
         try:
-            value = rho.components.get((), _zero_rf(chart.coords)).evaluate({coord: root})
+            value = rho.coefficient(()).evaluate({coord: root})
         except ZeroDivisionError:
             raise ResidueError(
                 "residual denominator vanishes at the pole of %s" % comp.label
@@ -195,40 +208,21 @@ def poincare_residue(
         return ResidueResult("scalar", target, embed, DifferentialForm.function("pt", (), rf))
 
     if shape[0] == "graph":
-        _, chart, solve, param, value = shape
-        form = variety.transition_form(omega, chart.id)
-        p = comp.poly_on(chart.id)
-        _require_simple(form, p, comp)
-        rho = _contracted(form, p, chart.coords, direction)
-        base = param.rstrip("_") or param
-        target = proj_line(base)
-        t = RationalFunction.variable((base,), base)
-        mapping = {param: t, solve: value.substitute({param: t}, (base,))}
+        embed = shape[3]
+        line = embed.source.main_chart
         try:
-            restricted = rho.pullback(mapping, target.main_chart.id, (base,))
+            restricted = rho.pullback(embed.formulas, line.id, line.coords)
         except ZeroDivisionError:
             raise ResidueError(
                 "residual denominator vanishes along %s" % comp.label
             )
-        embed = VarietyMap(target, variety, chart.id, mapping)
-        return ResidueResult("line", target, embed, restricted)
+        return ResidueResult("line", embed.source, embed, restricted)
 
     # plane-curve target
-    _, p = shape
-    chart = variety.chart("A0")
-    form = variety.transition_form(omega, chart.id)
-    _require_simple(form, p, comp)
-    try:
-        curve = plane_curve(p)
-    except GeometryError as e:
-        raise ResidueError("residue onto a singular component: %s" % e)
-    rho = _contracted(form, p, chart.coords, direction)
     x, y = chart.coords
-    a = rho.components.get((0,), _zero_rf(chart.coords))
-    b = rho.components.get((1,), _zero_rf(chart.coords))
     px = RationalFunction.from_poly(p.differentiate(x))
     py = RationalFunction.from_poly(p.differentiate(y))
-    coeff = a - b * px / py
+    coeff = rho.coefficient((0,)) - rho.coefficient((1,)) * px / py
     try:
         reduced = curve_reduce(coeff, curve)
     except ZeroDivisionError:
@@ -242,10 +236,6 @@ def poincare_residue(
         y: RationalFunction.variable(chart.coords, y),
     })
     return ResidueResult("curve", curve, embed, cform)
-
-
-def _zero_rf(coords) -> RationalFunction:
-    return RationalFunction.constant(coords, 0)
 
 
 def _require_simple(form: DifferentialForm, p: Polynomial, comp):
@@ -310,8 +300,7 @@ def p1_pole_points(omega: DifferentialForm, variety: CatalogVariety):
     points = []
     main = variety.main_chart
     form = variety.transition_form(omega, main.id)
-    coeff = form.components.get((0,), _zero_rf(main.coords))
-    den = coeff.den
+    den = form.coefficient((0,)).den
     if not den.is_constant():
         roots, split = rational_roots(den)
         if not split:
@@ -320,8 +309,7 @@ def p1_pole_points(omega: DifferentialForm, variety: CatalogVariety):
             points.append(VarietyPoint.product_point([r]))
     inf_chart = variety.charts[1]
     inf_form = variety.transition_form(omega, inf_chart.id)
-    inf_coeff = inf_form.components.get((0,), _zero_rf(inf_chart.coords))
-    if inf_coeff.ord_along(
+    if inf_form.coefficient((0,)).ord_along(
         Polynomial.variable(inf_chart.coords, inf_chart.coords[0])
     ) < 0:
         points.append(VarietyPoint.product_point([INF]))

@@ -70,7 +70,7 @@ _PROVENANCE = {
     "boundary": ["residue-boundary", "first-order pole", "R1/R2/R3"],
     "normalize": ["R1/R2/R3"],
     "support": ["support after R1/R2/R3"],
-    "iscycle": ["residue-boundary", "relative chains"],
+    "iscycle": ["residue-boundary"],
     "dsq": ["boundary squared vanishes", "pairwise residue cancellation"],
     "residue": ["Poincare residue", "first-order pole"],
     "homotopy-verify": ["cylinder homotopy identity", "residue table"],
@@ -192,10 +192,7 @@ def _parse_map(ts: TokenStream, ambient: CatalogVariety):
         coords = ambient.main_chart.coords
         formulas = {}
         while True:
-            name = ts.peek()
-            if name.kind != "name":
-                raise ParseError("expected a coordinate name", name.line, name.col)
-            ts.next()
+            name = ts.expect_name("a coordinate name")
             ts.expect("=")
             ctx = ExprContext(coords)
             rf = parse_expression(ts, ctx)
@@ -214,10 +211,7 @@ def _parse_pole_entry(ts: TokenStream, ambient: CatalogVariety):
     if ts.at_name("inf"):
         ts.next()
         if ts.accept("("):
-            name = ts.peek()
-            if name.kind != "name":
-                raise ParseError("expected a coordinate name", name.line, name.col)
-            ts.next()
+            name = ts.expect_name("a coordinate name")
             ts.expect(")")
             return _infinity_component(ambient, name.text, t)
         return _infinity_component(ambient, None, t)
@@ -251,10 +245,7 @@ def _parse_chain_term(ts: TokenStream, session: Session):
         raise ParseError("expected chain(...)", tok.line, tok.col)
     ts.next()
     ts.expect("(")
-    name = ts.peek()
-    if name.kind != "name":
-        raise ParseError("expected a variety name", name.line, name.col)
-    ts.next()
+    name = ts.expect_name("a variety name")
     ambient = session.get(name.text, CatalogVariety)
     ts.expect(",")
     mapspec = _parse_map(ts, ambient)
@@ -411,10 +402,7 @@ def run_statement(session: Session, stmt: str):
 
 def _run_let(session: Session, ts: TokenStream, stmt: str):
     ts.next()
-    name = ts.peek()
-    if name.kind != "name":
-        raise ParseError("expected a binding name", name.line, name.col)
-    ts.next()
+    name = ts.expect_name("a binding name")
     ts.expect("=")
     rest = ts.peek()
     if rest.kind == "name" and rest.text in ("P1", "P2", "Curve", "Point"):
@@ -455,10 +443,7 @@ def _run_command(session: Session, ts: TokenStream, stmt: str):
             {"verified": True, "ambient": line.name}, tags,
         )
 
-    name = ts.peek()
-    if name.kind != "name":
-        raise ParseError("expected a chain binding", name.line, name.col)
-    ts.next()
+    name = ts.expect_name("a chain binding")
     chain = session.get(name.text, PolarChain)
 
     if cmd == "boundary":

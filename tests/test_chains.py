@@ -182,6 +182,42 @@ def test_r2_squaring_pair_cancels():
     assert normalize_chain(pair).is_zero()
 
 
+def line_on_z1_axis(var, z2, form, poles):
+    """(P1(var), z1 = 0, z2 = z2, form) on P1(z1) x P1(z2)."""
+    line = proj_line(var)
+    square = product_of_lines(["z1", "z2"])
+    m = VarietyMap(line, square, square.main_chart.id, {
+        "z1": parse_rational("0", (var,)), "z2": parse_rational(z2, (var,)),
+    })
+    form = parse_form(form, (var,), line.main_chart.id)
+    return make_triple(line, m, form, [p1_comp(line, v) for v in poles])
+
+
+def test_r2_on_a_component_cancels_a_renamed_copy():
+    s = line_on_z1_axis("s", "s", "d(s)/(s - 1)", [1, INF])
+    t = line_on_z1_axis("t", "t", "d(t)/(t - 1)", [1, INF])
+    c = PolarChain(s.map.target, [s]) - PolarChain(t.map.target, [t])
+    n = normalize_chain(c)
+    assert n.is_zero() and n.warnings == ()
+
+
+def test_r2_on_a_component_merges_by_trace():
+    """Both images are {z1}; the squarefree part of z1^2 is an exact
+    quotient, which must group with z1 itself."""
+    s = line_on_z1_axis("s", "s", "d(s)/(s - 1)", [1, INF])
+    t = line_on_z1_axis("t", "t^2", "d(t)/t", [0, INF])
+    pair = PolarChain(s.map.target, [s, t])
+    n = normalize_chain(pair)
+    assert n.warnings == ()
+    assert n.render() == "(P1(z2), z1 = 0, z2 = z2, (2*z2 - 1)/(z2^2 - z2) dz2)"
+    expected = (
+        "(Point, z1 = 0, z2 = 0, TAU) + (Point, z1 = 0, z2 = 1, TAU)"
+        " + (Point, z1 = 0, z2_ = 0, -2*TAU)"
+    )
+    assert boundary(pair).chain.render() == expected
+    assert boundary(n).chain.render() == expected
+
+
 def test_r3_prunes_constant_maps():
     line = proj_line("z")
     form = parse_form("dlog(z)", ("z",), line.main_chart.id)

@@ -45,7 +45,7 @@ SESSIONS = {
 }
 
 DIGESTS = {
-    "example-p1": "b36e7a93cf7304c771b95b7e80fa30bd7229791f8a53666bdbb94f4beec8a0fe",
+    "example-p1": "9b588a506ca32a6f8566bee260973fbe7e28918a9e91385856baf44008ff26e2",
     "example-points": "a3665bacdd64075d36237f6a70e52d7f787ba1c85cc6e035f1870508099f8892",
     "example-p1xp1": "9346016be4fb9b641717cd55de5ee8ccb3ec6f05a6600a4429794f6b8f32b565",
     "example-curve": "80ba8021c993f0cf79fa3a5d8c868fa888db76e7d500013da73eee0469c8d89f",
