@@ -575,7 +575,9 @@ def _residue_term(parent: Triple, comp: DivisorComponent):
     res = poincare_residue(parent.form, comp, parent.source)
     embed = parent.map.compose(res.embed)
     if res.kind == "scalar":
-        return res, point_term(parent.map.target, embed.image_point(), res.value)
+        if embed.point is None:  # compose fell back to the chart search
+            embed = VarietyMap.constant(res.target, embed.target, embed.image_point())
+        return res, Triple(res.target, embed, res.form, ())
     decl = _infer_p1_poles(res.form, res.target) if res.kind == "line" else ()
     return res, make_triple(res.target, embed, res.form, decl)
 

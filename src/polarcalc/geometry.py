@@ -491,16 +491,21 @@ class DivisorComponent:
 
 
 def point_component(variety: CatalogVariety, pt: VarietyPoint, label=None) -> DivisorComponent:
-    """Divisor component cutting one rational point on a 1-dim variety."""
+    """Divisor component cutting one rational point on a 1-dim variety: on
+    each chart, its coordinate minus the point's value there, 1 off it."""
     if variety.dimension != 1:
         raise GeometryError("point components only on 1-dimensional varieties")
     if variety.kind != "P1":
         raise GeometryError("point components only supported on P1 sources")
-    chart, values = pt.finite_chart(variety)
-    (coord,) = chart.coords
-    v = Polynomial.variable(chart.coords, coord)
-    c = Polynomial.constant(chart.coords, values[coord])
-    return DivisorComponent.from_chart_poly(variety, chart.id, v - c, label)
+    (r,) = pt.data
+    main, inf = variety.charts
+    polys = {}
+    for ch, v in ((main, r), (inf, Fraction(0) if r == INF else INF if r == 0 else 1 / r)):
+        x, one = Polynomial.variable(ch.coords, ch.coords[0]), Polynomial.constant(ch.coords, 1)
+        polys[ch.id] = one if v == INF else x - Polynomial.constant(ch.coords, v)
+    if label is None:  # named on the point's first chart
+        label = "{%s}" % polys[(inf if r == INF else main).id]
+    return DivisorComponent(variety, polys, label)
 
 
 def infinity_component(variety: CatalogVariety, factor=None) -> DivisorComponent:

@@ -3,12 +3,15 @@
 A map is stored as rational-function formulas for the coordinates of one
 target chart, written in the source's main-chart coordinates.  Maps whose
 image avoids that chart can be retargeted to any other chart on demand.
+Point images come from evaluation (a constant map keeps its point); the
+chart search is kept for retargeting, and as the fallback for a value with
+TAU and for a base point of a map into P2.
 """
 
 from sympy.polys.matrices import DomainMatrix
 
-from .geometry import CatalogVariety, VarietyPoint, point_from_chart
-from .polynomials import RationalFunction, to_field
+from .geometry import INF, CatalogVariety, VarietyPoint, point_from_chart
+from .polynomials import Polynomial, RationalFunction, to_field
 
 
 class MapError(ValueError):
@@ -18,7 +21,7 @@ class MapError(ValueError):
 class VarietyMap:
     """Rational map between two catalog varieties."""
 
-    __slots__ = ("source", "target", "target_chart", "formulas")
+    __slots__ = ("source", "target", "target_chart", "formulas", "point")
 
     def __init__(self, source: CatalogVariety, target: CatalogVariety,
                  target_chart, formulas):
@@ -36,6 +39,7 @@ class VarietyMap:
                 rf = rf.lift(src)
             fixed[coord] = rf
         self.formulas = fixed
+        self.point = None  # the image of a constant map (see `constant`)
 
     # -- constructors --------------------------------------------------
 
@@ -53,10 +57,12 @@ class VarietyMap:
         """Collapse the whole source onto one rational point of the target."""
         chart, values = point.finite_chart(target)
         src = source.main_chart.coords
-        return VarietyMap(source, target, chart.id, {
+        m = VarietyMap(source, target, chart.id, {
             c: RationalFunction.constant(src, v)
             for c, v in values.items()
         })
+        m.point = point
+        return m
 
     # -- chart handling ------------------------------------------------
 
@@ -71,6 +77,8 @@ class VarietyMap:
 
     def canonical(self) -> "VarietyMap":
         """Same map targeted at the first chart that can express it."""
+        if self.point is not None:
+            return self  # `constant` built it on the point's first chart
         for ch in self.target.charts:
             try:
                 fs = self.formulas_on(ch.id)
@@ -87,6 +95,12 @@ class VarietyMap:
         """self after inner (inner's target must be self's source)."""
         if inner.target.signature() != self.source.signature():
             raise MapError("composition source/target mismatch")
+        if self.is_identity():
+            return inner.canonical()
+        if inner.point is not None and self.source.kind == "P1":
+            image = self._image_at(inner.point.data[0])
+            if image is not None:
+                return VarietyMap.constant(inner.source, self.target, image)
         main = self.source.main_chart.id
         mid_chart = self.source.chart(inner.target_chart)
         # None: inner already lands on the main chart, and the identity
@@ -108,14 +122,38 @@ class VarietyMap:
                 continue
         raise MapError("composite map lands outside every target chart")
 
+    def _image_at(self, r):
+        """Image of the point r (a Fraction or INF) of a P1 source, or None
+        for a value with TAU or a plane's [d1*d2 : n1*d2 : n2*d1] all 0."""
+        chart = self.target.chart(self.target_chart)
+        values = [_value_at(self.formulas[c], r) for c in chart.coords]
+        if None in values:
+            return None
+        if self.target.kind not in ("P2", "curve"):  # c_ holds 1/value
+            pairs = [(d, n) if c.endswith("_") else (n, d)
+                     for c, (n, d) in zip(chart.coords, values)]
+            return VarietyPoint.product_point([INF if d == 0 else n / d for n, d in pairs])
+        (n1, d1), (n2, d2) = values
+        h = (d1 * d2, n1 * d2, n2 * d1)
+        order = {"A0": (0, 1, 2), "A1": (1, 0, 2), "A2": (2, 1, 0)}[chart.id]
+        return VarietyPoint.plane_point([h[i] for i in order]) if any(h) else None
+
     def image_point(self) -> VarietyPoint:
         """Image of a zero-dimensional source."""
         if self.source.dimension != 0:
             raise MapError("image_point needs a point source")
+        if self.point is not None:
+            return self.point
         values = {}
         for c, rf in self.formulas.items():
             values[c] = rf.constant_value().rational_value()
         return point_from_chart(self.target, self.target_chart, values)
+
+    def is_identity(self) -> bool:
+        """True when the map is its source's identity, on whatever chart
+        (each chart names its coordinates apart, so the formulas tell it)."""
+        return self.source == self.target and (
+            self.canonical().formulas == VarietyMap.identity(self.source).formulas)
 
     def is_constant(self) -> bool:
         """True when every coordinate formula is free of the source coords."""
@@ -164,3 +202,17 @@ class VarietyMap:
         return "VarietyMap(%s -> %s: %s)" % (
             self.source.name, self.target.name, self.describe()
         )
+
+
+def _value_at(rf: RationalFunction, r):
+    """(num, den) of a function of t at r as Fractions, at INF the t^D
+    coefficients, D = max(deg num, deg den); None for a value with TAU."""
+    (t,) = rf.variables
+    if r == INF:
+        top = max(rf.num.degree_in(t), rf.den.degree_in(t))
+        n, d = (p.leading()[1] if p.degree_in(t) == top else Polynomial.scalar(0)
+                for p in (rf.num, rf.den))
+    else:
+        n, d = rf.num.evaluate({t: r}), rf.den.evaluate({t: r})
+    if n.is_rational() and d.is_rational():
+        return n.rational_value(), d.rational_value()

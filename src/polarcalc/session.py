@@ -351,7 +351,7 @@ def render_chain(chain: PolarChain, session: Session) -> str:
             parts.append("chain(%s, const(%s), %s)" % (name, vals, w))
             continue
         form = t.form.scale(lam)
-        if t.map == VarietyMap.identity(t.source):
+        if t.map.is_identity():
             mtext = "id"
         else:
             fs = t.map.formulas_on(t.map.target.main_chart.id)

@@ -183,6 +183,24 @@ def test_point_component_on_line():
     assert not inf_comp.visible_on(line.main_chart.id)
 
 
+@pytest.mark.parametrize("coord", ["z", "t"])
+@pytest.mark.parametrize("r", [Fraction(0), Fraction(1), Fraction(-1, 2), Fraction(7, 3), INF])
+def test_point_component_is_the_chart_polynomial_of_the_point(coord, r):
+    # the direct construction against the transition of z - r from the
+    # point's first chart
+    line = proj_line(coord)
+    pt = VarietyPoint.product_point([r])
+    chart, values = pt.finite_chart(line)
+    (c,) = chart.coords
+    poly = Polynomial.variable(chart.coords, c) - Polynomial.constant(chart.coords, values[c])
+    expected = DivisorComponent.from_chart_poly(line, chart.id, poly)
+    got = point_component(line, pt)
+    assert got.polys == expected.polys
+    assert got.label == expected.label
+    assert got.key() == expected.key()
+    assert hash(got) == hash(expected)
+
+
 # ---------------------------------------------------------------------------
 # each point and each divisor checked once, on the first chart containing it
 # ---------------------------------------------------------------------------
@@ -501,9 +519,20 @@ def test_curve_with_an_irrational_candidate_locus_is_refused():
     )
 
 
+# chart of P2 -> the indices (i, j, k) of its coordinates X_i/X_k, X_j/X_k
+_P2_RATIOS = {"A0": (1, 2, 0), "A1": (0, 2, 1), "A2": (1, 0, 2)}
+
+
 def _first_containing_chart(pt, variety):
     """Scan the charts in order for the first whose coordinates are all
     finite at the point."""
+    if variety.kind == "P2":
+        for chart in variety.charts:
+            i, j, k = _P2_RATIOS[chart.id]
+            X = pt.data
+            if X[k] != 0:
+                return chart, {chart.coords[0]: X[i] / X[k], chart.coords[1]: X[j] / X[k]}
+        raise AssertionError("no chart contains %s" % pt)
     for chart in variety.charts:
         values = {}
         for coord, v in zip(chart.coords, pt.data):
@@ -520,11 +549,29 @@ def _first_containing_chart(pt, variety):
     raise AssertionError("no chart contains %s" % pt)
 
 
-@pytest.mark.parametrize("k", [1, 2, 3])
+def _points_of(variety):
+    """Points with coordinates in {0, 1, -1/2, inf} on a product of lines;
+    homogeneous triples over {0, 1, -1/2} on P2, the line at infinity
+    X0 = 0 among them."""
+    values = [Fraction(0), Fraction(1), Fraction(-1, 2)]
+    if variety.kind == "P2":
+        return [
+            VarietyPoint.plane_point(data)
+            for data in itertools.product(values, repeat=3) if any(data)
+        ]
+    return [
+        VarietyPoint.product_point(data)
+        for data in itertools.product(values + [INF], repeat=variety.dimension)
+    ]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, "P2"])
 def test_finite_chart_is_the_first_chart_containing_the_point(k):
-    variety = product_of_lines(["a", "b", "c"][:k])
-    for data in itertools.product([Fraction(0), Fraction(1), Fraction(-1, 2), INF], repeat=k):
-        pt = VarietyPoint.product_point(data)
+    # constant maps sit on this chart (`VarietyMap.constant`), and compose
+    # returns them for point images, so it must be the first that contains
+    # the point: the chart the chart search would pick
+    variety = proj_plane("x", "y") if k == "P2" else product_of_lines(["a", "b", "c"][:k])
+    for pt in _points_of(variety):
         chart, values = pt.finite_chart(variety)
         expected_chart, expected_values = _first_containing_chart(pt, variety)
         assert chart is expected_chart and values == expected_values
