@@ -27,6 +27,7 @@ from .polynomials import (
     Polynomial,
     RationalFunction,
     from_univariate,
+    inverse_mod,
     poly_div_exact,
     poly_gcd,
     poly_resultant,
@@ -94,6 +95,10 @@ def make_triple(source, map_, form, declared_poles, rng=None) -> Triple:
     `rng` is accepted and ignored: the checks draw no random numbers, and
     the parameter stays only for callers that still pass one.
     """
+    if source.dimension > 2:
+        raise ChainError(
+            "polar chains are implemented up to dimension 2, not on %s" % source.name
+        )
     if map_.source.signature() != source.signature():
         raise ChainError("map source does not match the triple's source variety")
     if form.degree != source.dimension:
@@ -328,10 +333,7 @@ def _trace_p1(r: RationalFunction, a: RationalFunction, target_coord) -> Rationa
     den = (lift(a.den) * lift(dr.num)).rem(fiber)
     if not den:
         raise MapError("trace denominator vanishes on the fiber")
-    inverse, _, h = den.gcdex(fiber)
-    if h.degree() > 0:
-        raise ZeroDivisionError("element is a zero-divisor modulo the modulus")
-    g = (num * inverse * fiber.diff(0)).rem(fiber)
+    g = (num * inverse_mod(den, fiber) * fiber.diff(0)).rem(fiber)
     total = g.get((d - 1,), fiber.ring.domain.zero) / fiber.LC
     return from_univariate(fiber.ring(total), w)
 

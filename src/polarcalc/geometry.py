@@ -7,11 +7,9 @@ charts with exact rational transition maps; a divisor component is a
 chart-wise family of defining polynomials compatible under transitions.
 On two-dimensional charts, tangency, triple points and singularities are
 common rational zeros, found by a resultant and then the rational roots
-of gcds (`_gcd_roots`); a rejection names one as its witness.  On
-product charts of higher dimension, normal crossing is decided by
-unit-ideal certificates (Hilbert's Nullstellensatz): components meet
-transversally when their polynomials and the maximal minors of their
-Jacobian generate the unit ideal.
+of gcds (`_gcd_roots`); a rejection names one as its witness.  Normal
+crossing is checked only there: chains have sources of dimension <= 2,
+while maps may target a product of any number of lines, P1^k.
 
 Every check is local, so each object is certified once, on the first
 chart that contains it: a pair of components on the first chart where
@@ -29,16 +27,13 @@ import functools
 import itertools
 from fractions import Fraction
 
-from sympy.polys.groebnertools import groebner
-from sympy.polys.matrices import DomainMatrix
-
 from .forms import DifferentialForm
 from .polynomials import (
     Polynomial,
     RationalFunction,
     _canonical_assoc,
+    inverse_mod,
     is_squarefree,
-    over_tau_field,
     poly_gcd,
     poly_resultant,
     rational_roots,
@@ -685,6 +680,10 @@ def validate_normal_crossing(components, variety: CatalogVariety) -> NCReport:
     because `is_squarefree` tests one variable at a time and so depends on
     the chart for a reducible component; a linear one passes at once.
     """
+    if variety.dimension > 2:
+        raise GeometryError(
+            "normal crossing is checked up to dimension 2, not on %s" % variety.name
+        )
     report = NCReport()
     components = list(components)
     for comp in components:
@@ -735,11 +734,6 @@ def validate_normal_crossing(components, variety: CatalogVariety) -> NCReport:
                 "three components through one point in dimension 2",
                 "cannot certify triple-point freeness (irrational locus)",
             )
-        elif chart.dimension > 2:
-            _check_unit_ideals(
-                [components[i] for i in vis], [polys[i] for i in vis],
-                chart, locus, report,
-            )
     return report
 
 
@@ -758,47 +752,6 @@ def _check_zeros_2d(groups, chart, locus, report, met, unsure):
             report.fail(met, chart.id, comps, _point_text(pts[0]))
         elif not complete:
             report.fail(unsure, chart.id, comps, "resultant does not split over Q")
-
-
-def _check_unit_ideals(visible, polys, chart, locus, report):
-    """Normal crossing on a chart of dimension n > 2, by unit ideals.
-
-    A set S of at most n components meets transversally exactly when p_S
-    and all |S| x |S| minors of their Jacobian have no common zero, and
-    n + 1 components share no point exactly when p_S have none; by the
-    Nullstellensatz, when those polynomials generate the unit ideal.  They
-    live in QQ(TAU)[coords], where TAU is a coefficient, not a variable.
-    On the new locus {z = 0 for z in Z}, the coordinates in Z join each
-    ideal.
-    """
-    if len(polys) < 2:
-        return
-    n = chart.dimension
-    gens = [over_tau_field(p) for p in polys]
-    ring = gens[0].ring
-    on_locus = [ring.gens[chart.coords.index(z)] for z in locus]
-    for k in range(2, n + 2):
-        for members in itertools.combinations(range(len(visible)), k):
-            ideal = [gens[i] for i in members]
-            if k <= n:
-                jac = DomainMatrix(
-                    [[g.diff(x) for x in ring.gens] for g in ideal], (k, n),
-                    ring.to_domain(),
-                )
-                rows = list(range(k))
-                for cols in itertools.combinations(range(n), k):
-                    ideal.append(jac.extract(rows, list(cols)).det())
-                reason = "components do not meet transversally"
-            else:
-                reason = "%d components through one point in dimension %d" % (k, n)
-            basis = groebner([g for g in ideal if g] + on_locus, ring)
-            if basis != [ring.one]:
-                report.fail(
-                    reason, chart.id, [visible[i] for i in members],
-                    "Groebner basis [%s]" % ", ".join(
-                        str(g).replace("**", "^") for g in basis
-                    ),
-                )
 
 
 # ---------------------------------------------------------------------------
@@ -823,7 +776,4 @@ def curve_reduce(rf: RationalFunction, curve: CatalogVariety):
     num, den = in_y(rf.num).rem(m), in_y(rf.den).rem(m)
     if not den:
         raise ZeroDivisionError("denominator is a zero-divisor on the curve")
-    inverse, _, h = den.gcdex(m)
-    if h.degree() > 0:
-        raise ZeroDivisionError("element is a zero-divisor modulo the modulus")
-    return (num * inverse).rem(m)
+    return (num * inverse_mod(den, m)).rem(m)

@@ -89,9 +89,9 @@ Only the operations that need a field convert to sympy's QQ rings, by
 multiplying the content into the primitive part (`_qq_elem`).
 Arithmetic in one variable over the field of the others (curve rings,
 traces along a fiber) runs in sympy's PolyRing([var], QQ(rest, TAU));
-`to_univariate` and `from_univariate` convert to and from it.  Jacobian
-ranks are taken in QQ(variables, TAU) (`to_field`), and unit-ideal
-certificates in QQ(TAU)[variables] (`over_tau_field`).
+`to_univariate` and `from_univariate` convert to and from it, and
+`inverse_mod` inverts modulo a polynomial there.  Jacobian ranks are
+taken in QQ(variables, TAU) (`to_field`).
 """
 
 from __future__ import annotations
@@ -103,7 +103,7 @@ from fractions import Fraction
 import sympy as sp
 from sympy.polys.domains import QQ, ZZ
 from sympy.polys.fields import FracField
-from sympy.polys.orderings import grevlex, lex
+from sympy.polys.orderings import lex
 from sympy.polys.rings import PolyElement, PolyRing
 
 TAU_SYM = sp.Symbol("TAU")
@@ -1197,28 +1197,19 @@ def to_univariate(rf: RationalFunction, var: str):
     return R.dtype({(k,): K.new(K.ring.dtype(g)) * scale for k, g in groups.items()})
 
 
+def inverse_mod(f, m):
+    """f^-1 modulo m in a to_univariate ring; ZeroDivisionError if they share a factor."""
+    inverse, _, h = f.gcdex(m)
+    if h.degree() > 0:
+        raise ZeroDivisionError("element is a zero-divisor modulo the modulus")
+    return inverse
+
+
 def to_field(rf: RationalFunction):
     """rf as an element of _field(rf.variables), QQ(variables, TAU)."""
     K = _field(rf.variables)
     tau = K.gens[-1] ** (rf.num.shift - rf.den.shift)
     return K.new(_qq_elem(rf.num)) * tau / K.new(_qq_elem(rf.den))
-
-
-_QQ_TAU = QQ.frac_field(TAU_SYM)
-
-
-def over_tau_field(p: Polynomial):
-    """p as an element of PolyRing(p.variables, QQ(TAU)).
-
-    TAU is a coefficient there, not a variable, so an ideal computed in
-    this ring (a Groebner basis) holds for TAU transcendental.
-    """
-    R = PolyRing([sp.Symbol(v) for v in p.variables], _QQ_TAU, grevlex)
-    tau, c = _QQ_TAU.field.gens[0], _qq(p.content)
-    return R.from_dict({
-        e: sum((tau ** (k + p.shift) * (c * a) for k, a in cs.items()), _QQ_TAU.zero)
-        for e, cs in _tau_groups(p.prim).items()
-    })
 
 
 def from_univariate(f, variables) -> RationalFunction:

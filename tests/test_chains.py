@@ -15,10 +15,12 @@ from polarcalc.chains import (
     support,
     term_weight,
 )
+from polarcalc.forms import DifferentialForm
 from polarcalc.geometry import (
     INF,
     DivisorComponent,
     VarietyPoint,
+    infinity_component,
     plane_curve,
     point_component,
     product_of_lines,
@@ -118,6 +120,43 @@ def test_undeclared_pole_at_infinity_is_found_on_the_new_divisor():
     with pytest.raises(ChainError) as err:
         make_triple(square, VarietyMap.identity(square), form, [comp])
     assert str(err.value) == "undeclared pole components b_^2 on chart a|b_"
+
+
+def cube_triple_args(with_poles):
+    """(source, map, form, poles) of a 3-chain on P1(a) x P1(b) x P1(c)."""
+    cube = product_of_lines(["a", "b", "c"])
+    main = cube.main_chart
+    if not with_poles:
+        zero = DifferentialForm.zero(main.id, main.coords, 3)
+        return cube, VarietyMap.identity(cube), zero, []
+    form = parse_form("dlog(a) wedge dlog(b) wedge dlog(c - 1)", main.coords, main.id)
+    poles = [
+        DivisorComponent.from_chart_poly(cube, main.id, parse_polynomial(p, main.coords))
+        for p in ("a", "b", "c - 1")
+    ] + [infinity_component(cube, f) for f in cube.factors]
+    return cube, VarietyMap.identity(cube), form, poles
+
+
+@pytest.mark.parametrize("with_poles", [True, False])
+def test_make_triple_refuses_a_3_dimensional_source(with_poles):
+    with pytest.raises(ChainError) as err:
+        make_triple(*cube_triple_args(with_poles))
+    assert str(err.value) == (
+        "polar chains are implemented up to dimension 2, not on P1(a) x P1(b) x P1(c)"
+    )
+
+
+def test_boundary_of_a_line_mapped_into_three_lines():
+    cube, line = product_of_lines(["a", "b", "c"]), proj_line("t")
+    formulas = {c: parse_rational(f, ("t",)) for c, f in zip("abc", ("t", "t^2", "1"))}
+    curve = VarietyMap(line, cube, cube.main_chart.id, formulas)
+    form = parse_form("dlog(t - 1)", ("t",), line.main_chart.id)
+    t = make_triple(line, curve, form, [p1_comp(line, 1), p1_comp(line, INF)])
+    c = PolarChain(cube, [t])
+    assert boundary(c).chain.render() == (
+        "(Point, a_ = 0, b_ = 0, c = 1, -1*TAU) + (Point, a = 1, b = 1, c = 1, TAU)"
+    )
+    assert check_d_squared(c)["zero"]
 
 
 def test_p2_flagship_d_squared():

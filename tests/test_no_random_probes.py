@@ -90,11 +90,27 @@ def test_no_module_imports_an_unused_name():
         assert not unused, "%s: %s" % (name, sorted(unused))
 
 
-def test_every_definition_is_referenced():
-    """A def or class whose name nothing in the package reads is dead.
+def module_assigned(tree):
+    """The names a module binds by a top-level assignment."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, ast.AnnAssign):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name):
+                    yield name.id
 
-    Dunder methods are called by Python itself, and a def under a
-    decorator call (a registered suite) is reached through the registry.
+
+def test_every_definition_is_referenced():
+    """A def, class or module-level constant whose name nothing in the
+    package reads is dead.
+
+    Dunder names are read by Python itself, and a def under a decorator
+    call (a registered suite) is reached through the registry.
     """
     modules = all_modules()
     read = {
@@ -112,6 +128,10 @@ def test_every_definition_is_referenced():
             registered = any(isinstance(d, ast.Call) for d in node.decorator_list)
             if not (dunder or registered or node.name in read):
                 unreferenced.add(node.name)
+        unreferenced.update(
+            name for name in module_assigned(tree)
+            if not (name.startswith("__") and name.endswith("__")) and name not in read
+        )
     assert unreferenced == TRACER_PINNED, sorted(unreferenced ^ TRACER_PINNED)
 
 

@@ -184,6 +184,30 @@ def test_tau_refusals_keep_their_text(tmp_path, name):
     assert "Traceback" not in out
 
 
+# Chains on sources of dimension 3 are refused at `let`, before any command
+# that would need their residues.
+DIMENSION_REFUSALS = {
+    "three-lines-source": (
+        "let C = P1(a) x P1(b) x P1(c);\n"
+        "let x = chain(C, id, dlog(a) wedge dlog(b) wedge dlog(c - 1),"
+        " poles[a, b, c - 1, inf(a), inf(b), inf(c)]);\n"
+        "dsq x;\n",
+        "polar chains are implemented up to dimension 2, not on P1(a) x P1(b) x P1(c)",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(DIMENSION_REFUSALS))
+def test_dimension_refusals_keep_their_text(tmp_path, name):
+    text, message = DIMENSION_REFUSALS[name]
+    f = tmp_path / "cube.pc"
+    f.write_text(text)
+    code, out, err = run_cli(["run", str(f)])
+    assert code == 1
+    assert err.splitlines() == ["[error] " + message]
+    assert "Traceback" not in out
+
+
 def test_cli_zero_to_the_zero_is_one(tmp_path):
     f = tmp_path / "pow.pc"
     f.write_text("let A = P1(z);\nlet w = chain(A, const(2), 0^0);\nnormalize w;\n")
