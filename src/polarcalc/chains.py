@@ -492,13 +492,6 @@ def _merge_group(desc, members, ambient):
     """Merge one coincident-image group; returns (terms, warnings)."""
     if len(members) == 1:
         return members, []
-    if desc[0] == "point":
-        total = Polynomial.scalar(0)
-        for t in members:
-            total = total + term_weight(t)
-        if total.is_zero():
-            return [], []
-        return [point_term(ambient, desc[1], total)], []
     if desc[0] == "dominant" and ambient.kind == "P1":
         embed = VarietyMap.identity(ambient)
         try:
@@ -515,7 +508,7 @@ def _merge_group(desc, members, ambient):
         return members, [
             "unmergeable coincident-image terms on %s" % desc[1].label
         ]
-    return members, ["unmergeable coincident-image terms (opaque image)"]
+    return members, ["unmergeable coincident-image terms on %s" % ambient.name]
 
 
 def _merge_on_line(members, embed, param):

@@ -18,6 +18,7 @@ from .session import (
     COMPUTE_ERRORS,
     Session,
     SessionError,
+    _report,
     run_statement,
     split_statements,
 )
@@ -33,14 +34,7 @@ def _error_report(command, exc):
         status, code = "parse-error", EXIT_PARSE
     else:
         status, code = "error", EXIT_COMPUTE
-    return {
-        "schema": 1,
-        "command": command,
-        "status": status,
-        "result": str(exc),
-        "details": {"error": type(exc).__name__},
-        "provenance": [],
-    }, code
+    return _report(command, status, str(exc), {"error": type(exc).__name__}, []), code
 
 
 def _emit(report, json_sink):
@@ -138,14 +132,10 @@ def cmd_verify(args, json_sink):
         report, code = _error_report("verify --suite %s" % args.suite, exc)
         _emit(report, json_sink)
         return code
-    report = {
-        "schema": 1,
-        "command": "verify --suite %s" % args.suite,
-        "status": "ok" if result.passed else "fail",
-        "result": result.summary,
-        "details": result.details,
-        "provenance": list(result.provenance),
-    }
+    report = _report(
+        "verify --suite %s" % args.suite, "ok" if result.passed else "fail",
+        result.summary, result.details, result.provenance,
+    )
     _emit(report, json_sink)
     return EXIT_OK if result.passed else EXIT_VERIFY
 

@@ -11,10 +11,11 @@ two sections and the lifted vertical components reproduce alpha, -alpha
 and the lifted residues, which is exactly what makes
 boundary(h(a)) + h(boundary(a)) = a - section(projection(a)).
 
-When the basepoint section fails the normal-crossing requirement, a
-shifted basepoint c' is probed in the deterministic order 1, -1, 2, -2,
-... and the term is emitted as beta' plus (beta - beta'), the second
-piece having only section and vertical poles.
+A basepoint c' is admissible for a line term when make_triple accepts
+beta' with all its candidate poles: {z = c'}, the graph {z = g} and the
+lifted verticals.  If c is not, 1, -1, 2, -2, ... are probed in turn and
+the term is emitted as beta' plus (beta - beta'), whose only poles are
+the two sections and the verticals.
 """
 
 from fractions import Fraction
@@ -36,7 +37,6 @@ from .geometry import (
     point_component,
     product_of_lines,
     proj_line,
-    validate_normal_crossing,
 )
 from .maps import VarietyMap
 from .polynomials import Polynomial, RationalFunction
@@ -96,6 +96,13 @@ def _map_with_section(t: Triple, ambient, zc):
     )
 
 
+def _with_line_value(pt: VarietyPoint, idx, value) -> VarietyPoint:
+    """The point with its line-factor coordinate (slot idx) set to value."""
+    return VarietyPoint(pt.kind, tuple(
+        Fraction(value) if i == idx else u for i, u in enumerate(pt.data)
+    ))
+
+
 def section_pushforwards(a: PolarChain, basepoint=0) -> PolarChain:
     """Replace every term's line-factor map by the constant basepoint."""
     zc = _line_factor(a.ambient)
@@ -103,11 +110,7 @@ def section_pushforwards(a: PolarChain, basepoint=0) -> PolarChain:
     out = []
     for lam, t in a.terms:
         if t.degree == 0:
-            pt = t.map.image_point()
-            moved = VarietyPoint(pt.kind, tuple(
-                Fraction(basepoint) if i == idx else u
-                for i, u in enumerate(pt.data)
-            ))
+            moved = _with_line_value(t.map.image_point(), idx, basepoint)
             m = VarietyMap.constant(t.source, a.ambient, moved)
             out.append((lam, Triple(t.source, m, t.form, t.declared_poles)))
             continue
@@ -131,12 +134,16 @@ def _kernel(cyl, zc, g_lift, c):
     return one / (z - g_lift) - one / _section_rf(coords, zc, c)
 
 
+def _record(t: Triple, basepoint, **verdict):
+    return {"term": t.render(), "basepoint": str(basepoint), **verdict}
+
+
 def _h_point_term(lam, t, ambient, zc, c):
     pt = t.map.image_point()
     idx = ambient.factors.index(zc)
     v = pt.data[idx]
     if v != INF and v == Fraction(c):
-        return [], {"term": t.render(), "basepoint": str(c), "zero": True}
+        return [], _record(t, c, zero=True)
     weight = lam * term_weight(t)
     line = proj_line(zc)
     coords = (zc,)
@@ -144,34 +151,21 @@ def _h_point_term(lam, t, ambient, zc, c):
         # limit of the kernel as the graph point escapes to infinity
         one = RationalFunction.constant(coords, 1)
         kernel = -(one / _section_rf(coords, zc, c))
-        chart_pt = VarietyPoint(
-            pt.kind,
-            tuple(Fraction(0) if i == idx else u for i, u in enumerate(pt.data)),
-        )
     else:
-        kernel = _kernel(
-            line, zc, RationalFunction.constant(coords, v), c
-        )
-        chart_pt = pt
+        kernel = _kernel(line, zc, RationalFunction.constant(coords, v), c)
     beta = DifferentialForm.d_coordinate(line.main_chart.id, coords, zc).multiply(
         kernel
     ).scale(weight / Polynomial.scalar(1, 1))
-    chart, values = chart_pt.finite_chart(ambient)
-    formulas = {}
-    for coord, val in values.items():
-        if coord == zc:
-            formulas[coord] = RationalFunction.variable(coords, zc)
-        else:
-            formulas[coord] = RationalFunction.constant(coords, val)
-    m = VarietyMap(line, ambient, chart.id, formulas)
-    decl = [
-        point_component(line, VarietyPoint.product_point([v])),
-        point_component(line, VarietyPoint.product_point([Fraction(c)])),
-    ]
+    # the first chart with a finite line factor, whose coordinate zc is the parameter
+    chart, values = _with_line_value(pt, idx, 0).finite_chart(ambient)
+    z = RationalFunction.variable(coords, zc)
+    m = VarietyMap(line, ambient, chart.id, {
+        coord: z if coord == zc else RationalFunction.constant(coords, val)
+        for coord, val in values.items()
+    })
+    decl = [point_component(line, VarietyPoint.product_point([u])) for u in (v, Fraction(c))]
     triple = make_triple(line, m, beta, decl)
-    return [(Polynomial.scalar(1), triple)], {
-        "term": t.render(), "basepoint": str(c), "repaired": False,
-    }
+    return [(Polynomial.scalar(1), triple)], _record(t, c, repaired=False)
 
 
 def _lift_components(t: Triple, cyl, tname):
@@ -198,11 +192,9 @@ def _h_line_term(lam, t, ambient, zc, c):
     coords = cyl.main_chart.coords
     chart, fs = _map_with_section(t, ambient, zc)
     g = fs[zc]
-    g_lift = g.rename((tname,)).lift(coords)
     c = Fraction(c)
-    if g.num.is_constant() and g.den.is_constant():
-        if g.constant_value().rational_value() == c:
-            return [], {"term": t.render(), "basepoint": str(c), "zero": True}
+    if g.is_constant() and g.constant_value().rational_value() == c:
+        return [], _record(t, c, zero=True)
 
     alpha = t.source.transition_form(t.form, t.source.main_chart.id)
     alpha_lift = DifferentialForm(
@@ -210,71 +202,45 @@ def _h_line_term(lam, t, ambient, zc, c):
         {(0,): alpha.coefficient((0,)).rename((tname,)).lift(coords)},
     ).scale(lam)
     dz = DifferentialForm.d_coordinate(cyl.main_chart.id, coords, zc)
-
-    # map of the lifted term: base part from f, line factor untouched
-    formulas = {}
-    for coord, rf in fs.items():
-        if coord == zc:
-            formulas[coord] = RationalFunction.variable(coords, zc)
-        else:
-            formulas[coord] = rf.rename((tname,)).lift(coords)
-    lifted_map = VarietyMap(cyl, ambient, chart.id, formulas)
-
-    verticals = _lift_components(t, cyl, tname)
     z = RationalFunction.variable(coords, zc)
-    graph_rf = z - g_lift
-    graph = DivisorComponent.from_chart_poly(
-        cyl, cyl.main_chart.id, graph_rf.num, "{z = g}"
-    )
-    for v in verticals:
-        if v == graph:
-            raise HomotopyError(
-                "graph section coincides with a lifted pole component %s" % v.label
-            )
+    g_lift = g.rename((tname,)).lift(coords)
+    # map of the lifted term: base part from f, line factor untouched
+    lifted_map = VarietyMap(cyl, ambient, chart.id, {
+        coord: z if coord == zc else rf.rename((tname,)).lift(coords)
+        for coord, rf in fs.items()
+    })
+    verticals = _lift_components(t, cyl, tname)
 
-    one = RationalFunction.constant(coords, 1)
-    tau_inv = Polynomial.scalar(1, -1)
-    for probe in _probe_sequence(c):
-        section = DivisorComponent.from_chart_poly(
-            cyl, cyl.main_chart.id, _section_rf(coords, zc, probe).num
+    def section(value):
+        return DivisorComponent.from_chart_poly(
+            cyl, cyl.main_chart.id, _section_rf(coords, zc, value).num
         )
-        if section == graph:
-            continue
-        decl = [section, graph] + verticals
-        kernel = _kernel(cyl, zc, g_lift, probe)
-        beta = dz.multiply(kernel).wedge(alpha_lift).scale(tau_inv)
-        kept = prune_declared(beta, cyl, decl)
-        # A probe needs normal crossing of all of decl, checked once: when
-        # pruning keeps every component, make_triple checks that very set
-        # and its ChainError rejects the probe.
-        if len(kept) < len(decl) and not validate_normal_crossing(decl, cyl).ok:
-            continue
+
+    def lift(g_rf, value, decl):
+        # beta for the kernel 1/(z - g_rf) - 1/(z - value), checked by
+        # make_triple with all of decl, keeping the components it has poles on
+        beta = dz.multiply(_kernel(cyl, zc, g_rf, value)).wedge(alpha_lift)
+        beta = beta.scale(Polynomial.scalar(1, -1))
+        checked = make_triple(cyl, lifted_map, beta, decl)
+        return Triple(cyl, lifted_map, checked.form, prune_declared(beta, cyl, decl))
+
+    graph = DivisorComponent.from_chart_poly(
+        cyl, cyl.main_chart.id, (z - g_lift).num, "{z = g}"
+    )
+    for probe in _probe_sequence(c):
+        # a section equal to the graph shares a factor with it: make_triple rejects it
+        probe_section = section(probe)
         try:
-            main = make_triple(cyl, lifted_map, beta, kept)
+            terms = [lift(g_lift, probe, [probe_section, graph] + verticals)]
         except ChainError:
             continue
-        terms = [(Polynomial.scalar(1), main)]
-        repaired = probe != c
-        if repaired:
+        if probe != c:
             # beta(c) - beta(probe): only section and vertical poles remain
-            diff_kernel = one / _section_rf(coords, zc, probe) - one / _section_rf(
-                coords, zc, c
-            )
-            diff = dz.multiply(diff_kernel).wedge(alpha_lift).scale(tau_inv)
-            base_section = DivisorComponent.from_chart_poly(
-                cyl, cyl.main_chart.id, _section_rf(coords, zc, c).num
-            )
-            decl2 = [base_section, section] + verticals
-            tail = make_triple(cyl, lifted_map, diff, prune_declared(diff, cyl, decl2))
-            terms.append((Polynomial.scalar(1), tail))
-        return terms, {
-            "term": t.render(),
-            "basepoint": str(probe),
-            "repaired": repaired,
-        }
-    raise HomotopyError(
-        "no admissible basepoint among probes for term %s" % t.render()
-    )
+            terms.append(lift(RationalFunction.constant(coords, probe), c,
+                              [section(c), probe_section] + verticals))
+        return ([(Polynomial.scalar(1), x) for x in terms],
+                _record(t, probe, repaired=probe != c))
+    raise HomotopyError("no admissible basepoint among probes for term %s" % t.render())
 
 
 def cylinder_homotopy(a: PolarChain, basepoint=0) -> CylinderChain:

@@ -8,6 +8,7 @@ from polarcalc.chains import (
     boundary,
     boundary_witness_p1,
     check_d_squared,
+    image_description,
     is_cycle,
     make_triple,
     normalize_chain,
@@ -23,6 +24,7 @@ from polarcalc.geometry import (
     infinity_component,
     plane_curve,
     point_component,
+    point_variety,
     product_of_lines,
     proj_line,
     proj_plane,
@@ -257,6 +259,37 @@ def test_r2_on_a_component_merges_by_trace():
     assert boundary(n).chain.render() == expected
 
 
+def conic_term(var):
+    """dlog(var) on P1(var), mapped onto the conic x^2 + y^2 = 1 in P2."""
+    line = proj_line(var)
+    m = VarietyMap(line, proj_plane("x", "y"), "A0", {
+        "x": parse_rational("(1 - %s^2)/(1 + %s^2)" % (var, var), (var,)),
+        "y": parse_rational("2*%s/(1 + %s^2)" % (var, var), (var,)),
+    })
+    form = parse_form("dlog(%s)" % var, (var,), line.main_chart.id)
+    return make_triple(line, m, form, [p1_comp(line, 0), p1_comp(line, INF)])
+
+
+def test_r2_on_a_conic_warns_with_its_label():
+    s, t = conic_term("s"), conic_term("t")
+    n = normalize_chain(PolarChain(s.map.target, [s, t]))
+    assert n.warnings == ("unmergeable coincident-image terms on {x^2 + y^2 - 1}",)
+    assert n == PolarChain(s.map.target, [s, t])
+
+
+def test_point_terms_at_one_point_merge_structurally():
+    # the same point, written through the chart at infinity both times;
+    # their equal map keys merge them before R2 groups images
+    line = proj_line("z")
+    at_inf = point_term(line, VarietyPoint.product_point([INF]), Polynomial.scalar(2))
+    src = point_variety()
+    m = VarietyMap(src, line, "z_", {"z_": RationalFunction.constant((), 0)})
+    weight = DifferentialForm.function("pt", (), RationalFunction.constant((), Polynomial.scalar(3)))
+    n = normalize_chain(PolarChain(line, [at_inf, make_triple(src, m, weight, [])]))
+    assert n.render() == "(Point, z_ = 0, 5)"
+    assert n.warnings == ()
+
+
 def test_r3_prunes_constant_maps():
     line = proj_line("z")
     form = parse_form("dlog(z)", ("z",), line.main_chart.id)
@@ -351,6 +384,22 @@ def test_curve_source_requires_holomorphic_form():
     bad = parse_form("d(x)/x", coords, curve.main_chart.id)
     with pytest.raises(ChainError):
         make_triple(curve, embed, bad, [])
+
+
+def test_boundary_along_a_cubic_is_a_curve_term():
+    # the residue lives on the curve itself, whose image R2 names by the
+    # curve's own polynomial
+    plane = proj_plane("x", "y")
+    coords = plane.main_chart.coords
+    form = parse_form("d(x) wedge d(y)/(y^2 - x^3 - x - 1)", coords, plane.main_chart.id)
+    cubic = DivisorComponent.from_chart_poly(
+        plane, "A0", parse_polynomial("y^2 - x^3 - x - 1", coords))
+    c = PolarChain(plane, [make_triple(plane, VarietyMap.identity(plane), form, [cubic])])
+    b = boundary(c).chain
+    assert b.render() == "(Curve(x^3 - y^2 + x + 1), x = x, y = y, (-1/2*TAU*y)/(x^3 + x + 1) dx)"
+    desc = image_description(b.terms[0][1], plane)
+    assert desc[0] == "component" and desc[1].label == "{x^3 - y^2 + x + 1}"
+    assert check_d_squared(c)["zero"]
 
 
 def test_boundary_skips_curve_triples():

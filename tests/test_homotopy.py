@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from polarcalc import homotopy
+from polarcalc import chains
 from polarcalc.chains import PolarChain, boundary, make_triple, point_term
 from polarcalc.geometry import (
     INF,
@@ -38,17 +38,17 @@ def section_chain(amb, src, g_rf, form, decl):
 
 
 def probe_nc_checks(monkeypatch):
-    """(section label, verdict) of each normal-crossing check that the
-    probe loop makes itself rather than through make_triple."""
+    """(first component's label, verdict) of every normal-crossing check
+    that make_triple makes from here on, in order."""
     seen = []
-    validate = homotopy.validate_normal_crossing
+    validate = chains.validate_normal_crossing
 
     def spy(decl, variety):
         report = validate(decl, variety)
         seen.append((decl[0].label, report.ok))
         return report
 
-    monkeypatch.setattr(homotopy, "validate_normal_crossing", spy)
+    monkeypatch.setattr(chains, "validate_normal_crossing", spy)
     return seen
 
 
@@ -97,9 +97,9 @@ def test_identity_for_diagonal_section_with_repair(monkeypatch):
         "repaired": True,
     }]
     # probes 0 and 1: the graph z = t meets the section above a pole of
-    # alpha, pruning drops that vertical, so the whole set is checked (and
-    # rejected) directly; probe -1 keeps every component
-    assert checks == [("{z}", False), ("{z - 1}", False)]
+    # alpha, so make_triple rejects the whole set; probe -1 passes, and so
+    # does the repair tail's set, which starts with the base section {z}
+    assert checks == [("{z}", False), ("{z - 1}", False), ("{z + 1}", True), ("{z}", True)]
     rep = verify_homotopy_identity(a, 0)
     assert rep["zero"]
 
@@ -122,9 +122,27 @@ def test_identity_without_repair(monkeypatch):
         "basepoint": "0",
         "repaired": False,
     }]
-    assert checks == []  # probe 0 keeps every component: make_triple checks it
+    assert checks == [("{z}", True)]  # one check: the set of probe 0
     rep = verify_homotopy_identity(a, 0)
     assert rep["zero"]
+
+
+def test_section_at_the_basepoint_lifts_to_zero():
+    amb = product_of_lines(["t", "z"])
+    src = proj_line("t")
+    coords = src.main_chart.coords
+    form = parse_form("dlog(t)", coords, src.main_chart.id)
+    decl = [
+        point_component(src, VarietyPoint.product_point([0])),
+        point_component(src, VarietyPoint.product_point([INF])),
+    ]
+    a = section_chain(amb, src, RationalFunction.constant(coords, 0), form, decl)
+    cyl = cylinder_homotopy(a, 0)
+    assert cyl.records == [{
+        "term": "(P1(t), t = t, z = 0, 1/t dt)", "basepoint": "0", "zero": True,
+    }]
+    assert cyl.chain.is_zero()
+    assert verify_homotopy_identity(a, 0)["zero"]
 
 
 def test_section_pushforward_moves_points():

@@ -288,6 +288,30 @@ def test_r3_keeps_maps_with_tau_coefficients():
     assert rep["details"]["warnings"] == []
 
 
+def test_r2_on_a_surface_warns_with_the_ambient_name():
+    # two dominant terms on P1 x P1: R2 has no merge there, and the warning
+    # names the ambient that `support` reports for both images
+    s = Session()
+    run_statement(s, "let B = P1(z1) x P1(z2)")
+    run_statement(
+        s,
+        "let a = chain(B, id, dlog(z1) wedge dlog(z2), poles[z1, z2, inf(z1), inf(z2)])"
+        " + chain(B, map(z1 = z2, z2 = z1), dlog(z1) wedge dlog(z2 - 1),"
+        " poles[z1, z2 - 1, inf(z1), inf(z2)])",
+    )
+    rep = run_statement(s, "normalize a")
+    assert rep["details"]["warnings"] == [
+        "unmergeable coincident-image terms on P1(z1) x P1(z2)"
+    ]
+    assert rep["result"] == (
+        "(P1(z1) x P1(z2), z1 = z1, z2 = z2, 1/(z1*z2) dz1^dz2)"
+        " + (P1(z1) x P1(z2), z1 = z2, z2 = z1, 1/(z1*z2 - z1) dz1^dz2)"
+    )
+    assert run_statement(s, "support a")["details"]["items"] == [
+        "P1(z1) x P1(z2)", "P1(z1) x P1(z2)"
+    ]
+
+
 def test_unary_minus_binds_looser_than_power():
     # -z^2 is -(z^2), as the renderer writes a coefficient -1
     s = Session()
