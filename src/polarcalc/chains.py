@@ -132,6 +132,15 @@ def make_triple(source, map_, form, declared_poles, rng=None) -> Triple:
         report = validate_normal_crossing(list(declared_poles), source)
         if not report.ok:
             raise ChainError("declared poles violate normal crossing: %s" % report.message())
+    _check_poles(source, form, declared_poles)
+    return Triple(source, map_, form, declared_poles)
+
+
+def _check_poles(source, form, declared_poles):
+    """`make_triple`'s pole checks alone, for a form on the main chart and
+    declared components already known to be normal crossing: each
+    component's pole order on its first visible chart, and the undeclared
+    poles.  Raises ChainError."""
     for chart in source.charts:
         firsts = [c for c in declared_poles if c.first_visible_chart().id == chart.id]
         locus = source.new_locus(chart.id)
@@ -151,7 +160,6 @@ def make_triple(source, map_, form, declared_poles, rng=None) -> Triple:
             raise ChainError(
                 "undeclared pole components %s on chart %s" % (undeclared, chart.id)
             )
-    return Triple(source, map_, form, declared_poles)
 
 
 def _undeclared_poles(local, chart, locus, declared):

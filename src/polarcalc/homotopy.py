@@ -11,11 +11,33 @@ two sections and the lifted vertical components reproduce alpha, -alpha
 and the lifted residues, which is exactly what makes
 boundary(h(a)) + h(boundary(a)) = a - section(projection(a)).
 
-A basepoint c' is admissible for a line term when make_triple accepts
-beta' with all its candidate poles: {z = c'}, the graph {z = g} and the
-lifted verticals.  If c is not, 1, -1, 2, -2, ... are probed in turn and
-the term is emitted as beta' plus (beta - beta'), whose only poles are
-the two sections and the verticals.
+A basepoint c' is admissible for a line term when its candidate poles on
+A x P1 = P1(t) x P1(z) are normal crossing: the section {z = c'}, the
+graph {z = g} and the verticals {q(t) = 0} over the declared poles of
+alpha.  `_probe_admissible` decides this exactly in the one variable t:
+
+- The section and the graph are sections of the projection to t, so
+  each is smooth and meets every fibre once, transversally.  Each
+  vertical is a union of distinct reduced fibres: alpha's poles were
+  certified normal crossing on A when its term was made.  Fibres are
+  disjoint.  So only the section and the graph can meet badly, and a
+  triple point is one of their meetings on a vertical.
+- Over a pole of g, and over t = oo when deg num(g) > deg den(g), the
+  graph passes through z = oo, where the section is not.  Elsewhere they
+  meet at the roots of h = num(g) - c' den(g) (num and den are coprime,
+  so den does not vanish there), with the root's multiplicity as the
+  intersection multiplicity; at t = oo with multiplicity D - deg h, where
+  D = max(deg num(g), deg den(g)).
+- So the set is normal crossing exactly when h is not 0 (the section is
+  not the graph), h is squarefree and D - deg h <= 1 (every meeting is
+  transversal), h is coprime to every finite vertical q, and deg h = D
+  when oo is a pole of alpha (no triple point).
+
+If c is not admissible, 1, -1, 2, -2, ... are probed in turn and the term
+is emitted as beta' plus (beta - beta'), whose only poles are the two
+sections {z = c}, {z = c'} and the verticals: two disjoint horizontal
+sections and fibres, normal crossing for every c' != c.  So each lifted
+term needs only make_triple's pole checks (`chains._check_poles`).
 """
 
 from fractions import Fraction
@@ -24,7 +46,7 @@ from .chains import (
     ChainError,
     PolarChain,
     Triple,
-    make_triple,
+    _check_poles,
     prune_declared,
     term_weight,
 )
@@ -39,7 +61,7 @@ from .geometry import (
     proj_line,
 )
 from .maps import VarietyMap
-from .polynomials import Polynomial, RationalFunction
+from .polynomials import Polynomial, RationalFunction, is_squarefree, poly_gcd
 
 BASEPOINT_PROBES = 12
 
@@ -163,9 +185,32 @@ def _h_point_term(lam, t, ambient, zc, c):
         coord: z if coord == zc else RationalFunction.constant(coords, val)
         for coord, val in values.items()
     })
+    # the points v != c (v = c returned above): two distinct points of P1
+    # are normal crossing, so only the pole checks are left
     decl = [point_component(line, VarietyPoint.product_point([u])) for u in (v, Fraction(c))]
-    triple = make_triple(line, m, beta, decl)
-    return [(Polynomial.scalar(1), triple)], _record(t, c, repaired=False)
+    _check_poles(line, beta, decl)
+    return [(Polynomial.scalar(1), Triple(line, m, beta, decl))], _record(t, c, repaired=False)
+
+
+def _probe_admissible(g: RationalFunction, probe, poles) -> bool:
+    """Are the section {z = probe}, the graph {z = g} and the verticals over
+    `poles` (alpha's declared poles on P1(t)) normal crossing on
+    P1(t) x P1(z)?  Exact, in t alone; the module docstring has the proof."""
+    (tv,) = g.variables
+    h = g.num - g.den.scale(probe)
+    if h.is_zero():
+        return False  # the section is the graph
+    at_inf = max(g.num.degree_in(tv), g.den.degree_in(tv)) - h.degree_in(tv)
+    if at_inf > 1:
+        return False  # tangent at t = oo
+    finite = []
+    for comp in poles:
+        main = comp.variety.main_chart.id
+        if comp.visible_on(main):
+            finite.append(comp.poly_on(main))
+        elif at_inf:
+            return False  # the section and the graph meet on the vertical t = oo
+    return is_squarefree(h) and all(poly_gcd(h, q).is_unit() for q in finite)
 
 
 def _lift_components(t: Triple, cyl, tname):
@@ -217,18 +262,19 @@ def _h_line_term(lam, t, ambient, zc, c):
         )
 
     def lift(g_rf, value, decl):
-        # beta for the kernel 1/(z - g_rf) - 1/(z - value), checked by
-        # make_triple with all of decl, keeping the components it has poles on
+        # beta for the kernel 1/(z - g_rf) - 1/(z - value), pole-checked
+        # against all of decl, keeping the components it has poles on
         beta = dz.multiply(_kernel(cyl, zc, g_rf, value)).wedge(alpha_lift)
         beta = beta.scale(Polynomial.scalar(1, -1))
-        checked = make_triple(cyl, lifted_map, beta, decl)
-        return Triple(cyl, lifted_map, checked.form, prune_declared(beta, cyl, decl))
+        _check_poles(cyl, beta, decl)
+        return Triple(cyl, lifted_map, beta, prune_declared(beta, cyl, decl))
 
     graph = DivisorComponent.from_chart_poly(
         cyl, cyl.main_chart.id, (z - g_lift).num, "{z = g}"
     )
     for probe in _probe_sequence(c):
-        # a section equal to the graph shares a factor with it: make_triple rejects it
+        if not _probe_admissible(g, probe, t.declared_poles):
+            continue
         probe_section = section(probe)
         try:
             terms = [lift(g_lift, probe, [probe_section, graph] + verticals)]

@@ -21,7 +21,7 @@ class MapError(ValueError):
 class VarietyMap:
     """Rational map between two catalog varieties."""
 
-    __slots__ = ("source", "target", "target_chart", "formulas", "point")
+    __slots__ = ("source", "target", "target_chart", "formulas", "point", "_key")
 
     def __init__(self, source: CatalogVariety, target: CatalogVariety,
                  target_chart, formulas):
@@ -40,6 +40,7 @@ class VarietyMap:
             fixed[coord] = rf
         self.formulas = fixed
         self.point = None  # the image of a constant map (see `constant`)
+        self._key = None  # filled by the first `key()`: a map never changes
 
     # -- constructors --------------------------------------------------
 
@@ -178,13 +179,15 @@ class VarietyMap:
     # -- identity ------------------------------------------------------
 
     def key(self):
-        m = self.canonical()
-        return (
-            m.source.signature(),
-            m.target.signature(),
-            m.target_chart,
-            tuple((c, str(m.formulas[c])) for c in sorted(m.formulas)),
-        )
+        if self._key is None:
+            m = self.canonical()
+            self._key = (
+                m.source.signature(),
+                m.target.signature(),
+                m.target_chart,
+                tuple((c, str(m.formulas[c])) for c in sorted(m.formulas)),
+            )
+        return self._key
 
     def __eq__(self, other):
         return isinstance(other, VarietyMap) and self.key() == other.key()

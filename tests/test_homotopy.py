@@ -1,25 +1,33 @@
 from fractions import Fraction
+from itertools import islice
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polarcalc import chains
-from polarcalc.chains import PolarChain, boundary, make_triple, point_term
+from polarcalc import chains, homotopy
+from polarcalc.chains import PolarChain, Triple, boundary, make_triple, point_term
 from polarcalc.geometry import (
     INF,
+    DivisorComponent,
     VarietyPoint,
     point_component,
     product_of_lines,
     proj_line,
+    validate_normal_crossing,
 )
 from polarcalc.homotopy import (
     HomotopyError,
+    _lift_components,
+    _probe_admissible,
+    _probe_sequence,
     cylinder_homotopy,
     section_pushforwards,
     verify_homotopy_identity,
 )
 from polarcalc.maps import VarietyMap
-from polarcalc.parsing import parse_form
-from polarcalc.polynomials import Polynomial, RationalFunction
+from polarcalc.parsing import parse_form, parse_polynomial, parse_rational
+from polarcalc.polynomials import Polynomial, PolynomialError, RationalFunction, poly_gcd
 
 
 def weighted_point(line, value, weight):
@@ -37,19 +45,26 @@ def section_chain(amb, src, g_rf, form, decl):
     return PolarChain(amb, [make_triple(src, m, form, decl)])
 
 
-def probe_nc_checks(monkeypatch):
-    """(first component's label, verdict) of every normal-crossing check
-    that make_triple makes from here on, in order."""
-    seen = []
+def spy_probes(monkeypatch):
+    """(probes, checks) from here on, in order: the (value, verdict) of every
+    basepoint probe's certificate, and the variety of every normal-crossing
+    check that make_triple makes."""
+    probes, checks = [], []
+    admissible = homotopy._probe_admissible
     validate = chains.validate_normal_crossing
 
-    def spy(decl, variety):
-        report = validate(decl, variety)
-        seen.append((decl[0].label, report.ok))
-        return report
+    def probe_spy(g, probe, poles):
+        verdict = admissible(g, probe, poles)
+        probes.append((probe, verdict))
+        return verdict
 
-    monkeypatch.setattr(chains, "validate_normal_crossing", spy)
-    return seen
+    def nc_spy(decl, variety):
+        checks.append(variety.name)
+        return validate(decl, variety)
+
+    monkeypatch.setattr(homotopy, "_probe_admissible", probe_spy)
+    monkeypatch.setattr(chains, "validate_normal_crossing", nc_spy)
+    return probes, checks
 
 
 def test_identity_for_weighted_point():
@@ -89,7 +104,7 @@ def test_identity_for_diagonal_section_with_repair(monkeypatch):
     ]
     a = section_chain(amb, src, RationalFunction.variable(coords, "t"),
                       form, decl)
-    checks = probe_nc_checks(monkeypatch)
+    probes, checks = spy_probes(monkeypatch)
     cyl = cylinder_homotopy(a, 0)
     assert cyl.records == [{
         "term": "(P1(t), t = t, z = t, -1/(t^2 - t) dt)",
@@ -97,9 +112,10 @@ def test_identity_for_diagonal_section_with_repair(monkeypatch):
         "repaired": True,
     }]
     # probes 0 and 1: the graph z = t meets the section above a pole of
-    # alpha, so make_triple rejects the whole set; probe -1 passes, and so
-    # does the repair tail's set, which starts with the base section {z}
-    assert checks == [("{z}", False), ("{z - 1}", False), ("{z + 1}", True), ("{z}", True)]
+    # alpha (a triple point); probe -1 passes.  The repair tail's set needs
+    # no test, and nothing is validated on P1 x P1
+    assert probes == [(0, False), (1, False), (-1, True)]
+    assert checks == []
     rep = verify_homotopy_identity(a, 0)
     assert rep["zero"]
 
@@ -115,14 +131,15 @@ def test_identity_without_repair(monkeypatch):
     ]
     a = section_chain(amb, src, RationalFunction.variable(coords, "t"),
                       form, decl)
-    checks = probe_nc_checks(monkeypatch)
+    probes, checks = spy_probes(monkeypatch)
     cyl = cylinder_homotopy(a, 0)
     assert cyl.records == [{
         "term": "(P1(t), t = t, z = t, -1/(t^2 - 5*t + 6) dt)",
         "basepoint": "0",
         "repaired": False,
     }]
-    assert checks == [("{z}", True)]  # one check: the set of probe 0
+    assert probes == [(0, True)]
+    assert checks == []
     rep = verify_homotopy_identity(a, 0)
     assert rep["zero"]
 
@@ -170,3 +187,131 @@ def test_homotopy_requires_line_factor():
     )])
     with pytest.raises(HomotopyError):
         cylinder_homotopy(a, 0)
+
+
+# -- the basepoint certificate against normal-crossing validation ----------
+
+SOURCE = proj_line("t")
+CYLINDER = product_of_lines(["t", "z"])
+IRRATIONAL_LOCUS = "cannot certify transversality (irrational locus)"
+
+
+def declared_pole(text):
+    """A declared pole of alpha on P1(t): "inf" or a polynomial in t."""
+    if text == "inf":
+        return point_component(SOURCE, VarietyPoint.product_point([INF]))
+    return DivisorComponent.from_chart_poly(
+        SOURCE, SOURCE.main_chart.id, parse_polynomial(text, ("t",))
+    )
+
+
+def probe_verdicts(g, poles, probe):
+    """The certificate's verdict on a probe, and validation's report on the
+    main term's candidate set: {z = probe}, {z = g} and the verticals."""
+    coords = CYLINDER.main_chart.coords
+    z = RationalFunction.variable(coords, "z")
+
+    def component(rf, label=None):
+        return DivisorComponent.from_chart_poly(CYLINDER, CYLINDER.main_chart.id, rf.num, label)
+
+    decl = [
+        component(z - RationalFunction.constant(coords, probe)),
+        component(z - g.lift(coords), "{z = g}"),
+    ] + _lift_components(Triple(SOURCE, None, None, poles), CYLINDER, "t")
+    return _probe_admissible(g, Fraction(probe), poles), validate_normal_crossing(decl, CYLINDER)
+
+
+@pytest.mark.parametrize("g, poles, probe, reason", [
+    ("t^2", ["t - 1"], 0, "tangential intersection"),
+    ("t^2", ["t - 1"], 1, "three components through one point"),
+    ("t^2/(t^2 + 1)", ["t"], 1, "tangential intersection on chart t_|z"),  # at t = oo
+    ("t/(t - 1)", ["t", "inf"], 1, "three components through one point in dimension 2 on chart t_|z"),
+    ("t/(t - 1)", ["t"], 1, None),
+    # a real triple point at t = +-sqrt(2), which validation cannot locate
+    ("t^2", ["t^2 - 2"], 2, "cannot certify triple-point freeness (irrational locus)"),
+    ("t^2", ["t^2 - 2"], 1, None),
+    ("t^2", ["t^2 - 2"], 3, None),
+    ("t^3 - 3*t", ["t - 5"], 2, "tangential intersection"),  # 2 is a critical value
+    ("t^3 - 3*t", ["t - 5"], 1, None),
+])
+def test_named_probes_match_validation(g, poles, probe, reason):
+    admissible, report = probe_verdicts(
+        parse_rational(g, ("t",)), [declared_pole(p) for p in poles], probe
+    )
+    assert admissible == report.ok == (reason is None)
+    if reason is not None:
+        assert len(report.failures) == 1 and reason in report.message()
+
+
+POLE_TEXTS = ("inf", "t + 2", "t + 1", "t", "t - 1", "t - 2", "t^2 + 1", "t^2 - 2")
+COEFFICIENTS = st.lists(st.sampled_from([-2, -1, 0, 1, 2, Fraction(1, 2)]), min_size=1, max_size=4)
+
+
+def polynomial_in_t(coefficients):
+    t = Polynomial.variable(("t",), "t")
+    return sum(((t**k).scale(Fraction(c)) for k, c in enumerate(coefficients)),
+               Polynomial.zero(("t",)))
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(COEFFICIENTS, COEFFICIENTS.filter(any),
+       st.lists(st.sampled_from(POLE_TEXTS), max_size=3, unique=True),
+       st.sampled_from(list(islice(_probe_sequence(0), 7))))
+def test_certificate_agrees_with_validation(num, den, poles, probe):
+    """The certificate rejects a probe exactly when validation does, except
+    where validation cannot locate a meeting of the graph's pole with an
+    irreducible quadratic vertical: such a pair is a section and a fibre,
+    transversal by the proof in the homotopy module."""
+    g = RationalFunction(polynomial_in_t(num), polynomial_in_t(den))
+    comps = [declared_pole(p) for p in poles]
+    admissible, report = probe_verdicts(g, comps, probe)
+    if report.ok or not admissible:
+        assert admissible == report.ok, report.message()
+        return
+    for failure in report.failures:
+        assert failure["reason"] == IRRATIONAL_LOCUS, report.message()
+        graph, vertical = failure["members"]
+        q = next(c for c in comps if c.label == vertical).poly_on(SOURCE.main_chart.id)
+        assert graph == "{z = g}" and q.total_degree() == 2
+        assert poly_gcd(q, g.den) == q, report.message()
+
+
+def test_graph_pole_on_an_irrational_vertical_is_admissible():
+    """Validation cannot locate where the graph meets the vertical t^2 = 2
+    (at z = oo, over irrational t); a section meets a fibre transversally,
+    so the certificate accepts the probe and the term lifts at c = 0."""
+    g = parse_rational("(2*t + 2)/(t^2 - 2)", ("t",))
+    poles = [declared_pole("t^2 - 2"), declared_pole("t")]
+    admissible, report = probe_verdicts(g, poles, 0)
+    assert admissible
+    assert [f["reason"] for f in report.failures] == [IRRATIONAL_LOCUS]
+    coords = SOURCE.main_chart.coords
+    form = parse_form("dlog((t^2-2)/t^2)", coords, SOURCE.main_chart.id)
+    a = section_chain(CYLINDER, SOURCE, g, form, poles)
+    assert cylinder_homotopy(a, 0).records == [{
+        "term": "(P1(t), t = t, z = (2*t + 2)/(t^2 - 2), 4/(t^3 - 2*t) dt)",
+        "basepoint": "0",
+        "repaired": False,
+    }]
+
+
+# -- TAU in the section: the refusals the line term meets first -------------
+
+
+@pytest.mark.parametrize("g, form, poles, text", [
+    ("TAU*t", "dlog(t/(t-1))", ["t", "t - 1"],
+     "rational_roots needs TAU-free coefficients"),
+    ("(1 + TAU)*t^2", "dlog(t/(t-1))", ["t", "t - 1"],
+     "leading coefficient is not a TAU-monomial: (-1 - 1*TAU)*t^2 + z"),
+    ("1/(t^2 - TAU)", "dlog((t-2)/(t+1))", ["t - 2", "t + 1"],
+     "cannot normalize: denominator leading coefficient 12 - 3*TAU is a TAU-sum"),
+])
+def test_tau_sections_are_refused(g, form, poles, text):
+    coords = SOURCE.main_chart.coords
+    a = section_chain(CYLINDER, SOURCE, parse_rational(g, coords),
+                      parse_form(form, coords, SOURCE.main_chart.id),
+                      [declared_pole(p) for p in poles])
+    with pytest.raises(PolynomialError) as err:
+        verify_homotopy_identity(a, 0)
+    assert type(err.value) is PolynomialError
+    assert str(err.value) == text
