@@ -28,9 +28,8 @@ from .polynomials import (
     RationalFunction,
     from_univariate,
     inverse_mod,
-    poly_div_exact,
-    poly_gcd,
     poly_resultant,
+    squarefree_part,
     to_univariate,
 )
 from .residue import ResidueError, classify_component, p1_pole_points, poincare_residue
@@ -132,6 +131,10 @@ def make_triple(source, map_, form, declared_poles, rng=None) -> Triple:
         report = validate_normal_crossing(list(declared_poles), source)
         if not report.ok:
             raise ChainError("declared poles violate normal crossing: %s" % report.message())
+    if source.kind == "P1":  # a pole must be a rational point: linear on its first chart
+        for comp in declared_poles:
+            if comp.poly_on(comp.first_visible_chart().id).total_degree() > 1:
+                raise ChainError("component %s has no rational point representation" % comp.label)
     _check_poles(source, form, declared_poles)
     return Triple(source, map_, form, declared_poles)
 
@@ -372,17 +375,6 @@ def pushforward_form(map_: VarietyMap, form: DifferentialForm,
 # ---------------------------------------------------------------------------
 
 
-def _squarefree_part(p: Polynomial) -> Polynomial:
-    g = p
-    for v in p.variables:
-        d = p.differentiate(v)
-        if not d.is_zero():
-            g = poly_gcd(g, d)
-    if g.is_unit():
-        return p
-    return poly_div_exact(p, g)
-
-
 def image_description(t: Triple, ambient: CatalogVariety):
     """Classify the image of a term's map.
 
@@ -406,7 +398,7 @@ def image_description(t: Triple, ambient: CatalogVariety):
             polys.append(rf.num.lift(ext) - xc * rf.den.lift(ext))
         res = poly_resultant(polys[0], polys[1], tvar)
         if not res.is_constant():
-            res = _squarefree_part(res)
+            res = squarefree_part(res)
             return ("component", DivisorComponent.from_chart_poly(ambient, m.target_chart, res))
     elif t.degree == 1 and t.source.kind == "curve":
         poly = t.source.curve_polys["A0"]

@@ -5,16 +5,17 @@ projective lines, the projective plane, and smooth plane curves (taken
 with their projective closure).  Each variety carries explicit affine
 charts with exact rational transition maps; a divisor component is a
 chart-wise family of defining polynomials compatible under transitions.
-On two-dimensional charts, tangency, triple points and singularities are
-common rational zeros, found by a resultant and then the rational roots
-of gcds (`_gcd_roots`); a rejection names one as its witness.  Normal
-crossing is checked only there: chains have sources of dimension <= 2,
-while maps may target a product of any number of lines, P1^k.
+On two-dimensional charts, tangency, triple points and singular points
+are common rational zeros, all found by `_new_zeros_2d` (resultants, then
+the rational roots of gcds); a rejection names one as its witness.
+Normal crossing is checked only there: chains have sources of dimension
+<= 2, while maps may target a product of any number of lines, P1^k.
 
 Every check is local, so each object is certified once, on the first
 chart that contains it: a pair of components on the first chart where
 both are visible, a point on the first chart that contains it, and a
-component's pole order (`chains.make_triple`) on its first visible chart.
+component's squarefreeness and pole order (`chains.make_triple`) on its
+first visible chart.
 The points of chart j outside charts 0..j-1 form its new locus
 (`CatalogVariety.new_locus`); transition denominators are coordinate
 monomials, so it is a coordinate subspace {z = 0 for z in Z}, and chart
@@ -284,10 +285,14 @@ def plane_curve(p: Polynomial) -> CatalogVariety:
         "curve", "Curve(%s)" % p, [a0, a1, a2], maps, 1, curve_polys=curve_polys
     )
     for cid, q in curve_polys.items():
-        sing = _singular_points_2d(q, curve.new_locus(cid))
-        if sing is not None:
+        pts, complete = _new_zeros_2d(_singular_system(q), q.variables, curve.new_locus(cid))
+        if pts:
             raise GeometryError(
-                "curve is singular (chart %s, witness %s)" % (cid, _point_text(sing))
+                "curve is singular (chart %s, witness %s)" % (cid, _point_text(pts[0]))
+            )
+        if not complete:
+            raise GeometryError(
+                "cannot certify smoothness of %s: irrational candidate locus" % q
             )
     return curve
 
@@ -590,13 +595,17 @@ def common_zeros_2d(polys, coords):
 def _new_zeros_2d(polys, coords, locus):
     """Common rational zeros of a 2-variable system on a chart's new locus.
 
-    Returns (points, complete) as `common_zeros_2d` does, which decides
-    the main chart (locus ()).  On a line {z = 0} the system restricts to
-    one variable and its zeros are the rational roots of a gcd; on the
-    point (0, 0) it is a plain evaluation.
+    Returns (points, complete) as `common_zeros_2d` does on the main chart
+    (locus ()), in the other elimination order too if the first is
+    incomplete.  On a line {z = 0} the system restricts to one variable and
+    its zeros are the rational roots of a gcd; on (0, 0) it is evaluation.
     """
     if not locus:
-        return common_zeros_2d(polys, coords)
+        pts, complete = common_zeros_2d(polys, coords)
+        if pts or complete:
+            return pts, complete
+        pts, complete = common_zeros_2d(polys, coords[::-1])
+        return [pt[::-1] for pt in pts], complete
     zero = dict.fromkeys(locus, Fraction(0))
     nonzero = [q for q in (p.specialize(zero) for p in polys) if not q.is_zero()]
     if len(locus) == len(coords):
@@ -612,27 +621,10 @@ def _point_text(point) -> str:
     return "(%s)" % ", ".join(str(v) for v in point)
 
 
-def _singular_points_2d(p: Polynomial, locus):
-    """A witness singular point of {p=0} on the new locus, or None if
-    certified smooth there."""
+def _singular_system(p: Polynomial):
+    """p and its two partials, whose common zeros are the singular points."""
     x, y = p.variables
-    px = p.differentiate(x)
-    py = p.differentiate(y)
-    pts, complete = _new_zeros_2d([p, px, py], (x, y), locus)
-    if pts:
-        return pts[0]
-    if complete:
-        return None
-    if not locus:
-        # retry with x eliminated first
-        pts, complete = common_zeros_2d([p, px, py], (y, x))
-        if pts:
-            return pts[0][::-1]
-        if complete:
-            return None
-    raise GeometryError(
-        "cannot certify smoothness of %s: irrational candidate locus" % p
-    )
+    return [p, p.differentiate(x), p.differentiate(y)]
 
 
 # ---------------------------------------------------------------------------
@@ -676,9 +668,9 @@ def validate_normal_crossing(components, variety: CatalogVariety) -> NCReport:
     locus {z = 0}: the one factor no earlier chart shows.  Transversality
     and triple points are checked on each chart's new locus only: every
     other point of chart j lies in an earlier chart, where it was checked.
-    Squarefreeness is tested on every chart where a component is visible,
-    because `is_squarefree` tests one variable at a time and so depends on
-    the chart for a reducible component; a linear one passes at once.
+    Squarefreeness is tested once per component, on its first visible
+    chart; smoothness, for a component of degree >= 2 there (a line is
+    smooth), on each 2-dimensional chart's new locus.
     """
     if variety.dimension > 2:
         raise GeometryError(
@@ -691,13 +683,17 @@ def validate_normal_crossing(components, variety: CatalogVariety) -> NCReport:
             raise GeometryError("component %s lives on a different variety" % comp.label)
     tested = set()  # pairs (i, j) already tested for a shared factor
     shared = set()  # pairs sharing a factor: no transversality or triple-point check
+    curved = {}  # i -> component i is squarefree of degree >= 2 on its first chart
     for chart in variety.charts:
         locus = variety.new_locus(chart.id)
         vis = [i for i, c in enumerate(components) if c.visible_on(chart.id)]
         polys = {i: components[i].poly_on(chart.id) for i in vis}
         for i in vis:
-            if not is_squarefree(polys[i]):
-                report.fail("component not squarefree", chart.id, [components[i]], polys[i])
+            if i not in curved:  # its first visible chart
+                squarefree = is_squarefree(polys[i])
+                if not squarefree:
+                    report.fail("component not squarefree", chart.id, [components[i]], polys[i])
+                curved[i] = squarefree and polys[i].total_degree() > 1
         along = set()  # components containing the new locus {z = 0}
         if len(locus) == 1:
             zero = dict.fromkeys(locus, 0)
@@ -714,6 +710,12 @@ def validate_normal_crossing(components, variety: CatalogVariety) -> NCReport:
                     shared.add(pair)
             tested.add(pair)
         if chart.dimension == 2:
+            _check_zeros_2d(
+                [([components[i]], _singular_system(polys[i])) for i in vis if curved[i]],
+                chart, locus, report,
+                "component singular",
+                "cannot certify smoothness (irrational locus)",
+            )
             transversal = []
             for i, j in pairs:
                 if (i, j) not in shared:

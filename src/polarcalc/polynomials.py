@@ -820,15 +820,19 @@ def poly_resultant(a: Polynomial, b: Polynomial, var: str) -> Polynomial:
     )
 
 
-def is_squarefree(p: Polynomial) -> bool:
-    """No gcd(p, dp/dv) is a nonconstant; a linear p passes at once."""
-    if p.total_degree() <= 1:
-        return True
+def squarefree_part(p: Polynomial) -> Polynomial:
+    """p divided by g, the gcd of p with all its partials: each irreducible
+    factor of p once.  p itself, the same object, when g is a unit."""
+    g = p
     for v in p.variables:
-        if p.depends_on(v):
-            if not poly_gcd(p, p.differentiate(v)).is_unit():
-                return False
-    return True
+        if p.depends_on(v) and not g.is_unit():
+            g = poly_gcd(g, p.differentiate(v))
+    return p if g.is_unit() else poly_div_exact(p, g)
+
+
+def is_squarefree(p: Polynomial) -> bool:
+    """The gcd of p with all its partials is a unit; a line passes at once."""
+    return p.total_degree() <= 1 or squarefree_part(p) is p
 
 
 def rational_roots(p: Polynomial):

@@ -100,16 +100,9 @@ def classify_component(comp: DivisorComponent, variety: CatalogVariety):
             raise ResidueError(
                 "unsupported divisor component on %s" % variety.name
             )
-        for ch in variety.charts:
-            p = comp.poly_on(ch.id)
-            if p.is_constant():
-                continue
-            coord = ch.coords[0]
-            if p.degree_in(coord) == 1:
-                return ("point", ch, _linear_root(p, coord))
-        raise ResidueError(
-            "component %s has no rational point representation" % comp.label
-        )
+        # `make_triple` admits only rational points: linear on this chart
+        ch = comp.first_visible_chart()
+        return ("point", ch, _linear_root(comp.poly_on(ch.id), ch.coords[0]))
     if variety.dimension == 2:
         for ch in variety.charts:
             p = comp.poly_on(ch.id)

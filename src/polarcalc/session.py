@@ -173,6 +173,10 @@ def _parse_map(ts: TokenStream, ambient: CatalogVariety):
         while ts.accept(","):
             values.append(_parse_value(ts))
         ts.expect(")")
+        arity = (len(ambient.factors),) if ambient.factors else (2, 3)  # P2: affine or [X0:X1:X2]
+        if ambient.kind != "point" and len(values) not in arity:
+            raise ParseError("wrong number of values for a point of %s: expected %s, got %d" % (
+                ambient.name, " or ".join(map(str, arity)), len(values)), t.line, t.col)
         if ambient.kind == "point":
             pt = VarietyPoint("product", ())
         elif ambient.kind in ("P1", "product"):

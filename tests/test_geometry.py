@@ -229,6 +229,22 @@ def test_components_sharing_a_factor_are_not_tested_for_triple_points():
     )
 
 
+@pytest.mark.parametrize("variety, spec, message", [
+    (proj_plane("x", "y"), ("A0", "y^2 - x^2 - x^3"),
+     "component singular on chart A0: {x^3 + x^2 - y^2} (witness (0, 0))"),
+    (proj_plane("x", "y"), ("A0", "x*y^2 - 1"),  # a cusp at [0:1:0]
+     "component singular on chart A1: {x*y^2 - 1} (witness (0, 0))"),
+    (product_of_lines(["a", "b"]), ("a|b", "a^2 + b^2 - 2"),  # a node at (inf, inf)
+     "component singular on chart a_|b_: {a^2 + b^2 - 2} (witness (0, 0))"),
+    # singular along all of {x = 1}: refused once, and not tested for singular points
+    (proj_plane("x", "y"), ("A0", "(x - 1)^2*y"),
+     "component not squarefree on chart A0: {x^2*y - 2*x*y + y} (witness x^2*y - 2*x*y + y)"),
+])
+def test_a_component_is_smooth_and_squarefree(variety, spec, message):
+    report = validate_normal_crossing(components_on(variety, spec), variety)
+    assert report.message() == "normal crossing: rejected\n  " + message
+
+
 TRIPLE = "three components through one point in dimension 2"
 
 
@@ -351,14 +367,16 @@ def nc_cases(draw, kind):
     ]
 
 
-POINT_REASONS = ("tangential intersection", TRIPLE)
+POINT_REASONS = ("tangential intersection", TRIPLE, "component singular")
 
 
 def all_charts_oracle(comps, variety):
     """Every test on every chart, over the whole chart.
 
     A pair, or a triple containing a pair, that shares a factor on some
-    chart is not tested for points.
+    chart is not tested for points; a component that is not squarefree on
+    some chart is not tested for singular points.  Every other component
+    is, whatever its degree.
 
     Returns (failures, points, refused): the (reason, members) that fail;
     for each chart and failing pair or triple, the first of its bad points
@@ -366,11 +384,13 @@ def all_charts_oracle(comps, variety):
     whether some elimination left an irrational locus.
     """
     failures, points, shared, refused = set(), set(), set(), False
+    nonreduced = set()
     for chart in variety.charts:
         vis = [c for c in comps if c.visible_on(chart.id)]
         for c in vis:
             if not is_squarefree(c.poly_on(chart.id)):
                 failures.add(("component not squarefree", (c.label,)))
+                nonreduced.add(c.label)
         for c1, c2 in itertools.combinations(vis, 2):
             if not poly_gcd(c1.poly_on(chart.id), c2.poly_on(chart.id)).is_unit():
                 failures.add(("components share a factor", (c1.label, c2.label)))
@@ -391,6 +411,10 @@ def all_charts_oracle(comps, variety):
             if any((c1.label, c2.label) in shared for c1, c2 in itertools.combinations(trio, 2)):
                 continue
             systems.append((POINT_REASONS[1], trio, [c.poly_on(chart.id) for c in trio]))
+        for c in vis:
+            if c.label not in nonreduced:
+                p = c.poly_on(chart.id)
+                systems.append((POINT_REASONS[2], (c,), [p, p.differentiate(x), p.differentiate(y)]))
         for reason, members, polys in systems:
             pts, complete = common_zeros_2d(polys, chart.coords)
             refused = refused or not complete

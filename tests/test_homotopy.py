@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polarcalc import chains, homotopy
-from polarcalc.chains import PolarChain, Triple, boundary, make_triple, point_term
+from polarcalc.chains import ChainError, PolarChain, Triple, boundary, make_triple, point_term
 from polarcalc.geometry import (
     INF,
     DivisorComponent,
@@ -277,22 +277,20 @@ def test_certificate_agrees_with_validation(num, den, poles, probe):
 
 
 def test_graph_pole_on_an_irrational_vertical_is_admissible():
-    """Validation cannot locate where the graph meets the vertical t^2 = 2
-    (at z = oo, over irrational t); a section meets a fibre transversally,
-    so the certificate accepts the probe and the term lifts at c = 0."""
+    """The graph meets the vertical t^2 = 2 at z = oo, over irrational t.
+    Validation certifies the pair with t eliminated first, and agrees with
+    the certificate: a section meets a fibre transversally.  A pole at
+    irrational t is no rational point of P1(t), so a chain declaring it is
+    refused when its term is built."""
     g = parse_rational("(2*t + 2)/(t^2 - 2)", ("t",))
     poles = [declared_pole("t^2 - 2"), declared_pole("t")]
     admissible, report = probe_verdicts(g, poles, 0)
-    assert admissible
-    assert [f["reason"] for f in report.failures] == [IRRATIONAL_LOCUS]
+    assert admissible and report.ok, report.message()
     coords = SOURCE.main_chart.coords
     form = parse_form("dlog((t^2-2)/t^2)", coords, SOURCE.main_chart.id)
-    a = section_chain(CYLINDER, SOURCE, g, form, poles)
-    assert cylinder_homotopy(a, 0).records == [{
-        "term": "(P1(t), t = t, z = (2*t + 2)/(t^2 - 2), 4/(t^3 - 2*t) dt)",
-        "basepoint": "0",
-        "repaired": False,
-    }]
+    with pytest.raises(ChainError) as err:
+        section_chain(CYLINDER, SOURCE, g, form, poles)
+    assert str(err.value) == "component {t^2 - 2} has no rational point representation"
 
 
 # -- TAU in the section: the refusals the line term meets first -------------

@@ -9,17 +9,20 @@ from sympy.polys.rings import PolyElement
 
 from polarcalc import polynomials
 from polarcalc.geometry import product_of_lines, proj_line, proj_plane
+from polarcalc.parsing import parse_polynomial
 from polarcalc.polynomials import (
     POLE_FREE,
     TAU_SYM,
     Polynomial,
     PolynomialError,
     RationalFunction,
+    is_squarefree,
     poly_div_exact,
     poly_divides,
     poly_gcd,
     poly_resultant,
     rational_roots,
+    squarefree_part,
 )
 from polarcalc.session import Session, run_statement, run_text
 
@@ -255,6 +258,30 @@ def test_gcd_matches_sympy(case):
             poly_gcd(p, q)
         return
     assert same(poly_gcd(p, q).to_sympy(), og / lc)
+
+
+@st.composite
+def repeated_factor_polys(draw):
+    """a * b^k over Q in two variables, k in {1, 2}: often with a repeated
+    factor, often reducible."""
+    variables = draw(st.sampled_from([("x", "y"), ("u", "v")]))
+    a, b = (draw(polys(variables, fractions, min_terms=1)) for _ in range(2))
+    return a * b ** draw(st.integers(1, 2))
+
+
+@differential
+@given(repeated_factor_polys())
+@example(parse_polynomial("u*v", ("u", "v")))
+@example(parse_polynomial("(x - 1)^2*y", ("x", "y")))
+def test_squarefree_part_matches_sympy(p):
+    """The squarefree part is sympy's `sqf_part` up to a constant factor,
+    and p is squarefree exactly when sympy says so, whatever the chart."""
+    assume(not p.is_zero())
+    gens = [sp.Symbol(v) for v in p.variables]
+    P = p.to_sympy()
+    ratio = sp.cancel(squarefree_part(p).to_sympy() / sp.sqf_part(P, *gens))
+    assert ratio != 0 and not ratio.free_symbols
+    assert is_squarefree(p) == sp.Poly(P, *gens).is_sqf
 
 
 @differential

@@ -208,6 +208,62 @@ def test_dimension_refusals_keep_their_text(tmp_path, name):
     assert "Traceback" not in out
 
 
+# Each declared component is certified squarefree and smooth, and a pole of
+# P1 must be a rational point: these chains are refused at `let`, before
+# `boundary` would need their residues.
+LET_REFUSALS = {
+    "cusp": (
+        "let P = P2(x,y);\n"
+        "let a = chain(P, id, d(x) wedge d(y)/(y^2 - x^3), poles[y^2 - x^3]);\n"
+        "boundary a;\n",
+        ["declared poles violate normal crossing: normal crossing: rejected",
+         "  component singular on chart A0: {x^3 - y^2} (witness (0, 0))"],
+    ),
+    "node": (
+        "let B = P1(u) x P1(v);\n"
+        "let a = chain(B, id, dlog(u) wedge dlog(v), poles[u*v, inf(u), inf(v)]);\n"
+        "boundary a;\n",
+        ["declared poles violate normal crossing: normal crossing: rejected",
+         "  component singular on chart u|v: {u*v} (witness (0, 0))"],
+    ),
+    "irrational-point": (
+        "let A = P1(t);\n"
+        "let a = chain(A, id, dlog(t^2 - 2), poles[t^2 - 2, inf]);\n"
+        "boundary a;\n",
+        ["component {t^2 - 2} has no rational point representation"],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LET_REFUSALS))
+def test_let_refusals_keep_their_text(tmp_path, name):
+    text, lines = LET_REFUSALS[name]
+    f = tmp_path / "let.pc"
+    f.write_text(text)
+    code, out, err = run_cli(["run", str(f)])
+    assert code == 1
+    assert out.splitlines() == ["[ok] bound"]
+    assert err.splitlines() == ["[error] " + lines[0]] + lines[1:]
+
+
+# const(...) takes one value per factor of P1 and of a product of lines, and
+# 2 (affine) or 3 (homogeneous) values on P2; any other count is a parse error.
+@pytest.mark.parametrize("variety, point, message", [
+    ("P2(x,y)", "const(1)", "P2(x,y): expected 2 or 3, got 1"),
+    ("P1(z)", "const(1, 2)", "P1(z): expected 1, got 2"),
+    ("P1(a) x P1(b)", "const(1)", "P1(a) x P1(b): expected 2, got 1"),
+])
+def test_const_takes_one_value_per_coordinate(tmp_path, variety, point, message):
+    f = tmp_path / "const.pc"
+    f.write_text("let P = %s;\nlet c = chain(P, %s, 5);\nnormalize c;\n" % (variety, point))
+    code, out, err = run_cli(["run", str(f)])
+    assert code == 2
+    assert out.splitlines() == ["[ok] bound"]
+    assert err.splitlines() == [
+        "[parse-error] line 1, col 18: wrong number of values for a point of " + message
+    ]
+
+
 def test_cli_zero_to_the_zero_is_one(tmp_path):
     f = tmp_path / "pow.pc"
     f.write_text("let A = P1(z);\nlet w = chain(A, const(2), 0^0);\nnormalize w;\n")
