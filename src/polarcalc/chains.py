@@ -32,7 +32,14 @@ from .polynomials import (
     squarefree_part,
     to_univariate,
 )
-from .residue import ResidueError, classify_component, p1_pole_points, poincare_residue
+from .residue import (
+    P1Form,
+    ResidueError,
+    classify_component,
+    p1_pole_points,
+    p1_points,
+    poincare_residue,
+)
 
 
 class ChainError(ValueError):
@@ -127,14 +134,16 @@ def make_triple(source, map_, form, declared_poles, rng=None) -> Triple:
             raise ChainError(
                 "pole component %s lives on a different variety" % comp.label
             )
-    if declared_poles:
-        report = validate_normal_crossing(list(declared_poles), source)
-        if not report.ok:
-            raise ChainError("declared poles violate normal crossing: %s" % report.message())
-    if source.kind == "P1":  # a pole must be a rational point: linear on its first chart
-        for comp in declared_poles:
-            if comp.poly_on(comp.first_visible_chart().id).total_degree() > 1:
-                raise ChainError("component %s has no rational point representation" % comp.label)
+    # distinct rational points of P1 are normal crossing (`residue.P1Form`)
+    if source.kind != "P1" or p1_points(declared_poles) is None:
+        if declared_poles:
+            report = validate_normal_crossing(list(declared_poles), source)
+            if not report.ok:
+                raise ChainError("declared poles violate normal crossing: %s" % report.message())
+        if source.kind == "P1":  # a pole must be a rational point: linear on its first chart
+            for comp in declared_poles:
+                if comp.poly_on(comp.first_visible_chart().id).total_degree() > 1:
+                    raise ChainError("component %s has no rational point representation" % comp.label)
     _check_poles(source, form, declared_poles)
     return Triple(source, map_, form, declared_poles)
 
@@ -143,7 +152,21 @@ def _check_poles(source, form, declared_poles):
     """`make_triple`'s pole checks alone, for a form on the main chart and
     declared components already known to be normal crossing: each
     component's pole order on its first visible chart, and the undeclared
-    poles.  Raises ChainError."""
+    poles.  Raises ChainError.  On P1, `P1Form.poles_simple_and_declared`
+    certifies a form whose declared poles are distinct rational points;
+    the charts are walked (`_check_poles_on_charts`) only when it cannot."""
+    p1 = P1Form.on(form, source)
+    if p1 is not None:
+        points = p1_points(declared_poles)
+        if points is not None and p1.poles_simple_and_declared(points):
+            return
+    _check_poles_on_charts(source, form, declared_poles)
+
+
+def _check_poles_on_charts(source, form, declared_poles):
+    """The general pole checks, chart by chart: each declared component's
+    pole order on its first visible chart, then the undeclared poles that
+    the chart shows first.  The first failing chart is reported."""
     for chart in source.charts:
         firsts = [c for c in declared_poles if c.first_visible_chart().id == chart.id]
         locus = source.new_locus(chart.id)
@@ -478,14 +501,21 @@ def _merge_structural(a: Triple, b: Triple) -> Triple:
 
 def prune_declared(form, source, declared):
     """The declared components along which the form still has a pole."""
-    return [comp for comp in declared if _pole_order(form, source, comp) < 0]
+    return [comp for comp in declared if _has_pole(form, source, comp)]
 
 
-def _pole_order(form, source, comp):
-    """Worst pole order of the form along a component, on its first chart."""
+def _has_pole(form, source, comp):
+    """Has the form a pole along the component?  At a rational point of P1,
+    `P1Form.has_pole` decides it in the source coordinate; elsewhere the
+    worst pole order on the component's first chart is negative."""
+    p1 = P1Form.on(form, source)
+    if p1 is not None:
+        points = p1_points([comp])
+        if points is not None:
+            return p1.has_pole(points[0])
     chart = comp.first_visible_chart()
     local = source.transition_form(form, chart.id)
-    return local.pole_order(comp.poly_on(chart.id))
+    return local.pole_order(comp.poly_on(chart.id)) < 0
 
 
 def _merge_group(desc, members, ambient):
@@ -586,7 +616,7 @@ def boundary(c: PolarChain) -> BoundaryResult:
         if t.degree == 0 or t.source.kind == "curve" or t.form.is_zero():
             continue
         for comp in t.declared_poles:
-            if _pole_order(t.form, t.source, comp) >= 0:
+            if not _has_pole(t.form, t.source, comp):
                 continue
             res, term = _residue_term(t, comp)
             raw.append((Polynomial.scalar(1, 1), term))

@@ -19,6 +19,7 @@ from .session import (
     Session,
     SessionError,
     _report,
+    file_position,
     run_statement,
     split_statements,
 )
@@ -50,10 +51,13 @@ def _emit(report, json_sink):
 
 def _run_statements(session, statements, json_sink, stop_on_error=True):
     worst = EXIT_OK
-    for stmt, _line in statements:
+    for stmt, origin in statements:
         try:
             report = run_statement(session, stmt)
         except (ParseError, SessionError, *COMPUTE_ERRORS) as exc:
+            if isinstance(exc, ParseError) and exc.line is not None:
+                # a statement is one line of text; report where it was in the file
+                exc = ParseError(exc.reason, *file_position(origin, exc.col))
             report, code = _error_report(stmt, exc)
             _emit(report, json_sink)
             worst = max(worst, code)

@@ -17,6 +17,7 @@ from .polynomials import Polynomial, RationalFunction
 
 class ParseError(ValueError):
     def __init__(self, message, line=None, col=None):
+        self.reason = message
         if line is not None:
             message = "line %d, col %d: %s" % (line, col, message)
         super().__init__(message)

@@ -835,6 +835,15 @@ def is_squarefree(p: Polynomial) -> bool:
     return p.total_degree() <= 1 or squarefree_part(p) is p
 
 
+def line_root(p: Polynomial):
+    """The root -b/a of a*x + b, in one variable with rational a != 0 and
+    b: read off the primitive part.  None for any other polynomial."""
+    P = p.prim
+    if len(p.variables) != 1 or p.shift or P.degree(0) != 1 or P.degree(1) > 0:
+        return None
+    return Fraction(-P.get((0, 0), 0), P[(1, 0)])
+
+
 def rational_roots(p: Polynomial):
     """All rational roots of a univariate polynomial, with multiplicity.
 

@@ -38,6 +38,7 @@ from .polynomials import (
     Polynomial,
     RationalFunction,
     from_univariate,
+    line_root,
     rational_roots,
 )
 
@@ -80,6 +81,9 @@ class ResidueResult:
 
 def _linear_root(p: Polynomial, coord) -> Fraction:
     """Root -b/a of a polynomial a*coord + b in its single variable."""
+    r = line_root(p)
+    if r is not None:
+        return r
     at0 = {coord: 0}
     b = p.specialize(at0)
     a = p.differentiate(coord).specialize(at0)
@@ -137,6 +141,122 @@ def classify_component(comp: DivisorComponent, variety: CatalogVariety):
 
 
 # ---------------------------------------------------------------------------
+# P1 decisions in the source coordinate
+# ---------------------------------------------------------------------------
+
+
+class P1Form:
+    """A 1-form f dt = (num/den) dt on the main chart of P1(t), with num
+    and den coprime (a `RationalFunction`), and the exact pole decisions
+    it allows in t alone.  Write dn = deg num and dd = deg den.
+
+    - A finite rational point r is a pole iff den(r) = 0: num and den
+      are coprime, so num(r) != 0 there.
+    - On the infinity chart s = 1/t, dt = -ds/s^2 and
+      f(1/s) = s^(dd - dn) num*(s)/den*(s), where the reversed
+      polynomials num*, den* take the leading coefficients, nonzero, at
+      s = 0.  So ord_oo(f dt) = dd - dn - 2 for f != 0, and oo is a pole
+      iff dn >= dd - 1.
+    - If den vanishes at dd distinct declared finite points, it is a
+      constant times their product: these are its only roots, each
+      simple.  dn <= dd - 1 makes the pole at oo at most simple, and
+      dn <= dd - 2 makes oo no pole; so with
+      dn <= dd - 1 - [oo not declared], every pole is simple and
+      declared (`poles_simple_and_declared`).
+    - The residue at a finite r is the value at r of (t - r) f.  It is 0
+      when den(r) != 0.  Otherwise den = (t - r) q, and it is
+      num(r)/q(r), with q(r) = den'(r) by the product rule; den'(r) != 0
+      is the pole being simple.  The general path divides by den(r),
+      resp. by q(r) up to a TAU-monomial, and Q[TAU, TAU^-1] divides
+      only by TAU-monomials; so `residue` answers only where that divisor
+      is a nonzero rational, and the two agree.  At oo it is 0 when oo is
+      no pole, and for a simple pole, dn = dd - 1, the value at s = 0 of
+      s * (-s^-1 num*(s)/den*(s)): -lc(num)/lc(den), the leading
+      coefficients in t.
+    - Pairwise distinct points of P1 are normal crossing when each is
+      reduced: t - r on the main chart, or the coordinate itself on the
+      infinity chart (`p1_points`).  Two distinct points share no factor,
+      and a curve has no transversality or triple-point condition.
+
+    The pole test and the points are exact.  The certificate
+    `poles_simple_and_declared`, the points and `residue` are sufficient
+    tests: where one answers None or False, the caller takes its general
+    path, so that every refusal keeps its text.
+    """
+
+    __slots__ = ("var", "num", "den")
+
+    def __init__(self, coefficient: RationalFunction, var):
+        self.var = var
+        self.num = coefficient.num
+        self.den = coefficient.den
+
+    @staticmethod
+    def on(form: DifferentialForm, variety: CatalogVariety):
+        """The decisions for a 1-form on the main chart of a P1; else None."""
+        if variety.kind != "P1" or form.chart != variety.main_chart.id:
+            return None
+        return P1Form(form.coefficient((0,)), variety.main_chart.coords[0])
+
+    def _order_at_inf(self):
+        """ord_oo(f dt) = dd - dn - 2 for f != 0."""
+        return self.den.degree_in(self.var) - self.num.degree_in(self.var) - 2
+
+    def has_pole(self, point) -> bool:
+        """Is the rational point (a Fraction, or INF) a pole?"""
+        if self.num.is_zero():
+            return False
+        if point == INF:
+            return self._order_at_inf() < 0
+        return self.den.evaluate({self.var: point}).is_zero()
+
+    def poles_simple_and_declared(self, points) -> bool:
+        """Certificate: every pole is simple and among the distinct points."""
+        dd = self.den.degree_in(self.var)
+        roots = sum(self.den.evaluate({self.var: r}).is_zero() for r in points if r != INF)
+        return roots == dd and self.num.degree_in(self.var) <= dd - 1 - (INF not in points)
+
+    def residue(self, point):
+        """The residue at a rational point (a Fraction, or INF); None at a
+        pole that is not simple, and at a finite point where den, or at a
+        pole den', takes a value that is not a nonzero rational."""
+        if point == INF:
+            if not self.has_pole(INF):
+                return Polynomial.zero(())
+            if self._order_at_inf() < -1:
+                return None
+            return -(self.num.leading()[1] / self.den.leading()[1])
+        at = {self.var: point}
+        num, den = Polynomial.zero(()), self.den.evaluate(at)
+        if den.is_zero():  # den = (t - point) q, and q(point) = den'(point)
+            num, den = self.num.evaluate(at), self.den.differentiate(self.var).evaluate(at)
+        if den.is_zero() or not den.is_rational():
+            return None
+        return num / den
+
+
+def p1_points(components):
+    """The points of P1 that the components cut out, as Fractions and INF,
+    when they are pairwise distinct and each is a rational multiple of
+    t - r (r rational) on the main chart, or the coordinate itself on the
+    infinity chart; else None."""
+    points = []
+    for comp in components:
+        main, inf = comp.variety.charts
+        p = comp.poly_on(main.id)
+        if p.is_constant():
+            if comp.poly_on(inf.id) != Polynomial.variable(inf.coords, inf.coords[0]):
+                return None
+            points.append(INF)
+            continue
+        r = line_root(p)
+        if r is None:
+            return None
+        points.append(r)
+    return points if len(set(points)) == len(points) else None
+
+
+# ---------------------------------------------------------------------------
 # extraction
 # ---------------------------------------------------------------------------
 
@@ -175,6 +295,12 @@ def poincare_residue(
     """Residue of a simple-pole form along one divisor component."""
     shape = classify_component(comp, variety)
     chart = shape[1]
+    if shape[0] == "point" and direction is None:
+        p1 = P1Form.on(omega, variety)
+        points = p1_points([comp]) if p1 is not None else None
+        value = p1.residue(points[0]) if points is not None else None
+        if value is not None:
+            return _point_residue(variety, chart, shape[2], value)
     form = variety.transition_form(omega, chart.id)
     p = comp.poly_on(chart.id)
     _require_simple(form, p, comp)
@@ -187,18 +313,13 @@ def poincare_residue(
 
     if shape[0] == "point":
         root = shape[2]
-        coord = chart.coords[0]
         try:
-            value = rho.coefficient(()).evaluate({coord: root})
+            value = rho.coefficient(()).evaluate({chart.coords[0]: root})
         except ZeroDivisionError:
             raise ResidueError(
                 "residual denominator vanishes at the pole of %s" % comp.label
             )
-        target = point_variety()
-        pt = point_from_chart(variety, chart.id, {coord: root})
-        embed = VarietyMap.constant(target, variety, pt)
-        rf = RationalFunction.constant((), value)
-        return ResidueResult("scalar", target, embed, DifferentialForm.function("pt", (), rf))
+        return _point_residue(variety, chart, root, value)
 
     if shape[0] == "graph":
         embed = shape[3]
@@ -229,6 +350,15 @@ def poincare_residue(
         y: RationalFunction.variable(chart.coords, y),
     })
     return ResidueResult("curve", curve, embed, cform)
+
+
+def _point_residue(variety, chart, root, value: Polynomial) -> ResidueResult:
+    """The residue `value` carried to the point {coordinate = root} of the chart."""
+    target = point_variety()
+    pt = point_from_chart(variety, chart.id, {chart.coords[0]: root})
+    embed = VarietyMap.constant(target, variety, pt)
+    rf = RationalFunction.constant((), value)
+    return ResidueResult("scalar", target, embed, DifferentialForm.function("pt", (), rf))
 
 
 def _require_simple(form: DifferentialForm, p: Polynomial, comp):
@@ -287,24 +417,19 @@ def iterated_residue(
 
 
 def p1_pole_points(omega: DifferentialForm, variety: CatalogVariety):
-    """Rational pole locations of a 1-form on P1, both charts inspected."""
+    """Rational pole locations of a 1-form on P1: the roots of the main
+    chart's denominator, then oo when `P1Form.has_pole` says so."""
     if variety.kind != "P1":
         raise ResidueError("expected a projective line")
     points = []
-    main = variety.main_chart
-    form = variety.transition_form(omega, main.id)
-    den = form.coefficient((0,)).den
-    if not den.is_constant():
-        roots, split = rational_roots(den)
+    form = P1Form.on(variety.transition_form(omega, variety.main_chart.id), variety)
+    if not form.den.is_constant():
+        roots, split = rational_roots(form.den)
         if not split:
-            raise ResidueError("irrational pole location in %s" % den)
+            raise ResidueError("irrational pole location in %s" % form.den)
         for r, _mult in roots:
             points.append(VarietyPoint.product_point([r]))
-    inf_chart = variety.charts[1]
-    inf_form = variety.transition_form(omega, inf_chart.id)
-    if inf_form.coefficient((0,)).ord_along(
-        Polynomial.variable(inf_chart.coords, inf_chart.coords[0])
-    ) < 0:
+    if form.has_pole(INF):
         points.append(VarietyPoint.product_point([INF]))
     return points
 

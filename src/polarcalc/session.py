@@ -117,30 +117,49 @@ class Session:
 
 
 def split_statements(text: str):
-    """Statements with their starting line numbers, comments stripped."""
+    """(statement, origin) pairs, comments stripped.
+
+    A statement is the code of its lines joined by spaces.  Its origin
+    holds (offset, line, col) for the piece of each line: the statement's
+    text from offset on came from that line of `text`, from column col on
+    (`file_position`).
+    """
     out = []
-    buf = []
-    line = 1
-    start = 1
-    for raw in text.split("\n"):
+    pieces = []  # (code, line, col) of the statement not yet ended
+    for line, raw in enumerate(text.split("\n"), 1):
         code = raw.split("#", 1)[0]
+        col = 1
         while ";" in code:
             head, code = code.split(";", 1)
-            buf.append(head)
-            stmt = " ".join(buf).strip()
-            if stmt:
-                out.append((stmt, start))
-            buf = []
-            start = line
+            pieces.append((head, line, col))
+            col += len(head) + 1
+            stmt = " ".join(p[0] for p in pieces)
+            if stmt.strip():
+                out.append((stmt.strip(), _origin(stmt, pieces)))
+            pieces = []
         if code.strip():
-            if not buf:
-                start = line
-            buf.append(code)
-        line += 1
-    tail = " ".join(buf).strip()
-    if tail:
-        raise ParseError("statement missing final ';'", start, 1)
+            pieces.append((code, line, col))
+    if pieces:
+        stmt = " ".join(p[0] for p in pieces)
+        raise ParseError("statement missing final ';'", *file_position(_origin(stmt, pieces), 1))
     return out
+
+
+def _origin(joined, pieces):
+    """The origin of the statement joined.strip() from the pieces."""
+    origin = []
+    offset = len(joined.lstrip()) - len(joined)  # leading blanks are stripped
+    for code, line, col in pieces:
+        origin.append((offset, line, col))
+        offset += len(code) + 1
+    return tuple(origin)
+
+
+def file_position(origin, col):
+    """(line, col) in the text of column col of a statement with this origin."""
+    offset = col - 1
+    start, line, first = next(o for o in reversed(origin) if o[0] <= offset)
+    return line, first + offset - start
 
 
 # ---------------------------------------------------------------------------

@@ -260,8 +260,27 @@ def test_const_takes_one_value_per_coordinate(tmp_path, variety, point, message)
     assert code == 2
     assert out.splitlines() == ["[ok] bound"]
     assert err.splitlines() == [
-        "[parse-error] line 1, col 18: wrong number of values for a point of " + message
+        "[parse-error] line 2, col 18: wrong number of values for a point of " + message
     ]
+
+
+# a parse error names its line and column in the file, also inside a
+# statement that starts after another on its line or runs over lines
+@pytest.mark.parametrize("text, position, message", [
+    ("let A = P1(z);\n# a comment\nlet a = chain(A, id, dlog(z), poles[z, inf]);\n"
+     "let c = chain(A, foo, 5);\n", "line 4, col 18", "expected id, const(...) or map(...)"),
+    ("let A = P1(z); let a = chain(A,\n  id, dlog(z), poles[z, inf]); let c = chain(A,\n"
+     "      foo, 5);\n", "line 3, col 7", "expected id, const(...) or map(...)"),
+    ("let A = P1(z); let x = chain(A, id, dlog(z), pols[z]);\n", "line 1, col 46",
+     "expected poles[...]"),
+    ("let A = P1(z);\n  let B = P1(w)\n", "line 2, col 3", "statement missing final ';'"),
+])
+def test_parse_errors_give_file_positions(tmp_path, text, position, message):
+    f = tmp_path / "positions.pc"
+    f.write_text(text)
+    code, out, err = run_cli(["run", str(f)])
+    assert code == 2
+    assert err.splitlines() == ["[parse-error] %s: %s" % (position, message)]
 
 
 def test_cli_zero_to_the_zero_is_one(tmp_path):
@@ -411,7 +430,7 @@ def test_cli_repl_keeps_going_after_each_error(tmp_path, monkeypatch):
         ("ok", None), ("ok", None),
     ]
     assert err.splitlines() == [
-        "[parse-error] line 1, col 9: expected a chain binding",
+        "[parse-error] line 1, col 24: expected a chain binding",
         "[error] unknown binding 'b'",
     ]
 
