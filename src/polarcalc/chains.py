@@ -148,65 +148,74 @@ def make_triple(source, map_, form, declared_poles, rng=None) -> Triple:
     return Triple(source, map_, form, declared_poles)
 
 
+_NOT_SIMPLE = "pole of order %d along %s on chart %s (only simple poles allowed)"
+_UNDECLARED = "undeclared pole components %s on chart %s"
+
+
 def _check_poles(source, form, declared_poles):
-    """`make_triple`'s pole checks alone, for a form on the main chart and
-    declared components already known to be normal crossing: each
-    component's pole order on its first visible chart, and the undeclared
-    poles.  Raises ChainError.  On P1, `P1Form.poles_simple_and_declared`
-    certifies a form whose declared poles are distinct rational points;
-    the charts are walked (`_check_poles_on_charts`) only when it cannot."""
+    """`make_triple`'s pole checks alone, for a top-degree form on the main
+    chart and declared components already known to be normal crossing.
+    Raises ChainError naming the first failing chart.  On P1,
+    `P1Form.poles_simple_and_declared` certifies a form whose declared
+    poles are distinct rational points.  Otherwise: on the main chart each
+    visible component's valuation, then `polar_profile`; then on each later
+    chart whose new locus is one divisor {u = 0}, the form's order along it
+    by degrees (`_order_at_infinity`), with the texts and chart order of a
+    walk over the charts.  A component invisible on the main chart is u^k
+    on its first visible chart, so u itself, being squarefree."""
     p1 = P1Form.on(form, source)
     if p1 is not None:
         points = p1_points(declared_poles)
         if points is not None and p1.poles_simple_and_declared(points):
             return
-    _check_poles_on_charts(source, form, declared_poles)
-
-
-def _check_poles_on_charts(source, form, declared_poles):
-    """The general pole checks, chart by chart: each declared component's
-    pole order on its first visible chart, then the undeclared poles that
-    the chart shows first.  The first failing chart is reported."""
-    for chart in source.charts:
-        firsts = [c for c in declared_poles if c.first_visible_chart().id == chart.id]
+    main = source.main_chart
+    polys = [c.poly_on(main.id) for c in declared_poles if c.visible_on(main.id)]
+    for p in polys:
+        o = form.pole_order(p)
+        if o < -1:
+            raise ChainError(_NOT_SIMPLE % (-o, p, main.id))
+    residual = polar_profile(form, polys)
+    if not residual.is_unit():
+        raise ChainError(_UNDECLARED % (residual, main.id))
+    if form.is_zero():
+        return
+    for chart in source.charts[1:]:
         locus = source.new_locus(chart.id)
-        if not firsts and len(locus) > 1:
-            continue  # no new component and no new divisor
-        local = source.transition_form(form, chart.id)
-        for comp in firsts:
-            p = comp.poly_on(chart.id)
-            o = local.pole_order(p)
+        if len(locus) != 1:
+            continue  # a point: no component is first visible there
+        u = Polynomial.variable(chart.coords, locus[0])
+        o = _order_at_infinity(source, form, locus[0])
+        if any(c.poly_on(chart.id) == u for c in declared_poles):
             if o < -1:
-                raise ChainError(
-                    "pole of order %d along %s on chart %s (only simple poles allowed)"
-                    % (-o, p, chart.id)
-                )
-        undeclared = _undeclared_poles(local, chart, locus, declared_poles)
-        if undeclared is not None:
-            raise ChainError(
-                "undeclared pole components %s on chart %s" % (undeclared, chart.id)
-            )
+                raise ChainError(_NOT_SIMPLE % (-o, u, chart.id))
+        elif o < 0:
+            raise ChainError(_UNDECLARED % (u ** -o, chart.id))
 
 
-def _undeclared_poles(local, chart, locus, declared):
-    """The undeclared pole components of `local` that `chart` shows first.
+def _order_at_infinity(source, form, u):
+    """The order of a nonzero top-degree form f dx on the main chart along
+    the divisor {u = 0} of a later chart, by degrees on the main chart.
 
-    On the main chart, the whole residual denominator.  On a later chart,
-    a pole off its new locus lies on an earlier chart, so only the new
-    divisor {u = 0} is left, when the new locus is one.  None if there
-    are none.
+    - A factor t of P1 or P1 x P1, u = t_: t = 1/u, dt = -du/u^2, and
+      f(..., 1/u, ...) is u^(deg_t den - deg_t num) times a fraction whose
+      parts take their leading coefficients in t, not 0, at u = 0.  So the
+      order is deg_t den - deg_t num - 2 (`P1Form._order_at_inf` on P1).
+    - The line at infinity of P2, u = x1: x = 1/x1, y = y1/x1,
+      dx^dy = -dx1^dy1/x1^3, and a polynomial of total degree e is x1^-e
+      times one whose value at x1 = 0, its top part at (1, y1), is not 0.
+      So the order is deg den - deg num - 3.
+
+    The transition that this replaces cannot refuse a form that passed
+    the main chart: its den is a TAU-monomial times powers of declared
+    components, made canonical on every chart, and a monomial
+    substitution multiplies leads, so the substituted den has a
+    TAU-monomial lead.
     """
-    if len(locus) > 1:
-        return None
-    polys = [c.poly_on(chart.id) for c in declared if c.visible_on(chart.id)]
-    if not locus:
-        residual = polar_profile(local, polys)
-        return None if residual.is_unit() else residual
-    u = Polynomial.variable(chart.coords, locus[0])
-    order = local.pole_order(u)
-    if order >= 0 or u in polys:
-        return None
-    return u ** -order
+    (f,) = form.components.values()
+    if source.kind == "P2":
+        return f.den.total_degree() - f.num.total_degree() - 3
+    t = u[:-1]
+    return f.den.degree_in(t) - f.num.degree_in(t) - 2
 
 
 def _curve_holomorphic(form: DifferentialForm, curve: CatalogVariety) -> bool:
@@ -506,14 +515,19 @@ def prune_declared(form, source, declared):
 
 def _has_pole(form, source, comp):
     """Has the form a pole along the component?  At a rational point of P1,
-    `P1Form.has_pole` decides it in the source coordinate; elsewhere the
-    worst pole order on the component's first chart is negative."""
+    `P1Form.has_pole` decides it in the source coordinate; along a
+    component first visible off the main chart of the form, the degree
+    count `_order_at_infinity`; elsewhere the worst pole order on the
+    component's first chart is negative."""
     p1 = P1Form.on(form, source)
     if p1 is not None:
         points = p1_points([comp])
         if points is not None:
             return p1.has_pole(points[0])
     chart = comp.first_visible_chart()
+    if form.chart == source.main_chart.id != chart.id:
+        (u,) = source.new_locus(chart.id)
+        return not form.is_zero() and _order_at_infinity(source, form, u) < 0
     local = source.transition_form(form, chart.id)
     return local.pole_order(comp.poly_on(chart.id)) < 0
 

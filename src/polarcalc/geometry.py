@@ -35,6 +35,7 @@ from .polynomials import (
     _canonical_assoc,
     inverse_mod,
     is_squarefree,
+    line_with_root,
     poly_gcd,
     poly_resultant,
     rational_roots,
@@ -434,14 +435,17 @@ def point_from_chart(variety: CatalogVariety, chart_id, values: dict) -> Variety
 
 
 class DivisorComponent:
-    """Chart-wise defining polynomials of one divisor component."""
+    """Chart-wise defining polynomials of one divisor component; `point`
+    is the point of P1 (a Fraction, or INF) that a component made by
+    `point_component` cuts out, None for any other."""
 
-    __slots__ = ("variety", "polys", "label")
+    __slots__ = ("variety", "polys", "label", "point")
 
-    def __init__(self, variety, polys, label):
+    def __init__(self, variety, polys, label, point=None):
         self.variety = variety
         self.polys = dict(polys)
         self.label = label
+        self.point = point
 
     @staticmethod
     def from_chart_poly(variety: CatalogVariety, chart_id, poly: Polynomial, label=None):
@@ -492,20 +496,22 @@ class DivisorComponent:
 
 def point_component(variety: CatalogVariety, pt: VarietyPoint, label=None) -> DivisorComponent:
     """Divisor component cutting one rational point on a 1-dim variety: on
-    each chart, its coordinate minus the point's value there, 1 off it."""
+    each chart, its coordinate minus the point's value there
+    (`line_with_root`), 1 off it; labelled by its text on the point's
+    first chart."""
     if variety.dimension != 1:
         raise GeometryError("point components only on 1-dimensional varieties")
     if variety.kind != "P1":
         raise GeometryError("point components only supported on P1 sources")
     (r,) = pt.data
     main, inf = variety.charts
-    polys = {}
-    for ch, v in ((main, r), (inf, Fraction(0) if r == INF else INF if r == 0 else 1 / r)):
-        x, one = Polynomial.variable(ch.coords, ch.coords[0]), Polynomial.constant(ch.coords, 1)
-        polys[ch.id] = one if v == INF else x - Polynomial.constant(ch.coords, v)
-    if label is None:  # named on the point's first chart
-        label = "{%s}" % polys[(inf if r == INF else main).id]
-    return DivisorComponent(variety, polys, label)
+    values = ((main, r), (inf, Fraction(0) if r == INF else INF if r == 0 else 1 / r))
+    polys = {ch.id: Polynomial.constant(ch.coords, 1) if v == INF else line_with_root(ch.coords, v)
+             for ch, v in values}
+    if label is None:
+        x, v = (inf.coords[0], 0) if r == INF else (main.coords[0], r)
+        label = "{%s}" % (x if v == 0 else "%s - %s" % (x, v) if v > 0 else "%s + %s" % (x, -v))
+    return DivisorComponent(variety, polys, label, r)
 
 
 def infinity_component(variety: CatalogVariety, factor=None) -> DivisorComponent:

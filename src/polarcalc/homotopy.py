@@ -61,7 +61,7 @@ from .geometry import (
     proj_line,
 )
 from .maps import VarietyMap
-from .polynomials import Polynomial, RationalFunction, is_squarefree, poly_gcd
+from .polynomials import Polynomial, RationalFunction, _coprime, is_squarefree, poly_gcd
 
 BASEPOINT_PROBES = 12
 
@@ -143,17 +143,24 @@ def section_pushforwards(a: PolarChain, basepoint=0) -> PolarChain:
     return PolarChain(a.ambient, out, a.warnings)
 
 
-def _section_rf(coords, zc, value):
-    z = RationalFunction.variable(coords, zc)
-    return z - RationalFunction.constant(coords, value)
+def _kernel(coords, zc, g, c):
+    """1/(z - g) - 1/(z - c), the beta kernel, for g = n/d free of z and
+    g != c, or its limit -1/(z - c) as g escapes to g = INF (n = 1,
+    d = 0), in closed form: (n - d c) / ((d z - n)(z - c)).
 
-
-def _kernel(cyl, zc, g_lift, c):
-    """(1/(z-g) - 1/(z-c)), the partial-fraction form of the beta kernel."""
-    coords = cyl.main_chart.coords
-    one = RationalFunction.constant(coords, 1)
-    z = RationalFunction.variable(coords, zc)
-    return one / (z - g_lift) - one / _section_rf(coords, zc, c)
+    The fraction is reduced as it stands.  n - d c is free of z and not 0.
+    A common factor of it and the denominator is then free of z, and so
+    divides the denominator's content in z: the product of the contents
+    of d z - n, which is gcd(n, d) = 1, and of the monic z - c.  So
+    `_coprime` only divides out the lead of the denominator.
+    """
+    if g == INF:
+        n, d = Polynomial.constant(coords, 1), Polynomial.zero(coords)
+    else:
+        n, d = g.num, g.den
+    z = Polynomial.variable(coords, zc)
+    c = Polynomial.constant(coords, c)
+    return _coprime(n - d * c, (d * z - n) * (z - c))
 
 
 def _record(t: Triple, basepoint, **verdict):
@@ -169,14 +176,9 @@ def _h_point_term(lam, t, ambient, zc, c):
     weight = lam * term_weight(t)
     line = proj_line(zc)
     coords = (zc,)
-    if v == INF:
-        # limit of the kernel as the graph point escapes to infinity
-        one = RationalFunction.constant(coords, 1)
-        kernel = -(one / _section_rf(coords, zc, c))
-    else:
-        kernel = _kernel(line, zc, RationalFunction.constant(coords, v), c)
+    g = INF if v == INF else RationalFunction.constant(coords, v)
     beta = DifferentialForm.d_coordinate(line.main_chart.id, coords, zc).multiply(
-        kernel
+        _kernel(coords, zc, g, c)
     ).scale(weight / Polynomial.scalar(1, 1))
     # the first chart with a finite line factor, whose coordinate zc is the parameter
     chart, values = _with_line_value(pt, idx, 0).finite_chart(ambient)
@@ -258,13 +260,13 @@ def _h_line_term(lam, t, ambient, zc, c):
 
     def section(value):
         return DivisorComponent.from_chart_poly(
-            cyl, cyl.main_chart.id, _section_rf(coords, zc, value).num
+            cyl, cyl.main_chart.id, (z - RationalFunction.constant(coords, value)).num
         )
 
     def lift(g_rf, value, decl):
         # beta for the kernel 1/(z - g_rf) - 1/(z - value), pole-checked
         # against all of decl, keeping the components it has poles on
-        beta = dz.multiply(_kernel(cyl, zc, g_rf, value)).wedge(alpha_lift)
+        beta = dz.multiply(_kernel(coords, zc, g_rf, value)).wedge(alpha_lift)
         beta = beta.scale(Polynomial.scalar(1, -1))
         _check_poles(cyl, beta, decl)
         return Triple(cyl, lifted_map, beta, prune_declared(beta, cyl, decl))

@@ -835,6 +835,18 @@ def is_squarefree(p: Polynomial) -> bool:
     return p.total_degree() <= 1 or squarefree_part(p) is p
 
 
+def line_with_root(variables, r: Fraction) -> Polynomial:
+    """x - r in the one variable x, built in normal form with no ring
+    arithmetic: for r = n/d in lowest terms (d > 0), the primitive part
+    d*x - n, whose lex-leading coefficient d is positive, and content 1/d;
+    x itself for r = 0.  The inverse of `line_root`."""
+    variables = tuple(variables)
+    R = _zring(variables)
+    n, d = r.numerator, r.denominator
+    prim = R.dtype({(1, 0): ZZ(d), (0, 0): ZZ(-n)} if n else {(1, 0): ZZ(1)})
+    return Polynomial._same(variables, prim, Fraction(1, d) if d != 1 else _ONE)
+
+
 def line_root(p: Polynomial):
     """The root -b/a of a*x + b, in one variable with rational a != 0 and
     b: read off the primitive part.  None for any other polynomial."""

@@ -162,14 +162,15 @@ class P1Form:
       simple.  dn <= dd - 1 makes the pole at oo at most simple, and
       dn <= dd - 2 makes oo no pole; so with
       dn <= dd - 1 - [oo not declared], every pole is simple and
-      declared (`poles_simple_and_declared`).
+      declared (`poles_simple_and_declared`).  The zero form has no
+      poles, and passes.
     - The residue at a finite r is the value at r of (t - r) f.  It is 0
-      when den(r) != 0.  Otherwise den = (t - r) q, and it is
-      num(r)/q(r), with q(r) = den'(r) by the product rule; den'(r) != 0
-      is the pole being simple.  The general path divides by den(r),
-      resp. by q(r) up to a TAU-monomial, and Q[TAU, TAU^-1] divides
-      only by TAU-monomials; so `residue` answers only where that divisor
-      is a nonzero rational, and the two agree.  At oo it is 0 when oo is
+      when den(r) != 0, whatever den(r) is.  Otherwise den = (t - r) q,
+      and it is num(r)/q(r), with q(r) = den'(r) by the product rule;
+      den'(r) != 0 is the pole being simple.  The general path divides by
+      q(r) up to a TAU-monomial, and Q[TAU, TAU^-1] divides only by
+      TAU-monomials; so at a pole `residue` answers only where q(r) is a
+      nonzero rational, and the two agree.  At oo it is 0 when oo is
       no pole, and for a simple pole, dn = dd - 1, the value at s = 0 of
       s * (-s^-1 num*(s)/den*(s)): -lc(num)/lc(den), the leading
       coefficients in t.
@@ -212,6 +213,8 @@ class P1Form:
 
     def poles_simple_and_declared(self, points) -> bool:
         """Certificate: every pole is simple and among the distinct points."""
+        if self.num.is_zero():
+            return True
         dd = self.den.degree_in(self.var)
         roots = sum(self.den.evaluate({self.var: r}).is_zero() for r in points if r != INF)
         return roots == dd and self.num.degree_in(self.var) <= dd - 1 - (INF not in points)
@@ -227,12 +230,13 @@ class P1Form:
                 return None
             return -(self.num.leading()[1] / self.den.leading()[1])
         at = {self.var: point}
-        num, den = Polynomial.zero(()), self.den.evaluate(at)
-        if den.is_zero():  # den = (t - point) q, and q(point) = den'(point)
-            num, den = self.num.evaluate(at), self.den.differentiate(self.var).evaluate(at)
+        if not self.den.evaluate(at).is_zero():
+            return Polynomial.zero(())
+        # den = (t - point) q, and q(point) = den'(point)
+        den = self.den.differentiate(self.var).evaluate(at)
         if den.is_zero() or not den.is_rational():
             return None
-        return num / den
+        return self.num.evaluate(at) / den
 
 
 def p1_points(components):
@@ -242,6 +246,9 @@ def p1_points(components):
     infinity chart; else None."""
     points = []
     for comp in components:
+        if comp.point is not None:  # made by `point_component`
+            points.append(comp.point)
+            continue
         main, inf = comp.variety.charts
         p = comp.poly_on(main.id)
         if p.is_constant():
@@ -313,8 +320,12 @@ def poincare_residue(
 
     if shape[0] == "point":
         root = shape[2]
+        at = {chart.coords[0]: root}
+        if not form.coefficient((0,)).den.evaluate(at).is_zero():
+            # no pole at root: p f vanishes there, whatever den(root) is
+            return _point_residue(variety, chart, root, Polynomial.zero(()))
         try:
-            value = rho.coefficient(()).evaluate({chart.coords[0]: root})
+            value = rho.coefficient(()).evaluate(at)
         except ZeroDivisionError:
             raise ResidueError(
                 "residual denominator vanishes at the pole of %s" % comp.label

@@ -16,7 +16,6 @@ from polarcalc import chains
 from polarcalc.chains import (
     ChainError,
     PolarChain,
-    _check_poles_on_charts,
     _has_pole,
     boundary,
     make_triple,
@@ -34,6 +33,8 @@ from polarcalc.maps import VarietyMap
 from polarcalc.parsing import parse_form, parse_polynomial
 from polarcalc.polynomials import Polynomial, RationalFunction, ScalarError
 from polarcalc.residue import P1Form, _contracted, p1_pole_points, p1_points, poincare_residue
+from polarcalc.session import Session, run_statement
+from test_pole_checks import check_poles_on_charts
 
 SOURCE = proj_line("t")
 MAIN, INFINITY = SOURCE.charts
@@ -125,7 +126,7 @@ def test_p1_decisions_agree_with_the_general_paths(case):
     form = form_of(num, den)
     p1 = P1Form.on(form, SOURCE)
     if p1.poles_simple_and_declared(declared):
-        _check_poles_on_charts(SOURCE, form, [point(v) for v in declared])
+        check_poles_on_charts(SOURCE, form, [point(v) for v in declared])
     for v in POINTS:
         comp = point(v)
         pole, local, chart = general_pole(form, comp)
@@ -133,11 +134,16 @@ def test_p1_decisions_agree_with_the_general_paths(case):
         value = p1.residue(v)
         if value is None:
             continue
-        p = comp.poly_on(chart.id)
-        expected = _contracted(local, p, chart.coords, None).coefficient(()).evaluate(
-            {chart.coords[0]: 0 if v == INF else v})
+        if pole:
+            p = comp.poly_on(chart.id)
+            expected = _contracted(local, p, chart.coords, None).coefficient(()).evaluate(
+                {chart.coords[0]: 0 if v == INF else v})
+        else:  # also where den(v) is a TAU-sum, which no path divides by
+            expected = Polynomial.zero(())
         assert value == expected, v
         assert poincare_residue(form, comp, SOURCE).value == expected, v
+        # the general path, which a given direction takes
+        assert poincare_residue(form, comp, SOURCE, chart.coords[0]).value == expected, v
 
 
 POINT_TEXTS = ("t", "t - 1", "2*t - 1", "3*t + 6", "inf", "inf:t_")
@@ -183,6 +189,21 @@ def test_a_declared_tau_root_is_refused_at_its_residue():
     with pytest.raises(ScalarError) as err:
         boundary(PolarChain(SOURCE, [t]))
     assert str(err.value) == "scalar has nonzero TAU grade: -1*TAU"
+
+
+def test_a_residue_off_the_poles_is_zero_at_a_tau_sum_denominator():
+    """t = 1 is no pole of d(t)/(t - TAU): the residue there is 0, although
+    den(1) = 1 - TAU is no TAU-monomial, which Q[TAU, TAU^-1] cannot divide
+    by.  Both the P1 decision and the general path, which a given
+    direction takes, answer 0."""
+    session = Session()
+    for stmt in ("let A = P1(t)",
+                 "let c = chain(A, id, d(t)/(t - TAU), poles[t - TAU, inf])"):
+        run_statement(session, stmt)
+    report = run_statement(session, "residue c, t - 1")
+    assert (report["status"], report["result"]) == ("ok", "0")
+    omega = parse_form("d(t)/(t - TAU)", MAIN.coords, MAIN.id)
+    assert poincare_residue(omega, point(1), SOURCE, "t").value.is_zero()
 
 
 def test_p1_terms_need_no_validation_and_no_infinity_chart(monkeypatch):
