@@ -17,6 +17,7 @@ from .geometry import (
     GeometryError,
     VarietyPoint,
     curve_reduce,
+    lines_cross_normally,
     point_component,
     point_variety,
     proj_line,
@@ -134,9 +135,10 @@ def make_triple(source, map_, form, declared_poles, rng=None) -> Triple:
             raise ChainError(
                 "pole component %s lives on a different variety" % comp.label
             )
-    # distinct rational points of P1 are normal crossing (`residue.P1Form`)
+    # distinct rational points of P1 are normal crossing (`residue.P1Form`),
+    # and so are lines that `lines_cross_normally` certifies
     if source.kind != "P1" or p1_points(declared_poles) is None:
-        if declared_poles:
+        if declared_poles and not lines_cross_normally(declared_poles, source):
             report = validate_normal_crossing(list(declared_poles), source)
             if not report.ok:
                 raise ChainError("declared poles violate normal crossing: %s" % report.message())
@@ -413,24 +415,35 @@ def image_description(t: Triple, ambient: CatalogVariety):
     Returns ("point", VarietyPoint), ("dominant",), ("component",
     DivisorComponent) or ("opaque", key-string); equal images give equal
     descriptions.
+
+    A map that carries its image (`VarietyMap.image`) gives it at once.  A
+    line mapped into a surface by t -> (t, g(t)) on a chart (a, b) has the
+    image {b*den(g)(a) - num(g)(a)}: with num and den coprime it is
+    primitive of degree 1 in b, so irreducible.  Any other line mapped
+    into a surface has the image {squarefree part of the resultant in t'}
+    of the chart equations, the source coordinate renamed t' apart from
+    the chart's.
     """
     if t.degree == 0:
         return ("point", t.map.image_point())
     m = t.map.canonical()
     if t.degree == ambient.dimension:
         return ("dominant",)
+    if m.image is not None:
+        return ("component", m.image)
     if t.degree == 1 and ambient.dimension == 2 and t.source.kind == "P1":
-        chart = ambient.chart(m.target_chart)
-        tvar = t.source.main_chart.coords[0]
-        ext = (tvar,) + chart.coords
-        polys = []
-        for coord in chart.coords:
-            rf = m.formulas[coord]
-            xc = Polynomial.variable(ext, coord)
-            polys.append(rf.num.lift(ext) - xc * rf.den.lift(ext))
-        res = poly_resultant(polys[0], polys[1], tvar)
+        coords = ambient.chart(m.target_chart).coords
+        (tvar,) = t.source.main_chart.coords
+        param = RationalFunction.variable((tvar,), tvar)
+        graph = [c for c in coords if m.formulas[c] == param]
+        # t is the chart coordinate a on a graph; else renamed apart, t'
+        s, ext = (graph[0], coords) if graph else (tvar + "'", (tvar + "'",) + coords)
+        polys = [Polynomial.variable(ext, c) * f.den.rename((s,)).lift(ext)
+                 - f.num.rename((s,)).lift(ext) for c, f in m.formulas.items() if c != s]
+        res = polys[0] if graph else poly_resultant(*polys, s)
         if not res.is_constant():
-            res = squarefree_part(res)
+            if not graph:
+                res = squarefree_part(res)
             return ("component", DivisorComponent.from_chart_poly(ambient, m.target_chart, res))
     elif t.degree == 1 and t.source.kind == "curve":
         poly = t.source.curve_polys["A0"]

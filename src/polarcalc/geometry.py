@@ -5,11 +5,16 @@ projective lines, the projective plane, and smooth plane curves (taken
 with their projective closure).  Each variety carries explicit affine
 charts with exact rational transition maps; a divisor component is a
 chart-wise family of defining polynomials compatible under transitions.
-On two-dimensional charts, tangency, triple points and singular points
-are common rational zeros, all found by `_new_zeros_2d` (resultants, then
-the rational roots of gcds); a rejection names one as its witness.
-Normal crossing is checked only there: chains have sources of dimension
-<= 2, while maps may target a product of any number of lines, P1^k.
+A line of P2, or an axis-parallel line of P1 x P1, carries its
+coefficients (`DivisorComponent.line`) and is built on every chart from
+them.  Normal crossing is decided first by `lines_cross_normally`, which
+certifies arrangements of such lines by determinants.  The general path,
+`validate_normal_crossing`, takes every other divisor: on two-dimensional
+charts, tangency, triple points and singular points are common rational
+zeros, all found by `_new_zeros_2d` (resultants, then the rational roots
+of gcds); a rejection names one as its witness.  Normal crossing is
+checked only there: chains have sources of dimension <= 2, while maps may
+target a product of any number of lines, P1^k.
 
 Every check is local, so each object is certified once, on the first
 chart that contains it: a pair of components on the first chart where
@@ -35,7 +40,7 @@ from .polynomials import (
     _canonical_assoc,
     inverse_mod,
     is_squarefree,
-    line_with_root,
+    monic_line,
     poly_gcd,
     poly_resultant,
     rational_roots,
@@ -225,6 +230,13 @@ def _product_core(coords: tuple, kind, name):
     return CatalogVariety(kind, name, charts, coord_maps, k, factors=tuple(coords))
 
 
+# P2_SLOTS[A][k] is the slot of the homogeneous vector [X0:X1:X2] that
+# holds chart A's entry k of (1, first, second coordinate) at a point, and
+# of (constant, first, second coefficient) in a line's c*X0 + a*X1 + b*X2;
+# each permutation is its own inverse
+P2_SLOTS = {"A0": (0, 1, 2), "A1": (1, 0, 2), "A2": (2, 1, 0)}
+
+
 def _p2_charts(x, y):
     """Charts of P2 in homogeneous coords [X0:X1:X2], (x,y)=(X1/X0,X2/X0)."""
     a0 = Chart("A0", (x, y))
@@ -371,16 +383,12 @@ class VarietyPoint:
                 names.append(_inv_name(c) if v == INF else c)
                 values[names[-1]] = Fraction(0) if v == INF else Fraction(v)
             return variety.chart("|".join(names)), values
-        # plane kinds
-        X0, X1, X2 = self.data
-        if X0 != 0:
-            ch = variety.chart("A0")
-            return ch, {ch.coords[0]: X1 / X0, ch.coords[1]: X2 / X0}
-        if X1 != 0:
-            ch = variety.chart("A1")
-            return ch, {ch.coords[0]: X0 / X1, ch.coords[1]: X2 / X1}
-        ch = variety.chart("A2")
-        return ch, {ch.coords[0]: X1 / X2, ch.coords[1]: X0 / X2}
+        # plane kinds: chart Ak is where Xk != 0
+        X = self.data
+        k = next(k for k in range(3) if X[k] != 0)
+        ch = variety.chart("A%d" % k)
+        _, s1, s2 = P2_SLOTS[ch.id]
+        return ch, {ch.coords[0]: X[s1] / X[k], ch.coords[1]: X[s2] / X[k]}
 
     def sort_key(self):
         def k(v):
@@ -421,12 +429,8 @@ def point_from_chart(variety: CatalogVariety, chart_id, values: dict) -> Variety
             else:
                 out.append(v)
         return VarietyPoint.product_point(out)
-    a, b = (Fraction(values[c]) for c in chart.coords)
-    if chart_id == "A0":
-        return VarietyPoint.plane_point((1, a, b))
-    if chart_id == "A1":
-        return VarietyPoint.plane_point((a, 1, b))
-    return VarietyPoint.plane_point((b, a, 1))
+    h = (1,) + tuple(Fraction(values[c]) for c in chart.coords)
+    return VarietyPoint.plane_point([h[k] for k in P2_SLOTS[chart_id]])
 
 
 # ---------------------------------------------------------------------------
@@ -435,26 +439,40 @@ def point_from_chart(variety: CatalogVariety, chart_id, values: dict) -> Variety
 
 
 class DivisorComponent:
-    """Chart-wise defining polynomials of one divisor component; `point`
-    is the point of P1 (a Fraction, or INF) that a component made by
-    `point_component` cuts out, None for any other."""
+    """Chart-wise defining polynomials of one divisor component.
 
-    __slots__ = ("variety", "polys", "label", "point")
+    `point` is the point of P1 (a Fraction, or INF) that a component made
+    by `point_component` cuts out; `line` is the line that a component of
+    P2 or of a product of two lines is, as `_line_of` reads it: the vector
+    (c, a, b) of c*X0 + a*X1 + b*X2 on P2, the pair (i, r) of {z_i = r},
+    r a Fraction or INF, on the product.  Both are None for any other."""
 
-    def __init__(self, variety, polys, label, point=None):
+    __slots__ = ("variety", "polys", "label", "point", "line")
+
+    def __init__(self, variety, polys, label, point=None, line=None):
         self.variety = variety
         self.polys = dict(polys)
         self.label = label
         self.point = point
+        self.line = line
 
     @staticmethod
     def from_chart_poly(variety: CatalogVariety, chart_id, poly: Polynomial, label=None):
+        """The component {poly = 0} of the chart, made canonical on every
+        chart (1 where it is invisible).  A line (`_line_of`) is built from
+        its coefficients on each chart; any other polynomial is substituted
+        into each chart and its numerator taken."""
         chart = variety.chart(chart_id)
         if poly.variables != chart.coords:
             poly = poly.lift(chart.coords)
         if poly.is_constant():
             raise GeometryError("defining polynomial must be nonconstant")
         poly = _canonical_assoc(poly)
+        if label is None:
+            label = "{%s}" % poly
+        line = _line_of(variety, chart, poly)
+        if line is not None:
+            return DivisorComponent(variety, _line_polys(variety, line), label, line=line)
         polys = {chart_id: poly}
         for other in variety.charts:
             if other.id == chart_id:
@@ -465,8 +483,6 @@ class DivisorComponent:
             if q.is_constant():
                 q = Polynomial.constant(other.coords, 1)
             polys[other.id] = q
-        if label is None:
-            label = "{%s}" % poly
         return DivisorComponent(variety, polys, label)
 
     def poly_on(self, chart_id) -> Polynomial:
@@ -494,20 +510,77 @@ class DivisorComponent:
         return "DivisorComponent(%s)" % self.label
 
 
+def _inverted(r):
+    """A value r (a Fraction, or INF) of a P1 factor in the factor's
+    inverted coordinate: 1/r, 0 at INF and INF at 0."""
+    return Fraction(0) if r == INF else INF if r == 0 else 1 / r
+
+
+def _line_of(variety: CatalogVariety, chart: Chart, p: Polynomial):
+    """The line that a canonical chart polynomial p cuts out: on P2 the
+    vector (c, a, b) of c*X0 + a*X1 + b*X2, read off p's primitive part
+    (`P2_SLOTS` places its constant and coordinate coefficients), so
+    integers; on a product of two lines the pair (i, r) of {z_i = r}, r a
+    Fraction or INF.  None unless p is TAU-free of total degree 1, and on
+    the product free of one coordinate."""
+    if variety.kind != "P2" and (variety.kind != "product" or variety.dimension != 2):
+        return None
+    n = len(chart.coords)
+    if p.total_degree() != 1 or p.prim.degree(n) > 0:
+        return None
+    coeffs = [0] * (n + 1)  # the constant, then each coordinate's
+    for m, a in p.prim.items():
+        coeffs[m.index(1) + 1 if any(m) else 0] = int(a)
+    if variety.kind == "P2":
+        return tuple(coeffs[k] for k in P2_SLOTS[chart.id])
+    const, *cs = coeffs
+    if all(cs):
+        return None  # a diagonal line
+    i = 0 if cs[0] else 1
+    r = Fraction(-const, cs[i])
+    return i, _inverted(r) if chart.coords[i].endswith("_") else r
+
+
+def _line_polys(variety: CatalogVariety, line) -> dict:
+    """A line's canonical polynomial on every chart, from its coefficients
+    there (`monic_line`); 1 on a chart that does not show it."""
+    if variety.kind != "P2":
+        return _axis_polys(variety, *line)
+    polys = {}
+    for ch in variety.charts:
+        const, *cs = (line[k] for k in P2_SLOTS[ch.id])
+        polys[ch.id] = monic_line(ch.coords, const, cs) if any(cs) else \
+            Polynomial.constant(ch.coords, 1)
+    return polys
+
+
+def _axis_polys(variety: CatalogVariety, i, r) -> dict:
+    """{z_i = r} on every chart of a product of lines, P1 included: z_i - r
+    on the charts with z_i, z_i_ - 1/r on those with its inverse
+    (`monic_line`), and 1 where that value is INF."""
+    polys = {}
+    for ch in variety.charts:
+        v = _inverted(r) if ch.coords[i].endswith("_") else r
+        if v == INF:
+            polys[ch.id] = Polynomial.constant(ch.coords, 1)
+            continue
+        coeffs = [0] * len(ch.coords)
+        coeffs[i] = v.denominator
+        polys[ch.id] = monic_line(ch.coords, -v.numerator, coeffs)
+    return polys
+
+
 def point_component(variety: CatalogVariety, pt: VarietyPoint, label=None) -> DivisorComponent:
     """Divisor component cutting one rational point on a 1-dim variety: on
-    each chart, its coordinate minus the point's value there
-    (`line_with_root`), 1 off it; labelled by its text on the point's
-    first chart."""
+    each chart, its coordinate minus the point's value there, 1 off it
+    (`_axis_polys`); labelled by its text on the point's first chart."""
     if variety.dimension != 1:
         raise GeometryError("point components only on 1-dimensional varieties")
     if variety.kind != "P1":
         raise GeometryError("point components only supported on P1 sources")
     (r,) = pt.data
     main, inf = variety.charts
-    values = ((main, r), (inf, Fraction(0) if r == INF else INF if r == 0 else 1 / r))
-    polys = {ch.id: Polynomial.constant(ch.coords, 1) if v == INF else line_with_root(ch.coords, v)
-             for ch, v in values}
+    polys = _axis_polys(variety, 0, r)
     if label is None:
         x, v = (inf.coords[0], 0) if r == INF else (main.coords[0], r)
         label = "{%s}" % (x if v == 0 else "%s - %s" % (x, v) if v > 0 else "%s + %s" % (x, -v))
@@ -666,8 +739,51 @@ class NCReport:
         return "\n".join(lines)
 
 
+def lines_cross_normally(components, variety: CatalogVariety) -> bool:
+    """Certificate of normal crossing for lines, decided by their vectors.
+
+    True only when every component carries a `line` of the variety and,
+    on P2, no two of its vectors are proportional and no three have
+    determinant 0; on a product of two lines, the lines are pairwise
+    distinct.  Then they are normal crossing:
+    - a line is smooth and reduced;
+    - two distinct lines meet transversally: on P2 in the one point
+      u x v, where their differentials u and v are independent; on
+      P1 x P1 a vertical and a horizontal in one point, where they are
+      coordinate lines of a chart, and two verticals or two horizontals
+      not at all;
+    - on a surface, normal crossing can then fail only at a point on
+      three components.  Three distinct lines of P2 pass through one
+      point p iff u.p = v.p = w.p = 0 has a solution p != 0, iff
+      det(u, v, w) = 0.  Of three distinct axis-parallel lines of
+      P1 x P1 two are parallel and do not meet, so no point lies on all
+      three.
+    False is no verdict: the caller validates (`validate_normal_crossing`),
+    so that every refusal keeps its text.
+    """
+    lines = []
+    for comp in components:
+        if comp.line is None or not (comp.variety is variety or comp.variety == variety):
+            return False
+        lines.append(comp.line)
+    if variety.kind != "P2":
+        return len(set(lines)) == len(lines)
+    return (all(any(_cross(u, v)) for u, v in itertools.combinations(lines, 2))
+            and all(_dot(u, _cross(v, w)) for u, v, w in itertools.combinations(lines, 3)))
+
+
+def _cross(u, v):
+    return (u[1] * v[2] - u[2] * v[1], u[2] * v[0] - u[0] * v[2], u[0] * v[1] - u[1] * v[0])
+
+
+def _dot(u, v):
+    return sum(a * b for a, b in zip(u, v))
+
+
 def validate_normal_crossing(components, variety: CatalogVariety) -> NCReport:
-    """Normal crossing of the components, each object certified once.
+    """Normal crossing of the components, each object certified once: the
+    general path, for divisors that `lines_cross_normally` does not
+    certify (`chains.make_triple` tries the certificate first).
 
     A pair is tested for a shared factor on the first chart where both are
     visible, and again on a later chart only when both contain its new

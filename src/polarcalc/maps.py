@@ -10,7 +10,7 @@ TAU and for a base point of a map into P2.
 
 from sympy.polys.matrices import DomainMatrix
 
-from .geometry import INF, CatalogVariety, VarietyPoint, point_from_chart
+from .geometry import INF, P2_SLOTS, CatalogVariety, VarietyPoint, point_from_chart
 from .polynomials import Polynomial, RationalFunction, to_field
 
 
@@ -21,7 +21,7 @@ class MapError(ValueError):
 class VarietyMap:
     """Rational map between two catalog varieties."""
 
-    __slots__ = ("source", "target", "target_chart", "formulas", "point", "_key")
+    __slots__ = ("source", "target", "target_chart", "formulas", "point", "image", "_key")
 
     def __init__(self, source: CatalogVariety, target: CatalogVariety,
                  target_chart, formulas):
@@ -40,6 +40,9 @@ class VarietyMap:
             fixed[coord] = rf
         self.formulas = fixed
         self.point = None  # the image of a constant map (see `constant`)
+        # the divisor component that the map parametrizes, when its maker
+        # knows it (`residue.classify_component`); `canonical` keeps it
+        self.image = None
         self._key = None  # filled by the first `key()`: a map never changes
 
     # -- constructors --------------------------------------------------
@@ -87,7 +90,9 @@ class VarietyMap:
                 continue
             if ch.id == self.target_chart:
                 return self
-            return VarietyMap(self.source, self.target, ch.id, fs)
+            m = VarietyMap(self.source, self.target, ch.id, fs)
+            m.image = self.image
+            return m
         raise MapError("map cannot be expressed on any target chart")
 
     # -- operations ----------------------------------------------------
@@ -136,8 +141,7 @@ class VarietyMap:
             return VarietyPoint.product_point([INF if d == 0 else n / d for n, d in pairs])
         (n1, d1), (n2, d2) = values
         h = (d1 * d2, n1 * d2, n2 * d1)
-        order = {"A0": (0, 1, 2), "A1": (1, 0, 2), "A2": (2, 1, 0)}[chart.id]
-        return VarietyPoint.plane_point([h[i] for i in order]) if any(h) else None
+        return VarietyPoint.plane_point([h[k] for k in P2_SLOTS[chart.id]]) if any(h) else None
 
     def image_point(self) -> VarietyPoint:
         """Image of a zero-dimensional source."""

@@ -835,16 +835,24 @@ def is_squarefree(p: Polynomial) -> bool:
     return p.total_degree() <= 1 or squarefree_part(p) is p
 
 
-def line_with_root(variables, r: Fraction) -> Polynomial:
-    """x - r in the one variable x, built in normal form with no ring
-    arithmetic: for r = n/d in lowest terms (d > 0), the primitive part
-    d*x - n, whose lex-leading coefficient d is positive, and content 1/d;
-    x itself for r = 0.  The inverse of `line_root`."""
+def monic_line(variables, const, coeffs) -> Polynomial:
+    """const + sum of coeffs[i] * variables[i], for integers of gcd 1 with
+    some coeffs[i] != 0, divided by the first nonzero one, c: its
+    graded-lex leading coefficient, so this is the normal form that
+    `_canonical_assoc` leaves.  Built with no ring arithmetic: the
+    primitive part is the integers times the sign of c, the content
+    1/|c|.  For the root r = n/d of x = variables[i], the coefficient d of
+    x and the constant -n give x - r (the inverse of `line_root`)."""
     variables = tuple(variables)
-    R = _zring(variables)
-    n, d = r.numerator, r.denominator
-    prim = R.dtype({(1, 0): ZZ(d), (0, 0): ZZ(-n)} if n else {(1, 0): ZZ(1)})
-    return Polynomial._same(variables, prim, Fraction(1, d) if d != 1 else _ONE)
+    zero = (0,) * (len(variables) + 1)
+    terms = {zero[:i] + (1,) + zero[i + 1:]: c for i, c in enumerate(coeffs) if c}
+    if const:
+        terms[zero] = const
+    lead = next(c for c in coeffs if c)
+    if lead < 0:
+        terms = {m: -c for m, c in terms.items()}
+    prim = _zring(variables).dtype(terms)
+    return Polynomial._same(variables, prim, _ONE if abs(lead) == 1 else Fraction(1, abs(lead)))
 
 
 def line_root(p: Polynomial):

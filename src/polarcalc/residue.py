@@ -98,6 +98,13 @@ def classify_component(comp: DivisorComponent, variety: CatalogVariety):
     coordinate, where `embed` carries proj_line(base) onto the locus, its
     coordinate base standing for param (base is param without a trailing
     "_"); or ("curve", chart A0) for plane curves.
+
+    The graph embedding carries comp as its `image`.  Its image is all of
+    comp whenever p = a*solve + b is irreducible, which holds for every
+    component that passes normal crossing: a factor g(param) of a and b
+    would be a union of lines {param = r}, and each meets the rest of p
+    (on P2 any two curves meet; on P1 x P1 the rest, of degree 1 in
+    solve, is a section over param), in a singular point of p.
     """
     if variety.dimension == 1:
         if variety.kind != "P1":
@@ -127,6 +134,7 @@ def classify_component(comp: DivisorComponent, variety: CatalogVariety):
             t = RationalFunction.variable((base,), base)
             value = RationalFunction(-b, a).substitute({param: t}, (base,))
             embed = VarietyMap(proj_line(base), variety, ch.id, {param: t, solve: value})
+            embed.image = comp
             return ("graph", ch, param, embed)
         if variety.kind == "P2":
             if not comp.visible_on("A0"):

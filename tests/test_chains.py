@@ -31,7 +31,7 @@ from polarcalc.geometry import (
 )
 from polarcalc.maps import VarietyMap
 from polarcalc.parsing import parse_form, parse_polynomial, parse_rational
-from polarcalc.polynomials import Polynomial, RationalFunction
+from polarcalc.polynomials import Polynomial, RationalFunction, poly_resultant
 
 
 def p1_comp(line, value):
@@ -240,6 +240,60 @@ def test_r2_on_a_component_cancels_a_renamed_copy():
     c = PolarChain(s.map.target, [s]) - PolarChain(t.map.target, [t])
     n = normalize_chain(c)
     assert n.is_zero() and n.warnings == ()
+
+
+@pytest.mark.parametrize("var", ["z2", "z1", "s"])
+def test_r2_cancels_a_copy_whose_source_is_named_after_a_chart_coordinate(var):
+    """The image of a line on {z1 = 0} does not depend on its source's
+    name, also when that name is a coordinate of the target chart."""
+    a = line_on_z1_axis(var, var, "d(%s)/(%s - 1)" % (var, var), [1, INF])
+    t = line_on_z1_axis("t", "t", "d(t)/(t - 1)", [1, INF])
+    assert image_description(a, a.map.target) == image_description(t, t.map.target)
+    assert image_description(t, t.map.target)[1].label == "{z1}"
+    c = PolarChain(a.map.target, [a]) - PolarChain(t.map.target, [t])
+    n = normalize_chain(c)
+    assert n.is_zero() and n.warnings == ()
+
+
+def test_the_image_of_a_graph_is_found_without_a_resultant(monkeypatch):
+    """t -> (t, g(t)) has the image {b*den(g)(a) - num(g)(a)}; a line mapped
+    any other way takes the resultant, with its coordinate renamed apart."""
+    from polarcalc import chains
+
+    calls = []
+    monkeypatch.setattr(chains, "poly_resultant",
+                        lambda *args: calls.append(args) or poly_resultant(*args))
+    plane = proj_plane("x", "y")
+    line = proj_line("y")
+    graph = VarietyMap(line, plane, "A0", {
+        "x": parse_rational("y", ("y",)), "y": parse_rational("(y^2 + 1)/(y - 2)", ("y",))})
+    form = parse_form("dlog(y - 1)", ("y",), line.main_chart.id)
+    t = make_triple(line, graph, form, [p1_comp(line, 1), p1_comp(line, INF)])
+    assert image_description(t, plane)[1].label == "{x^2 - x*y + 2*y + 1}"
+    assert calls == []
+    other = VarietyMap(line, plane, "A0", {
+        "x": parse_rational("y^2", ("y",)), "y": parse_rational("y^3", ("y",))})
+    t = make_triple(line, other, form, [p1_comp(line, 1), p1_comp(line, INF)])
+    assert image_description(t, plane)[1].label == "{x^3 - y^2}"
+    assert [args[2] for args in calls] == ["y'"]
+
+
+def test_a_residue_embedding_carries_its_image():
+    """A residue along a component, composed with the identity, keeps the
+    component as its image, with the declared label: also along a
+    component at infinity, which elimination would label {z1_}."""
+    square = product_of_lines(["z1", "z2"])
+    form = parse_form("dlog(z1 - 1) wedge dlog(z2)", square.main_chart.coords,
+                      square.main_chart.id)
+    decl = [DivisorComponent.from_chart_poly(
+        square, square.main_chart.id, parse_polynomial(p, square.main_chart.coords))
+        for p in ("z1 - 1", "z2")]
+    decl += [infinity_component(square, "z1"), infinity_component(square, "z2")]
+    t = make_triple(square, VarietyMap.identity(square), form, decl)
+    b = boundary(PolarChain(square, [t])).chain
+    assert all(term.map.image in decl for _, term in b.terms)
+    assert support(b) == ["{z2}", "{z2 = inf}", "{z1 = inf}", "{z1 - 1}"]
+    assert b.warnings == ()
 
 
 def test_r2_on_a_component_merges_by_trace():
