@@ -37,6 +37,7 @@ from .residue import (
     P1Form,
     ResidueError,
     classify_component,
+    order_at_infinity,
     p1_pole_points,
     p1_points,
     poincare_residue,
@@ -162,9 +163,10 @@ def _check_poles(source, form, declared_poles):
     poles are distinct rational points.  Otherwise: on the main chart each
     visible component's valuation, then `polar_profile`; then on each later
     chart whose new locus is one divisor {u = 0}, the form's order along it
-    by degrees (`_order_at_infinity`), with the texts and chart order of a
-    walk over the charts.  A component invisible on the main chart is u^k
-    on its first visible chart, so u itself, being squarefree."""
+    by degrees (`residue.order_at_infinity`), with the texts and chart
+    order of a walk over the charts.  A component invisible on the main
+    chart is u^k on its first visible chart, so u itself, being
+    squarefree."""
     p1 = P1Form.on(form, source)
     if p1 is not None:
         points = p1_points(declared_poles)
@@ -181,43 +183,18 @@ def _check_poles(source, form, declared_poles):
         raise ChainError(_UNDECLARED % (residual, main.id))
     if form.is_zero():
         return
+    (f,) = form.components.values()
     for chart in source.charts[1:]:
         locus = source.new_locus(chart.id)
         if len(locus) != 1:
             continue  # a point: no component is first visible there
         u = Polynomial.variable(chart.coords, locus[0])
-        o = _order_at_infinity(source, form, locus[0])
+        o = order_at_infinity(source.kind, f, locus[0])
         if any(c.poly_on(chart.id) == u for c in declared_poles):
             if o < -1:
                 raise ChainError(_NOT_SIMPLE % (-o, u, chart.id))
         elif o < 0:
             raise ChainError(_UNDECLARED % (u ** -o, chart.id))
-
-
-def _order_at_infinity(source, form, u):
-    """The order of a nonzero top-degree form f dx on the main chart along
-    the divisor {u = 0} of a later chart, by degrees on the main chart.
-
-    - A factor t of P1 or P1 x P1, u = t_: t = 1/u, dt = -du/u^2, and
-      f(..., 1/u, ...) is u^(deg_t den - deg_t num) times a fraction whose
-      parts take their leading coefficients in t, not 0, at u = 0.  So the
-      order is deg_t den - deg_t num - 2 (`P1Form._order_at_inf` on P1).
-    - The line at infinity of P2, u = x1: x = 1/x1, y = y1/x1,
-      dx^dy = -dx1^dy1/x1^3, and a polynomial of total degree e is x1^-e
-      times one whose value at x1 = 0, its top part at (1, y1), is not 0.
-      So the order is deg den - deg num - 3.
-
-    The transition that this replaces cannot refuse a form that passed
-    the main chart: its den is a TAU-monomial times powers of declared
-    components, made canonical on every chart, and a monomial
-    substitution multiplies leads, so the substituted den has a
-    TAU-monomial lead.
-    """
-    (f,) = form.components.values()
-    if source.kind == "P2":
-        return f.den.total_degree() - f.num.total_degree() - 3
-    t = u[:-1]
-    return f.den.degree_in(t) - f.num.degree_in(t) - 2
 
 
 def _curve_holomorphic(form: DifferentialForm, curve: CatalogVariety) -> bool:
@@ -530,7 +507,7 @@ def _has_pole(form, source, comp):
     """Has the form a pole along the component?  At a rational point of P1,
     `P1Form.has_pole` decides it in the source coordinate; along a
     component first visible off the main chart of the form, the degree
-    count `_order_at_infinity`; elsewhere the worst pole order on the
+    count `order_at_infinity`; elsewhere the worst pole order on the
     component's first chart is negative."""
     p1 = P1Form.on(form, source)
     if p1 is not None:
@@ -539,8 +516,11 @@ def _has_pole(form, source, comp):
             return p1.has_pole(points[0])
     chart = comp.first_visible_chart()
     if form.chart == source.main_chart.id != chart.id:
+        if form.is_zero():
+            return False
         (u,) = source.new_locus(chart.id)
-        return not form.is_zero() and _order_at_infinity(source, form, u) < 0
+        (f,) = form.components.values()
+        return order_at_infinity(source.kind, f, u) < 0
     local = source.transition_form(form, chart.id)
     return local.pole_order(comp.poly_on(chart.id)) < 0
 
@@ -624,12 +604,17 @@ class BoundaryResult:
 
 
 def _residue_term(parent: Triple, comp: DivisorComponent):
+    """The residue along comp and its term.  A point residue, on a P1
+    source, goes straight through the parent's map (`image_at`); where that
+    has no rational image, through `compose` and its chart search."""
     res = poincare_residue(parent.form, comp, parent.source)
-    embed = parent.map.compose(res.embed)
     if res.kind == "scalar":
-        if embed.point is None:  # compose fell back to the chart search
-            embed = VarietyMap.constant(res.target, embed.target, embed.image_point())
+        image = parent.map.image_at(res.point.data[0])
+        if image is None:
+            image = parent.map.compose(res.embed).image_point()
+        embed = VarietyMap.constant(res.target, parent.map.target, image)
         return res, Triple(res.target, embed, res.form, ())
+    embed = parent.map.compose(res.embed)
     decl = _infer_p1_poles(res.form, res.target) if res.kind == "line" else ()
     return res, make_triple(res.target, embed, res.form, decl)
 

@@ -45,8 +45,8 @@ class DifferentialForm:
     its chart transitions and pole orders are pure functions of the
     object.  Each form keeps them in a memo of its own, filled on first
     use (`transition_form` under ("transition", variety signature, target
-    chart), `pole_order` under ("pole_order", polynomial)) and freed with
-    the form.
+    chart), `pole_order` under ("pole_order", polynomial), the text under
+    ("text",)) and freed with the form.
     Equality and hashing ignore the memo.
     """
 
@@ -136,7 +136,8 @@ class DifferentialForm:
 
     def scale(self, scalar: Polynomial) -> "DifferentialForm":
         """scalar * self; a nonzero scalar carries the memo over (each
-        memoized chart transition scaled, pole orders unchanged)."""
+        memoized chart transition scaled, pole orders unchanged, the text
+        left to be printed again)."""
         if scalar.is_one():
             return self
         out = DifferentialForm(
@@ -148,7 +149,7 @@ class DifferentialForm:
         if not scalar.is_zero():
             out._memo = {
                 key: value.scale(scalar) if key[0] == "transition" else value
-                for key, value in self._memo.items()
+                for key, value in self._memo.items() if key[0] != "text"
             }
         return out
 
@@ -279,6 +280,9 @@ class DifferentialForm:
         return "DifferentialForm(%s)" % str(self)
 
     def __str__(self):
+        return self.memoized(("text",), self._text)
+
+    def _text(self):
         if self.is_zero():
             return "0"
         parts = []

@@ -40,6 +40,7 @@ from .polynomials import (
     _canonical_assoc,
     inverse_mod,
     is_squarefree,
+    line_root,
     monic_line,
     poly_gcd,
     poly_resultant,
@@ -441,11 +442,12 @@ def point_from_chart(variety: CatalogVariety, chart_id, values: dict) -> Variety
 class DivisorComponent:
     """Chart-wise defining polynomials of one divisor component.
 
-    `point` is the point of P1 (a Fraction, or INF) that a component made
-    by `point_component` cuts out; `line` is the line that a component of
-    P2 or of a product of two lines is, as `_line_of` reads it: the vector
-    (c, a, b) of c*X0 + a*X1 + b*X2 on P2, the pair (i, r) of {z_i = r},
-    r a Fraction or INF, on the product.  Both are None for any other."""
+    `point` is the rational point of P1 (a Fraction, or INF) that a
+    component cuts out, when `point_component` or `from_chart_poly` made
+    it; `line` is the line that a component of P2 or of a product of two
+    lines is, as `_line_of` reads it: the vector (c, a, b) of
+    c*X0 + a*X1 + b*X2 on P2, the pair (i, r) of {z_i = r}, r a Fraction
+    or INF, on the product.  Both are None for any other."""
 
     __slots__ = ("variety", "polys", "label", "point", "line")
 
@@ -460,8 +462,10 @@ class DivisorComponent:
     def from_chart_poly(variety: CatalogVariety, chart_id, poly: Polynomial, label=None):
         """The component {poly = 0} of the chart, made canonical on every
         chart (1 where it is invisible).  A line (`_line_of`) is built from
-        its coefficients on each chart; any other polynomial is substituted
-        into each chart and its numerator taken."""
+        its coefficients on each chart, and a rational point of P1 from its
+        value, carried in `point` as `point_component` carries it; any
+        other polynomial is substituted into each chart and its numerator
+        taken."""
         chart = variety.chart(chart_id)
         if poly.variables != chart.coords:
             poly = poly.lift(chart.coords)
@@ -470,6 +474,11 @@ class DivisorComponent:
         poly = _canonical_assoc(poly)
         if label is None:
             label = "{%s}" % poly
+        if variety.kind == "P1":
+            r = line_root(poly)
+            if r is not None:
+                r = _inverted(r) if chart.coords[0].endswith("_") else r
+                return DivisorComponent(variety, _axis_polys(variety, 0, r), label, r)
         line = _line_of(variety, chart, poly)
         if line is not None:
             return DivisorComponent(variety, _line_polys(variety, line), label, line=line)

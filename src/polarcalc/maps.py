@@ -21,7 +21,8 @@ class MapError(ValueError):
 class VarietyMap:
     """Rational map between two catalog varieties."""
 
-    __slots__ = ("source", "target", "target_chart", "formulas", "point", "image", "_key")
+    __slots__ = ("source", "target", "target_chart", "formulas", "point", "image",
+                 "_canonical", "_key")
 
     def __init__(self, source: CatalogVariety, target: CatalogVariety,
                  target_chart, formulas):
@@ -43,7 +44,11 @@ class VarietyMap:
         # the divisor component that the map parametrizes, when its maker
         # knows it (`residue.classify_component`); `canonical` keeps it
         self.image = None
-        self._key = None  # filled by the first `key()`: a map never changes
+        # filled by the first `canonical()` and `key()`: a map never changes;
+        # a canonical map is recorded as False, not as a reference to itself,
+        # so that reference counting alone frees it
+        self._canonical = None
+        self._key = None
 
     # -- constructors --------------------------------------------------
 
@@ -81,6 +86,13 @@ class VarietyMap:
 
     def canonical(self) -> "VarietyMap":
         """Same map targeted at the first chart that can express it."""
+        m = self._canonical
+        if m is None:
+            m = self._on_first_chart()
+            self._canonical = False if m is self else m
+        return self if m is False else m
+
+    def _on_first_chart(self) -> "VarietyMap":
         if self.point is not None:
             return self  # `constant` built it on the point's first chart
         for ch in self.target.charts:
@@ -92,6 +104,7 @@ class VarietyMap:
                 return self
             m = VarietyMap(self.source, self.target, ch.id, fs)
             m.image = self.image
+            m._canonical = False
             return m
         raise MapError("map cannot be expressed on any target chart")
 
@@ -104,7 +117,7 @@ class VarietyMap:
         if self.is_identity():
             return inner.canonical()
         if inner.point is not None and self.source.kind == "P1":
-            image = self._image_at(inner.point.data[0])
+            image = self.image_at(inner.point.data[0])
             if image is not None:
                 return VarietyMap.constant(inner.source, self.target, image)
         main = self.source.main_chart.id
@@ -128,7 +141,7 @@ class VarietyMap:
                 continue
         raise MapError("composite map lands outside every target chart")
 
-    def _image_at(self, r):
+    def image_at(self, r):
         """Image of the point r (a Fraction or INF) of a P1 source, or None
         for a value with TAU or a plane's [d1*d2 : n1*d2 : n2*d1] all 0."""
         chart = self.target.chart(self.target_chart)
@@ -155,10 +168,16 @@ class VarietyMap:
         return point_from_chart(self.target, self.target_chart, values)
 
     def is_identity(self) -> bool:
-        """True when the map is its source's identity, on whatever chart
-        (each chart names its coordinates apart, so the formulas tell it)."""
-        return self.source == self.target and (
-            self.canonical().formulas == VarietyMap.identity(self.source).formulas)
+        """True when the map is its source's identity: its canonical form
+        lands on the main chart, and each coordinate's formula is that
+        coordinate (each chart names its coordinates apart, so no other
+        chart holds the identity)."""
+        if self.source != self.target:
+            return False
+        m, main = self.canonical(), self.source.main_chart
+        return m.target_chart == main.id and all(
+            rf.den.is_one() and rf.num == Polynomial.variable(main.coords, c)
+            for c, rf in m.formulas.items())
 
     def is_constant(self) -> bool:
         """True when every coordinate formula is free of the source coords."""

@@ -62,7 +62,8 @@ product prod_v n_v^e_v d_v^(D_v - e_v) is a single term, so each term of
 a polynomial maps to one term: its exponent vector (TAU column included)
 is a sum of exponent vectors and its coefficient a product of rationals;
 terms that land on one exponent are summed and zero sums dropped
-(`_map_terms`, which `specialize` and `evaluate` use too).  When one
+(`_map_terms`, which `specialize` uses too; `evaluate` in one variable
+is Horner's rule on the integer coefficients).  When one
 operand of a gcd is a single term, every common divisor is a monomial,
 and the largest is the monomial of least exponents over the terms of both
 operands; the cofactors subtract exponents.  The valuation of q along a
@@ -458,8 +459,47 @@ class Polynomial:
         return _normal(self.variables, self.prim.diff(i), self.content, self.shift)
 
     def evaluate(self, point: dict) -> "Polynomial":
-        """Exact scalar value at a rational point {var: Fraction}."""
-        return self.specialize({v: point[v] for v in self.variables})
+        """Exact scalar value at a rational point {var: Fraction}.
+
+        In one variable t, at r = n/d, with D the degree in t: for each
+        TAU power j, Horner's rule gives the integer S_j = sum_k a_k n^k
+        d^(D - k) over the integers a_k at t^k TAU^j of the primitive part,
+        and the value is content * TAU^shift * sum_j S_j TAU^j / d^D.
+        """
+        if len(self.variables) != 1:
+            return self.specialize({v: point[v] for v in self.variables})
+        if not self.prim:
+            return _zero(())
+        r = point[self.variables[0]]
+        n, d = (r if type(r) in (int, Fraction) else Fraction(r)).as_integer_ratio()
+        groups: dict = {}
+        top = 0
+        for (k, j), a in self.prim.items():
+            groups.setdefault(j, {})[k] = a
+            top = k if k > top else top
+        sums = {}
+        for j, cs in groups.items():
+            acc, dk = 0, 1  # dk = d^(top - k)
+            for k in range(top, -1, -1):
+                acc = acc * n + cs.get(k, 0) * dk
+                dk *= d
+            if acc:
+                sums[(j,)] = acc
+        content = self.content / d**top if d != 1 else self.content
+        return _normal((), sums, content, self.shift)
+
+    def top_part(self, weights, keep, name) -> "Polynomial":
+        """The terms of a nonzero polynomial of greatest weight
+        sum_i weights[i] * m_i, every variable but variables[keep] set to
+        1: a polynomial in the one variable `name`.  For the weights of a
+        leading coefficient in one variable and of a top homogeneous part
+        in two, the exponent of variables[keep] tells the top terms apart."""
+        def weight(m):
+            return sum(w * k for w, k in zip(weights, m))
+
+        top = max(map(weight, self.prim))
+        terms = {(m[keep], m[-1]): a for m, a in self.prim.items() if weight(m) == top}
+        return _normal((name,), terms, self.content, self.shift)
 
     def specialize(self, values: dict) -> "Polynomial":
         """Set the variables in `values` to rationals: a polynomial in the rest.

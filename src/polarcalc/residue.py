@@ -11,6 +11,31 @@ canonical; elsewhere c has no pole along p and the product cross-cancels
 parametrization substitution for rational loci, by curve-ring reduction
 for smooth plane curves, and by evaluation for points.
 
+A graph takes one restriction formula instead (`_restricted`).  On a chart
+(u0, u1) let p = a*s + b, with a and b free of the coordinate s solved
+for, and let param be the other coordinate.  Then dp ^ du1 = a du0 ^ du1
+when s = u0, and du0 ^ dp = a du0 ^ du1 when s = u1, so
+
+    f du0 ^ du1 = e (p f / a) (dp / p) ^ d(param),  e = +1 (s = u0), -1 (s = u1),
+
+and the residue is e * (p f / a) at s = -b/a, times d(param).
+
+A carried line at infinity (`DivisorComponent.line`) takes a closed form
+from the form f = N/D on the main chart, with no chart transition
+(`_residue_at_infinity`); o is its order there (`order_at_infinity`), the
+residue 0 when o >= 0, and a refusal when o < -1.  For o = -1:
+- {z1 = oo} on P1(z1) x P1(z2): z1 = 1/u turns f dz1 ^ dz2 into
+  -u^-1 (N*/D*) du ^ dz2, N* and D* the reversed polynomials in z1, which
+  take the leading coefficients in z1 at u = 0; s = u is u0, so e = +1 and
+  the residue is -lc_z1(N)/lc_z1(D) dz2.
+- {z2 = oo}: z2 = 1/u turns it into -u^-1 (N*/D*) dz1 ^ du; s = u is u1,
+  so e = -1 and the residue is +lc_z2(N)/lc_z2(D) dz1.
+- The line at infinity of P2, {x1 = 0} on the chart (x1, y1) with
+  x = 1/x1, y = y1/x1: dx ^ dy = -dx1 ^ dy1 / x1^3, and a polynomial of
+  total degree k is x1^-k times one whose value at x1 = 0 is its top part
+  at (1, y1); s = x1 is u0, so e = +1 and the residue is
+  -N_top(1, y1)/D_top(1, y1) dy1.
+
 `classify_component` is the one place that says what a residue target
 looks like: a point, a projective line embedded as the graph of one
 chart coordinate over the other, or a plane curve.  R2 in `chains`
@@ -22,6 +47,7 @@ from fractions import Fraction
 from .forms import DifferentialForm
 from .geometry import (
     INF,
+    P2_SLOTS,
     CatalogVariety,
     DivisorComponent,
     GeometryError,
@@ -36,7 +62,9 @@ from .geometry import (
 from .maps import VarietyMap
 from .polynomials import (
     Polynomial,
+    PolynomialError,
     RationalFunction,
+    ScalarError,
     from_univariate,
     line_root,
     rational_roots,
@@ -52,16 +80,27 @@ class ResidueResult:
 
     kind is "scalar" (point target), "line" (parametrized rational
     locus, target a projective line), or "curve" (plane-curve target).
-    `embed` maps the target into the ambient variety.
+    `embed` maps the target into the ambient variety.  A point residue
+    holds its `point` of the ambient and builds that constant map on the
+    first read of `embed` only: the boundary carries the point on by
+    itself (`chains._residue_term`).
     """
 
-    __slots__ = ("kind", "target", "embed", "form")
+    __slots__ = ("kind", "target", "form", "point", "_embed", "_ambient")
 
-    def __init__(self, kind, target, embed, form):
+    def __init__(self, kind, target, embed, form, point=None, ambient=None):
         self.kind = kind
         self.target = target
-        self.embed = embed
         self.form = form
+        self.point = point
+        self._embed = embed
+        self._ambient = ambient
+
+    @property
+    def embed(self) -> VarietyMap:
+        if self._embed is None:
+            self._embed = VarietyMap.constant(self.target, self._ambient, self.point)
+        return self._embed
 
     @property
     def value(self) -> Polynomial:
@@ -104,7 +143,8 @@ def classify_component(comp: DivisorComponent, variety: CatalogVariety):
     component that passes normal crossing: a factor g(param) of a and b
     would be a union of lines {param = r}, and each meets the rest of p
     (on P2 any two curves meet; on P1 x P1 the rest, of degree 1 in
-    solve, is a section over param), in a singular point of p.
+    solve, is a section over param), in a singular point of p.  A carried
+    line takes its graph from its integers (`_line_graph`).
     """
     if variety.dimension == 1:
         if variety.kind != "P1":
@@ -115,6 +155,8 @@ def classify_component(comp: DivisorComponent, variety: CatalogVariety):
         ch = comp.first_visible_chart()
         return ("point", ch, _linear_root(comp.poly_on(ch.id), ch.coords[0]))
     if variety.dimension == 2:
+        if comp.line is not None:
+            return _line_graph(comp, variety)
         for ch in variety.charts:
             p = comp.poly_on(ch.id)
             if p.is_constant():
@@ -148,9 +190,63 @@ def classify_component(comp: DivisorComponent, variety: CatalogVariety):
     raise ResidueError("residues only implemented up to dimension 2")
 
 
+def _line_graph(comp: DivisorComponent, variety: CatalogVariety):
+    """`classify_component`'s graph of a carried line, with no ring
+    arithmetic.  On its first visible chart (u0, u1) the line is
+    const + c0*u0 + c1*u1: on P2 the line's vector in the chart's slots
+    (`P2_SLOTS`), on a product {u_i = v} with c_i = 1 and const = -v, v = 0
+    on the chart that inverts u_i for r = INF.  The general path solves
+    for u1 when c1 != 0 and for u0 otherwise, and finds
+    solve = -(c_param * param + const)/c_solve."""
+    ch = comp.first_visible_chart()
+    if variety.kind == "P2":
+        const, *cs = (comp.line[k] for k in P2_SLOTS[ch.id])
+    else:
+        i, r = comp.line
+        cs = [0, 0]
+        cs[i], const = 1, 0 if r == INF else -r
+    k = 1 if cs[1] else 0
+    solve, param = ch.coords[k], ch.coords[1 - k]
+    base = param.rstrip("_") or param
+    value = Polynomial((base,), {
+        (1,): Fraction(-cs[1 - k], cs[k]), (0,): Fraction(-const, cs[k])})
+    embed = VarietyMap(proj_line(base), variety, ch.id, {
+        param: RationalFunction.variable((base,), base),
+        solve: RationalFunction.from_poly(value),
+    })
+    embed.image = comp
+    return ("graph", ch, param, embed)
+
+
 # ---------------------------------------------------------------------------
 # P1 decisions in the source coordinate
 # ---------------------------------------------------------------------------
+
+
+def order_at_infinity(kind, f: RationalFunction, u) -> int:
+    """The order of a nonzero top-degree form f dx, f on the main chart of
+    a P1, a product of two lines or P2 (the variety's `kind`), along the
+    divisor {u = 0} of a later chart, by degrees on the main chart.
+
+    - A factor t of P1 or P1 x P1, u = t_: t = 1/u, dt = -du/u^2, and
+      f(..., 1/u, ...) is u^(deg_t den - deg_t num) times a fraction whose
+      parts, the reversed polynomials in t, take their leading coefficients
+      in t, not 0, at u = 0.  So the order is deg_t den - deg_t num - 2.
+    - The line at infinity of P2, u = x1: x = 1/x1, y = y1/x1,
+      dx^dy = -dx1^dy1/x1^3, and a polynomial of total degree k is x1^-k
+      times one whose value at x1 = 0, its top part at (1, y1), is not 0.
+      So the order is deg den - deg num - 3.
+
+    The transition that this replaces cannot refuse a form that passed
+    the main chart: its den is a TAU-monomial times powers of declared
+    components, made canonical on every chart, and a monomial
+    substitution multiplies leads, so the substituted den has a
+    TAU-monomial lead.
+    """
+    if kind == "P2":
+        return f.den.total_degree() - f.num.total_degree() - 3
+    t = u[:-1]
+    return f.den.degree_in(t) - f.num.degree_in(t) - 2
 
 
 class P1Form:
@@ -160,11 +256,10 @@ class P1Form:
 
     - A finite rational point r is a pole iff den(r) = 0: num and den
       are coprime, so num(r) != 0 there.
-    - On the infinity chart s = 1/t, dt = -ds/s^2 and
-      f(1/s) = s^(dd - dn) num*(s)/den*(s), where the reversed
-      polynomials num*, den* take the leading coefficients, nonzero, at
-      s = 0.  So ord_oo(f dt) = dd - dn - 2 for f != 0, and oo is a pole
-      iff dn >= dd - 1.
+    - On the infinity chart s = 1/t, ord_oo(f dt) = dd - dn - 2 for
+      f != 0 (`order_at_infinity`, where f(1/s) = s^(dd - dn)
+      num*(s)/den*(s) with the reversed polynomials num*, den*), and oo is
+      a pole iff dn >= dd - 1.
     - If den vanishes at dd distinct declared finite points, it is a
       constant times their product: these are its only roots, each
       simple.  dn <= dd - 1 makes the pole at oo at most simple, and
@@ -193,10 +288,11 @@ class P1Form:
     path, so that every refusal keeps its text.
     """
 
-    __slots__ = ("var", "num", "den")
+    __slots__ = ("var", "f", "num", "den")
 
     def __init__(self, coefficient: RationalFunction, var):
         self.var = var
+        self.f = coefficient
         self.num = coefficient.num
         self.den = coefficient.den
 
@@ -208,8 +304,7 @@ class P1Form:
         return P1Form(form.coefficient((0,)), variety.main_chart.coords[0])
 
     def _order_at_inf(self):
-        """ord_oo(f dt) = dd - dn - 2 for f != 0."""
-        return self.den.degree_in(self.var) - self.num.degree_in(self.var) - 2
+        return order_at_infinity("P1", self.f, self.var + "_")
 
     def has_pole(self, point) -> bool:
         """Is the rational point (a Fraction, or INF) a pole?"""
@@ -254,7 +349,7 @@ def p1_points(components):
     infinity chart; else None."""
     points = []
     for comp in components:
-        if comp.point is not None:  # made by `point_component`
+        if comp.point is not None:  # carried by the component
             points.append(comp.point)
             continue
         main, inf = comp.variety.charts
@@ -307,51 +402,68 @@ def poincare_residue(
     variety: CatalogVariety,
     direction=None,
 ) -> ResidueResult:
-    """Residue of a simple-pole form along one divisor component."""
+    """Residue of a simple-pole form along one divisor component.
+
+    With no direction given, a point of P1 takes `P1Form`, a carried line
+    at infinity its closed form (`_residue_at_infinity`), and a graph the
+    restriction formula (`_restricted`); whatever these cannot take, and
+    every residue with a direction, takes the contraction.
+    """
     shape = classify_component(comp, variety)
     chart = shape[1]
-    if shape[0] == "point" and direction is None:
-        p1 = P1Form.on(omega, variety)
-        points = p1_points([comp]) if p1 is not None else None
-        value = p1.residue(points[0]) if points is not None else None
-        if value is not None:
-            return _point_residue(variety, chart, shape[2], value)
+    if direction is None:
+        if shape[0] == "point":
+            p1 = P1Form.on(omega, variety)
+            points = p1_points([comp]) if p1 is not None else None
+            value = p1.residue(points[0]) if points is not None else None
+            if value is not None:
+                return _point_residue(variety, VarietyPoint.product_point(points), value)
+        elif comp.line is not None and chart.id != omega.chart == variety.main_chart.id:
+            res = _residue_at_infinity(omega, comp, variety, shape)
+            if res is not None:
+                return res
     form = variety.transition_form(omega, chart.id)
     p = comp.poly_on(chart.id)
-    _require_simple(form, p, comp)
-    if shape[0] == "curve":
-        try:
-            curve = plane_curve(p)
-        except GeometryError as e:
-            raise ResidueError("residue onto a singular component: %s" % e)
-    rho = _contracted(form, p, chart.coords, direction)
+    _require_simple(form.pole_order(p), comp)
 
     if shape[0] == "point":
         root = shape[2]
         at = {chart.coords[0]: root}
+        pt = point_from_chart(variety, chart.id, at)
         if not form.coefficient((0,)).den.evaluate(at).is_zero():
             # no pole at root: p f vanishes there, whatever den(root) is
-            return _point_residue(variety, chart, root, Polynomial.zero(()))
+            return _point_residue(variety, pt, Polynomial.zero(()))
+        rho = _contracted(form, p, chart.coords, direction)
         try:
             value = rho.coefficient(()).evaluate(at)
         except ZeroDivisionError:
             raise ResidueError(
                 "residual denominator vanishes at the pole of %s" % comp.label
             )
-        return _point_residue(variety, chart, root, value)
+        return _point_residue(variety, pt, value)
 
     if shape[0] == "graph":
         embed = shape[3]
         line = embed.source.main_chart
-        try:
-            restricted = rho.pullback(embed.formulas, line.id, line.coords)
-        except ZeroDivisionError:
-            raise ResidueError(
-                "residual denominator vanishes along %s" % comp.label
-            )
+        restricted = None
+        if direction is None:
+            restricted = _restricted(form, p, chart, shape[2], embed, comp.line is not None)
+        if restricted is None:
+            rho = _contracted(form, p, chart.coords, direction)
+            try:
+                restricted = rho.pullback(embed.formulas, line.id, line.coords)
+            except ZeroDivisionError:
+                raise ResidueError(
+                    "residual denominator vanishes along %s" % comp.label
+                )
         return ResidueResult("line", embed.source, embed, restricted)
 
     # plane-curve target
+    try:
+        curve = plane_curve(p)
+    except GeometryError as e:
+        raise ResidueError("residue onto a singular component: %s" % e)
+    rho = _contracted(form, p, chart.coords, direction)
     x, y = chart.coords
     px = RationalFunction.from_poly(p.differentiate(x))
     py = RationalFunction.from_poly(p.differentiate(y))
@@ -371,17 +483,80 @@ def poincare_residue(
     return ResidueResult("curve", curve, embed, cform)
 
 
-def _point_residue(variety, chart, root, value: Polynomial) -> ResidueResult:
-    """The residue `value` carried to the point {coordinate = root} of the chart."""
-    target = point_variety()
-    pt = point_from_chart(variety, chart.id, {chart.coords[0]: root})
-    embed = VarietyMap.constant(target, variety, pt)
+def _restricted(form, p, chart, param, embed, line):
+    """The residue along a graph by the restriction formula (see the module
+    docstring): e * (p f / a) at solve = -b/a, one `times_poly`, one
+    division by a and one substitution of the graph, a specialization
+    for a constant graph.  None where that meets a zero denominator or a
+    TAU-sum lead, and for a component that is not a `line` unless p is
+    TAU-free and irreducible (a and b coprime, so that the graph's
+    denominator keeps the degree of a): under these conditions the
+    contraction it replaces refuses exactly where it does, so the caller
+    takes the contraction for every refusal."""
+    k = 0 if param == chart.coords[1] else 1
+    solve, target = chart.coords[k], embed.source.main_chart
+    a = p.differentiate(solve)
+    value = embed.formulas[solve]
+    if not line and (p.shift or p.prim.degree(len(p.variables)) > 0
+                     or value.den.total_degree() != a.total_degree()):
+        return None
+    e = Polynomial.scalar(1 - 2 * k)
+    try:
+        rf = form.coefficient((0, 1)).times_poly(p)
+        if a.is_constant():
+            rf = rf.scale(e / a.constant_value())
+        else:
+            rf = (rf / RationalFunction.from_poly(a)).scale(e)
+        if value.is_constant():
+            at = {solve: value.constant_value().rational_value()}
+            rf = RationalFunction(rf.num.specialize(at), rf.den.specialize(at))
+            if rf.variables != target.coords:
+                rf = rf.rename(target.coords)
+        else:
+            rf = rf.substitute(embed.formulas)
+    except (ZeroDivisionError, PolynomialError, ScalarError):
+        return None
+    return DifferentialForm(target.id, target.coords, 1, {(0,): rf})
+
+
+def _residue_at_infinity(omega, comp, variety, shape):
+    """The residue of a top-degree form on the main chart along a carried
+    line at infinity, in closed form from the form's N/D there (see the
+    module docstring); None where normalizing it meets a TAU-sum lead."""
+    _, chart, _, embed = shape
+    line = embed.source.main_chart
+    (u,) = variety.new_locus(chart.id)
+    rf = RationalFunction.constant(line.coords, 0)
+    if not omega.is_zero():
+        (f,) = omega.components.values()
+        o = order_at_infinity(variety.kind, f, u)
+        _require_simple(o, comp)
+        if o < 0:
+            if variety.kind == "P2":
+                weights, keep, sign = (1, 1), 1, -1
+            else:
+                i = variety.main_chart.coords.index(u[:-1])
+                weights, keep, sign = (1 - i, i), 1 - i, 1 if i else -1
+            (name,) = line.coords
+            num = f.num.top_part(weights, keep, name)
+            try:
+                rf = RationalFunction(num if sign > 0 else -num,
+                                      f.den.top_part(weights, keep, name))
+            except PolynomialError:
+                return None
+    form = DifferentialForm(line.id, line.coords, 1, {(0,): rf})
+    return ResidueResult("line", embed.source, embed, form)
+
+
+def _point_residue(variety, point: VarietyPoint, value: Polynomial) -> ResidueResult:
+    """The residue `value` carried to a point of the variety."""
     rf = RationalFunction.constant((), value)
-    return ResidueResult("scalar", target, embed, DifferentialForm.function("pt", (), rf))
+    return ResidueResult("scalar", point_variety(), None,
+                         DifferentialForm.function("pt", (), rf), point, variety)
 
 
-def _require_simple(form: DifferentialForm, p: Polynomial, comp):
-    worst = form.pole_order(p)
+def _require_simple(worst, comp):
+    """Refuse a pole of order 2 or more: worst is the form's order along comp."""
     if worst < -1:
         raise ResidueError(
             "pole of order %d along %s; only simple poles supported"

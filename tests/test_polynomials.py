@@ -984,8 +984,8 @@ def test_dsq_takes_no_sympy_gcd_of_a_single_term(monkeypatch):
     """Every gcd with a one-term or a degree-1 operand on a P1 x P1 `dsq` is
     taken by `_cofactors` itself, not by sympy's `cofactors`.  With poles
     on lines only the residues divide exactly and every other gcd has a
-    line operand, so no general gcd is left; with the quadratic pole
-    (z2 + 6)(z2 - 1) the spy still sees general gcds."""
+    line operand, so no general gcd is left; with three poles on each
+    factor the spy still sees general gcds."""
     calls = []
     monkeypatch.setattr(PolyElement, "cofactors", _spy(calls, PolyElement.cofactors))
 
@@ -1002,8 +1002,8 @@ def test_dsq_takes_no_sympy_gcd_of_a_single_term(monkeypatch):
     assert dsq("dlog(z1) wedge dlog(z2 + 6)", "z1, inf(z1), z2 + 6, inf(z2)") == []
     assert dsq("dlog(z1 - 1) wedge dlog(z2 + 6)", "z1 - 1, inf(z1), z2 + 6, inf(z2)") == []
     calls = dsq(
-        "dlog(z1 - 1) wedge dlog((z2 + 6)*(z2 - 1))",
-        "z1 - 1, inf(z1), z2 + 6, z2 - 1, inf(z2)",
+        "dlog((z1 - 1)*(z1 + 2)*(z1 - 3)) wedge dlog((z2 + 6)*(z2 - 1)*(z2 - 5))",
+        "z1 - 1, z1 + 2, z1 - 3, inf(z1), z2 + 6, z2 - 1, z2 - 5, inf(z2)",
     )
     assert calls  # the spy sees the general gcds
     assert not [fg for fg in calls if any(len(e) == 1 or is_line(e) for e in fg)]
